@@ -2,8 +2,9 @@
 
 The registry's grouped pipeline exists so that 1M samples spread over 1k
 tagged series do not cost 1M Python call chains: one ``key_batch`` over the
-whole batch, one combined ``bincount`` over ``group * span + key`` flat
-indices, and a per-series fan-out.  This module gates that design:
+whole batch, one combined ``bincount`` into one row per series (each
+spanning that series' own key range), and a per-series fan-out.  This
+module gates that design:
 
 * grouped ingestion must be **>= 10x** faster than the per-series Python
   ``add`` loop at 1k-series cardinality (in practice the gap is 30-80x);

@@ -30,7 +30,8 @@ Four subcommands cover the common workflows:
     ``--max-inflight`` / ``--max-connections`` bound the admission gate,
     ``--idle-timeout`` reaps stalled connections, ``--drain-timeout`` bounds
     the graceful shutdown, and ``--max-message-bytes`` rejects hostile
-    length prefixes before any allocation.
+    length prefixes before any allocation.  SIGINT and SIGTERM stop it
+    through that graceful shutdown, including the final snapshot.
 
 ``push``
     Read one number per line, sketch the values, and push the resulting
@@ -610,6 +611,8 @@ def _run_simulate(args: argparse.Namespace, stdout) -> int:
 
 def _run_serve(args: argparse.Namespace, stdout) -> int:
     import asyncio
+    import contextlib
+    import signal
 
     from repro.service import AggregationServer
 
@@ -630,6 +633,13 @@ def _run_serve(args: argparse.Namespace, stdout) -> int:
             max_message_bytes=args.max_message_bytes,
         )
         await server.start()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            # A signal asks for the graceful drain and final snapshot rather
+            # than unwinding past them as KeyboardInterrupt.  Loops outside
+            # the main thread (or on Windows) cannot take signal handlers.
+            with contextlib.suppress(NotImplementedError, RuntimeError):
+                loop.add_signal_handler(signum, server.request_stop)
         recovery = server.last_recovery
         host, port = server.address
         print(f"listening on {host}:{port}", file=stdout, flush=True)
@@ -642,12 +652,11 @@ def _run_serve(args: argparse.Namespace, stdout) -> int:
                 flush=True,
             )
         if args.max_frames > 0:
-            # Test/diagnostic mode: poll until N frames arrived, then exit.
-            while server.state.frames_applied < args.max_frames:
+            # Test/diagnostic mode: also stop once N frames arrived.
+            while server.state.frames_applied < args.max_frames and not server.stop_requested:
                 await asyncio.sleep(0.01)
-            await server.stop()
-        else:
-            await server.serve_until_stopped()
+            server.request_stop()
+        await server.serve_until_stopped()
         print(
             f"served {server.state.frames_applied} frame(s), "
             f"{server.state.values_applied:.0f} values",

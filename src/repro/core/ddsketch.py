@@ -353,18 +353,18 @@ class BaseDDSketch:
         series per group — and is folded into ``sketches[group]`` without a
         Python-level loop over the samples.
 
-        When every sketch shares the same mapping and uses plain (unbounded)
-        dense stores, the whole batch is keyed with **one**
-        :meth:`~repro.mapping.KeyMapping.key_batch` call per sign and
-        accumulated across all groups with one combined ``bincount``
-        (:func:`repro.store.grouped.add_grouped_batch`); the exact per-sketch
-        ``count``/``sum``/``min``/``max`` summaries come from grouped array
-        reductions.  Any other configuration — bounded or sparse stores,
+        When every sketch shares the same mapping and uses plain or
+        tail-collapsing dense stores — the default :class:`DDSketch` does —
+        the whole batch is keyed with **one** :func:`repro.kernel.compute_keys`
+        pass and accumulated across all groups with one combined binning
+        pass per sign (:func:`repro.store.grouped.add_grouped_batch`); the
+        exact per-sketch ``count``/``sum``/``min``/``max`` summaries come from
+        grouped array reductions.  Any other configuration — uniform-collapse
+        or sparse stores, sketch classes with their own :meth:`add_batch`,
         sketches whose mappings have diverged (e.g. independently collapsed
         :class:`~repro.core.UDDSketch` series) — falls back to one stable
         sort plus a per-group :meth:`add_batch` slice, which preserves each
-        sketch type's semantics exactly (collapse windows, adaptive alpha,
-        bucket limits).
+        sketch type's semantics exactly (adaptive alpha, bucket limits).
 
         Parameters
         ----------
@@ -387,11 +387,15 @@ class BaseDDSketch:
         -----
         The result is identical to splitting the columns by group and calling
         ``sketches[g].add_batch`` per group — and therefore to looping
-        :meth:`add` per sample (bit-for-bit for unit weights; ``sum`` matches
-        the per-item loop's left-to-right accumulation order).
+        :meth:`add` per sample: bit-for-bit for unit weights (buckets, store
+        windows and collapse state, ``count``, ``zero_count``, ``min``,
+        ``max``).  On the combined pass ``sum`` is each group's
+        left-to-right input-order sum, like the per-item loop's, where
+        :meth:`add_batch` sums pairwise; the two may differ in the last ulp
+        for groups of 8 or more values.
         """
+        from repro.store.grouped import SEGMENT_STORE_TYPES, group_totals
         from repro.store.grouped import add_grouped_batch as store_add_grouped
-        from repro.store.grouped import group_totals
 
         sketches = list(sketches)
         num_groups = len(sketches)
@@ -413,13 +417,11 @@ class BaseDDSketch:
             )
         values, weight_array = kernel.coerce_values_weights(values, weights)
 
-        from repro.store.dense import DenseStore
-
         mapping = sketches[0]._mapping
         shared_fast_path = all(
             type(sketch).add_batch is BaseDDSketch.add_batch
-            and type(sketch._store) is DenseStore
-            and type(sketch._negative_store) is DenseStore
+            and type(sketch._store) in SEGMENT_STORE_TYPES
+            and type(sketch._negative_store) in SEGMENT_STORE_TYPES
             and sketch._mapping == mapping
             for sketch in sketches
         )

@@ -60,6 +60,7 @@ __all__ = [
     "decode_bucket_pairs",
     "encode_bucket_pairs",
     "encode_proto_bins",
+    "group_key_ranges",
     "native_available",
     "selection_from_keys",
     "set_backend",
@@ -202,16 +203,29 @@ def bin_selection(selection: Selection, lo: int, hi: int):
     return _backend().bin_selection(selection, lo, hi)
 
 
-def bin_grouped(group_indices, keys, weights, num_groups, offset, span, scratch=None):
-    """Bin a grouped batch into a ``num_groups x span`` cell grid.
+def group_key_ranges(group_indices, keys, num_groups):
+    """Per-group ``(min_keys, max_keys)`` of a grouped batch, in one pass.
 
-    Cell ``(g, k - offset)`` accumulates the weight of every sample with
-    group ``g`` and key ``k``; the caller guarantees all keys fall in
-    ``[offset, offset + span)``.  ``scratch`` optionally recycles the
-    reference backend's flat-index temporary for single-writer callers.
+    Both are ``int64`` arrays of ``num_groups`` entries; a group without
+    samples keeps the sentinels ``min_keys[g] > max_keys[g]``.  The caller
+    guarantees every group index lies in ``[0, num_groups)`` (the native
+    backend does not bounds-check).
+    """
+    return _backend().group_key_ranges(group_indices, keys, num_groups)
+
+
+def bin_grouped(group_indices, keys, weights, row_bases, num_cells, scratch=None):
+    """Bin a grouped batch into one flat buffer of per-group rows.
+
+    Cell ``row_bases[g] + k`` accumulates the weight of every sample with
+    group ``g`` and key ``k``; the caller guarantees every group index
+    indexes ``row_bases`` and lays the rows out so that every such cell
+    falls in ``[0, num_cells)``.  Returns the ``num_cells``
+    cells.  ``scratch`` optionally recycles the reference backend's
+    flat-index temporary for single-writer callers.
     """
     return _backend().bin_grouped(
-        group_indices, keys, weights, num_groups, offset, span, scratch=scratch
+        group_indices, keys, weights, row_bases, num_cells, scratch=scratch
     )
 
 

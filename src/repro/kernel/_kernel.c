@@ -131,15 +131,30 @@ void repro_bin_select(const int64_t *keys, const int8_t *flags, int8_t want,
     }
 }
 
-/* Grouped binning: cells[group * span + key - offset] += weight, in input
- * order.  cells must be zeroed by the caller (num_groups * span doubles);
- * the caller guarantees offset <= key < offset + span. */
+/* Per-group key range in one pass: mins[g] / maxs[g] end as the smallest /
+ * largest key of group g.  The caller fills mins with INT64_MAX and maxs
+ * with INT64_MIN, so a group without samples keeps min > max. */
+void repro_group_key_ranges(const int64_t *groups, const int64_t *keys, int64_t n,
+                            int64_t *mins, int64_t *maxs)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t g = groups[i];
+        int64_t k = keys[i];
+        if (k < mins[g])
+            mins[g] = k;
+        if (k > maxs[g])
+            maxs[g] = k;
+    }
+}
+
+/* Grouped binning into per-group rows: cells[bases[group] + key] += weight,
+ * in input order.  cells must be zeroed by the caller; the caller lays the
+ * rows out so that every index falls inside the buffer. */
 void repro_bin_grouped(const int64_t *groups, const int64_t *keys, int64_t n,
-                       const double *weights, int64_t offset, int64_t span,
-                       double *cells)
+                       const double *weights, const int64_t *bases, double *cells)
 {
     for (int64_t i = 0; i < n; i++)
-        cells[groups[i] * span + (keys[i] - offset)] += weights ? weights[i] : 1.0;
+        cells[bases[groups[i]] + keys[i]] += weights ? weights[i] : 1.0;
 }
 
 /* Encode n (zig-zag varint delta, little-endian float64 count) pairs into

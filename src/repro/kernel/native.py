@@ -136,7 +136,9 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_compute_keys.restype = None
     lib.repro_bin_select.argtypes = [p, p, ctypes.c_int8, i64, p, i64, i64, p]
     lib.repro_bin_select.restype = None
-    lib.repro_bin_grouped.argtypes = [p, p, i64, p, i64, i64, p]
+    lib.repro_group_key_ranges.argtypes = [p, p, i64, p, p]
+    lib.repro_group_key_ranges.restype = None
+    lib.repro_bin_grouped.argtypes = [p, p, i64, p, p, p]
     lib.repro_bin_grouped.restype = None
     lib.repro_encode_pairs.argtypes = [p, p, i64, p]
     lib.repro_encode_pairs.restype = i64
@@ -247,28 +249,41 @@ class NativeBackend:
         )
         return counts
 
+    def group_key_ranges(
+        self, group_indices: "np.ndarray", keys: "np.ndarray", num_groups: int
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Per-group key extrema in one C pass."""
+        group_indices = np.ascontiguousarray(group_indices, dtype=np.int64)
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        min_keys = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
+        max_keys = np.full(num_groups, np.iinfo(np.int64).min, dtype=np.int64)
+        self._lib.repro_group_key_ranges(
+            _ptr(group_indices), _ptr(keys), keys.size, _ptr(min_keys), _ptr(max_keys)
+        )
+        return min_keys, max_keys
+
     def bin_grouped(
         self,
         group_indices: "np.ndarray",
         keys: "np.ndarray",
         weights,
-        num_groups: int,
-        offset: int,
-        span: int,
+        row_bases: "np.ndarray",
+        num_cells: int,
         scratch=None,
     ) -> "np.ndarray":
         """Grouped binning in C — no flat-index temporary at all, so the
         ``scratch`` buffer is simply unused here (results are identical)."""
         group_indices = np.ascontiguousarray(group_indices, dtype=np.int64)
         keys = np.ascontiguousarray(keys, dtype=np.int64)
+        row_bases = np.ascontiguousarray(row_bases, dtype=np.int64)
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
-        cells = np.zeros(num_groups * span, dtype=np.float64)
+        cells = np.zeros(num_cells, dtype=np.float64)
         self._lib.repro_bin_grouped(
             _ptr(group_indices), _ptr(keys), keys.size,
-            _ptr(weights), offset, span, _ptr(cells),
+            _ptr(weights), _ptr(row_bases), _ptr(cells),
         )
-        return cells.reshape(num_groups, span)
+        return cells
 
     def encode_bucket_pairs(self, deltas: "np.ndarray", counts: "np.ndarray") -> bytes:
         """Varint/zigzag bucket encoding in C; byte-identical to the loop."""
@@ -365,12 +380,19 @@ def _self_test(backend: NativeBackend) -> None:
                 np.asarray(reference.bin_selection(ref_sel, lo, hi), dtype=np.float64),
             ):
                 raise NativeKernelUnavailable("self-test: bin_selection mismatch")
-    groups = rng.integers(0, 8, 512)
+    groups = rng.integers(0, 9, 512)
     keys = rng.integers(-50, 50, 512)
     weights = rng.integers(1, 9, 512) / 4.0
+    # Group 9 never appears, so its range must stay empty (min > max).
+    min_keys, max_keys = backend.group_key_ranges(groups, keys, 10)
+    ref_min_keys, ref_max_keys = reference.group_key_ranges(groups, keys, 10)
+    if not (np.array_equal(min_keys, ref_min_keys) and np.array_equal(max_keys, ref_max_keys)):
+        raise NativeKernelUnavailable("self-test: group_key_ranges mismatch")
+    # Group g fills row (g + 1) % 9 of 101 cells: rows need not follow group order.
+    bases = ((np.arange(9) + 1) % 9 * 101 + 50).astype(np.int64)
     for w in (None, weights):
-        native_cells = backend.bin_grouped(groups, keys, w, 8, -50, 101)
-        ref_cells = reference.bin_grouped(groups, keys, w, 8, -50, 101)
+        native_cells = backend.bin_grouped(groups, keys, w, bases, 9 * 101)
+        ref_cells = reference.bin_grouped(groups, keys, w, bases, 9 * 101)
         if not np.array_equal(native_cells, np.asarray(ref_cells, dtype=np.float64)):
             raise NativeKernelUnavailable("self-test: bin_grouped mismatch")
     deltas = np.concatenate([

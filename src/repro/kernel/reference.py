@@ -88,32 +88,38 @@ class NumpyBackend:
         indices = np.clip(selection.keys, lo, hi) - lo
         return np.bincount(indices, weights=selection.weights, minlength=hi - lo + 1)
 
+    def group_key_ranges(
+        self, group_indices: "np.ndarray", keys: "np.ndarray", num_groups: int
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Per-group key extrema via one scatter-min and one scatter-max."""
+        min_keys = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
+        max_keys = np.full(num_groups, np.iinfo(np.int64).min, dtype=np.int64)
+        np.minimum.at(min_keys, group_indices, keys)
+        np.maximum.at(max_keys, group_indices, keys)
+        return min_keys, max_keys
+
     def bin_grouped(
         self,
         group_indices: "np.ndarray",
         keys: "np.ndarray",
         weights: Optional["np.ndarray"],
-        num_groups: int,
-        offset: int,
-        span: int,
+        row_bases: "np.ndarray",
+        num_cells: int,
         scratch=None,
     ) -> "np.ndarray":
-        """One combined ``bincount`` over the flat index ``group * span + key``.
+        """One combined ``bincount`` over the flat index ``row_bases[group] + key``.
 
         ``scratch`` (a :class:`repro.store.grouped.GroupedScratch`) lets a
         single-writer caller reuse the batch-sized flat-index temporary; the
         in-place arithmetic produces bit-identical indices.
         """
         if scratch is None:
-            flat = group_indices * span + (keys - offset)
+            flat = row_bases[group_indices] + keys
         else:
             flat = scratch.flat_index(keys.size)
-            np.multiply(group_indices, span, out=flat)
-            np.add(flat, keys, out=flat)
-            if offset:
-                flat -= offset
-        cells = np.bincount(flat, weights=weights, minlength=num_groups * span)
-        return cells.reshape(num_groups, span)
+            np.take(row_bases, group_indices, out=flat)
+            flat += keys
+        return np.bincount(flat, weights=weights, minlength=num_cells)
 
     def encode_bucket_pairs(self, deltas: "np.ndarray", counts: "np.ndarray") -> bytes:
         """Encode ``(zig-zag delta, float64 count)`` pairs to wire bytes."""

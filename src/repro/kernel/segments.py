@@ -267,22 +267,26 @@ class SignSplit:
 
 
 def apply_segments(
-    stores: Sequence, offset: int, cells, totals: "np.ndarray"
+    stores: Sequence,
+    cells: "np.ndarray",
+    min_keys: "np.ndarray",
+    row_ends: "np.ndarray",
+    totals: "np.ndarray",
 ) -> None:
     """Fan pre-binned rows out into stores via ``_add_binned_segment``.
 
-    ``cells`` is the grouped binning result (``num_groups x span``, row
-    ``g`` holding the per-key counts for ``stores[g]`` starting at key
-    ``offset``); ``totals`` the per-group input-order weight totals from
-    :func:`repro.store.grouped.group_totals`.  Each non-empty row is trimmed
-    to its non-zero extent and handed to the store's
-    ``_add_binned_segment`` hook, which performs the window placement and
-    boundary folding exactly as its ``add_batch`` would.
+    ``cells`` is the grouped binning result: one row per store, laid end to
+    end.  Row ``i`` is ``cells[row_ends[i - 1]:row_ends[i]]`` (from 0 for
+    the first) and counts keys ``min_keys[i], min_keys[i] + 1, ...`` for
+    ``stores[i]``; ``totals[i]`` is that store's input-order weight total
+    from :func:`repro.store.grouped.group_totals`.  Each row spans exactly
+    its group's ``[min_key, max_key]``, so the store's
+    ``_add_binned_segment`` hook places the window and folds boundary keys
+    exactly as its ``add_batch`` would for the group's own keys.
     """
-    for group in np.flatnonzero(totals > 0.0).tolist():
-        row = cells[group]
-        nonzero = np.flatnonzero(row)
-        first, last = int(nonzero[0]), int(nonzero[-1])
-        stores[group]._add_binned_segment(
-            offset + first, row[first : last + 1], float(totals[group])
-        )
+    start = 0
+    for store, min_key, end, total in zip(
+        stores, min_keys.tolist(), row_ends.tolist(), totals.tolist()
+    ):
+        store._add_binned_segment(min_key, cells[start:end], total)
+        start = end

@@ -223,9 +223,13 @@ def decode_push_envelope(payload: bytes, validate_frame: bool = False) -> PushEn
     """Decode a push envelope; optionally validate the embedded frame too.
 
     With ``validate_frame=True`` the embedded frame-v3 payload is fully
-    decoded (and discarded) so that a well-formed envelope is also known to
-    carry a well-formed frame — the server validates before persisting, so
-    the segment log only ever stores frames that decode.
+    decoded and the result discarded, so that a well-formed envelope is
+    also known to carry a well-formed frame.  A caller that goes on to
+    apply the frame should not validate here: decode it once with
+    ``decode_frame(envelope.frame)`` and hand those entries to
+    :meth:`~repro.service.state.ServiceState.apply`.  The server does so,
+    before persisting, so the segment log only ever stores frames that
+    decode and each accepted frame is decoded once.
 
     Raises
     ------

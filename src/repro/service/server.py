@@ -10,7 +10,11 @@ directory is configured — persists every accepted envelope to a
 crash-recoverable :class:`~repro.service.segment_log.SegmentLog` *before*
 applying and acknowledging it.  The accept path is therefore::
 
-    decode envelope -> validate frame -> dedup -> log.append -> state.apply -> ACK
+    decode envelope + frame -> dedup -> log.append -> state.apply -> ACK
+
+Decoding the frame is its validation, so only frames that decode reach the
+log, and ``state.apply`` folds in those decoded sketches: each accepted
+frame is decoded once.
 
 A frame is acknowledged only after it is durable, so a crash between append
 and ACK leaves the client unacknowledged: it retransmits, the server dedups,
@@ -311,6 +315,11 @@ class AggregationServer:
         if self._stop_event is not None:
             self._stop_event.set()
 
+    @property
+    def stop_requested(self) -> bool:
+        """Whether :meth:`request_stop` was called since the server started."""
+        return self._stop_event is not None and self._stop_event.is_set()
+
     async def stop(self) -> None:
         """Stop accepting connections, drain in-flight work, close the log."""
         self.request_stop()
@@ -521,9 +530,17 @@ class AggregationServer:
     # Push path
     # ------------------------------------------------------------------ #
 
-    def _decode_push(self, payload: bytes) -> PushEnvelope:
-        """Decode and validate one push payload, counting its bytes."""
-        envelope = decode_push_envelope(payload, validate_frame=True)
+    def _decode_push(self, payload: bytes) -> Tuple[PushEnvelope, list]:
+        """Decode and validate one push payload, counting its bytes.
+
+        Returns the envelope and its decoded frame entries.  Decoding the
+        frame is the validation, and it happens once per push: the entries
+        go on to :meth:`ServiceState.apply`, which adopts them.
+        """
+        from repro.serialization.frame import decode_frame
+
+        envelope = decode_push_envelope(payload)
+        entries = decode_frame(envelope.frame)
         if envelope.sequence < 1:
             # Sequences are 1-based (the dedup watermark's zero state means
             # "nothing applied"); reject loudly rather than dedup silently.
@@ -531,7 +548,7 @@ class AggregationServer:
                 f"envelope sequence must be >= 1, got {envelope.sequence!r}"
             )
         self._bytes_received += len(payload)
-        return envelope
+        return envelope, entries
 
     def _duplicate_ack(self, envelope: PushEnvelope) -> Dict[str, Any]:
         self.state.duplicates_rejected += 1
@@ -543,9 +560,9 @@ class AggregationServer:
             "series": 0,
         }
 
-    def _apply_decoded(self, envelope: PushEnvelope) -> Dict[str, Any]:
+    def _apply_decoded(self, envelope: PushEnvelope, entries: list) -> Dict[str, Any]:
         """Fold one decoded (and already persisted) envelope into state."""
-        series = self.state.apply(envelope)
+        series = self.state.apply(envelope, entries)
         self._frames_since_snapshot += 1
         return {
             "status": "ok",
@@ -570,7 +587,7 @@ class AggregationServer:
                 f"server at capacity ({self._max_inflight_pushes} in-flight pushes)",
                 retry_after=self._overload_retry_after,
             )
-        envelope = self._decode_push(payload)
+        envelope, entries = self._decode_push(payload)
         if self.state.is_duplicate(envelope.host, envelope.sequence):
             return self._duplicate_ack(envelope)
         if envelope.identity in self._inflight_identities:
@@ -592,7 +609,7 @@ class AggregationServer:
                     )
                 else:
                     self._last_applied_sequence = self.log.append(payload)
-            ack = self._apply_decoded(envelope)
+            ack = self._apply_decoded(envelope, entries)
         finally:
             self._inflight_pushes -= 1
             self._inflight_identities.discard(envelope.identity)
@@ -611,12 +628,12 @@ class AggregationServer:
         drive a non-serving server; the wire path goes through
         :meth:`_handle_push_async` (admission gate + executor append).
         """
-        envelope = self._decode_push(payload)
+        envelope, entries = self._decode_push(payload)
         if self.state.is_duplicate(envelope.host, envelope.sequence):
             return self._duplicate_ack(envelope)
         if self.log is not None:
             self._last_applied_sequence = self.log.append(payload)
-        ack = self._apply_decoded(envelope)
+        ack = self._apply_decoded(envelope, entries)
         if self._snapshot_every and self._frames_since_snapshot >= self._snapshot_every:
             self._write_snapshot()
         return ack

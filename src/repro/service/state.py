@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.ddsketch import BaseDDSketch
 from repro.exceptions import DeserializationError, IllegalArgumentError
 from repro.registry import SketchRegistry
-from repro.registry.series import TagsLike
+from repro.registry.series import SeriesKey, TagsLike
 from repro.serialization.encoding import (
     VarintReader,
     encode_varint,
@@ -161,20 +161,32 @@ class ServiceState:
                 del self._seen_ahead[host]
         self._seen_watermark[host] = watermark
 
-    def apply(self, envelope: PushEnvelope) -> int:
+    def apply(
+        self,
+        envelope: PushEnvelope,
+        entries: Optional[List[Tuple[SeriesKey, BaseDDSketch]]] = None,
+    ) -> int:
         """Fold one decoded envelope into the state; returns series merged.
 
         A duplicate ``(host, sequence)`` identity is counted and ignored
         (returns 0) — the exactly-once half of the delivery contract.
         Raises :class:`~repro.exceptions.DeserializationError` when the
         carried frame is corrupt; nothing is mutated in that case.
+
+        ``entries`` is the envelope's frame already decoded
+        (``decode_frame(envelope.frame)``), as the server's validation
+        produced it, so the frame is not decoded a second time.  The state
+        adopts those sketches — a window bucket keeps them without copying —
+        so they must reach exactly one ``apply`` and not be used after it.
+        Without ``entries`` the frame is decoded here.
         """
         from repro.serialization.frame import decode_frame
 
         if self.is_duplicate(envelope.host, envelope.sequence):
             self.duplicates_rejected += 1
             return 0
-        entries = decode_frame(envelope.frame)
+        if entries is None:
+            entries = decode_frame(envelope.frame)
         self._mark_applied(envelope.host, envelope.sequence)
         bucket = self._bucket_of(envelope.interval_start)
         window = self._window_for(bucket)

@@ -22,8 +22,8 @@ interface so that the sketch logic is independent of the storage strategy:
 For high-cardinality workloads — many stores fed from one columnar batch —
 :func:`add_grouped_batch` accumulates parallel ``(group_index, key)`` arrays
 into a whole sequence of stores with a single combined ``bincount`` pass
-(falling back to per-group ``add_batch`` slices for the bounded and sparse
-store families).
+for the plain and tail-collapsing dense stores (falling back to per-group
+``add_batch`` slices for the uniform-collapse and sparse store families).
 """
 
 from repro.store.base import Store, Bucket

@@ -157,9 +157,11 @@ class DenseStore(Store):
         matches a per-item loop bit for bit.
 
         The window placement and the clipping of out-of-window keys onto the
-        boundary buckets mirror :meth:`add_batch` exactly, so a segment
-        produced from a batch's keys lands in the same buckets the batch
-        itself would.
+        boundary buckets mirror :meth:`add_batch` exactly, so a segment that
+        spans exactly a batch's ``[min_key, max_key]`` lands in the same
+        window and the same buckets the batch itself would — for the
+        collapsing subclasses too, whose window placement depends only on
+        that range.
         """
         if counts.size == 0 or total <= 0.0:
             return
@@ -213,9 +215,13 @@ class DenseStore(Store):
     def merge(self, other: Store) -> None:
         if other.is_empty:
             return
-        if isinstance(other, DenseStore) and self._count > 0:
-            # Fast path: direct bin addition.  An empty target instead goes
-            # through add() so its window gets anchored by actual weight.
+        if isinstance(other, DenseStore):
+            if self._count <= 0 and self._bins.size:
+                # Same re-anchoring as add_batch: an emptied store must not
+                # let a stale window constrain where the merged weight lands.
+                self.clear()
+            # Fast path: direct bin addition; an empty target anchors its
+            # window on the source's key range.
             self._merge_dense(other)
             return
         for bucket in other:

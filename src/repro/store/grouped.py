@@ -6,16 +6,22 @@ DDSketch paper once every metric is split by host/endpoint/status tags) hand
 the store layer *columns*: a ``group_indices`` array saying which series each
 sample belongs to and a parallel ``keys`` array of bucket keys.  Feeding the
 groups one at a time costs one Python-level ``add_batch`` per series; this
-module accumulates **all** groups' buckets in a single ``numpy.bincount``
-pass over the combined flat index ``group * span + (key - offset)`` and then
-fans each group's pre-binned row out into its own store.
+module finds every group's ``[min_key, max_key]`` in one vectorized pass,
+lays one row per group end to end in a single cell buffer, accumulates
+**all** groups' buckets with one binning pass over the flat index
+``row_start[group] + (key - min_key[group])``, and then fans each group's
+pre-binned row out into its own store.  The buffer holds the sum of the
+per-group key spans, not ``groups x`` the batch's global span.
 
-The combined pass requires every target to be a plain
-:class:`~repro.store.dense.DenseStore`: the bounded stores (tail-collapsing
-and uniform-collapse) make per-batch windowing/collapse decisions that depend
-on each group's data in isolation, and the sparse store has no contiguous
-backing to fan a row into.  For those — and for batches whose combined
-``groups x span`` grid would be absurdly large — the primitive falls back to
+The combined pass accepts the plain :class:`~repro.store.dense.DenseStore`
+and both tail-collapsing stores (the default ``DDSketch``'s): each of them
+ingests a batch as one window placement over the batch's ``[min, max]`` key
+range plus one binning pass, and a row spanning exactly the group's own key
+range lands through ``_add_binned_segment`` in the same window and the same
+folded buckets as the group's keys would through ``add_batch``.  The
+uniform-collapse store re-keys after the batch lands and the sparse store
+has no contiguous backing to fan a row into; for those — and for batches
+whose rows would exceed :data:`MAX_FLAT_CELLS` — the primitive falls back to
 one stable sort plus one per-group ``add_batch`` slice, which preserves every
 store family's exact semantics while still being vectorized per group.
 """
@@ -29,12 +35,17 @@ import numpy as np
 from repro import kernel
 from repro.exceptions import IllegalArgumentError
 from repro.store.base import Store
+from repro.store.collapsing import CollapsingHighestDenseStore, CollapsingLowestDenseStore
 from repro.store.dense import DenseStore
 
-#: Largest ``num_groups * key_span`` grid the combined-bincount fast path may
-#: allocate (float64 cells).  1k series over the full ~7e3-key span of a 1%
-#: sketch is ~7e6 cells; anything past this cap falls back to the per-group
-#: path instead of allocating a giant scratch array.
+#: Store types the combined pass feeds through ``_add_binned_segment``
+#: (exact types: a subclass may change how a batch lands).
+SEGMENT_STORE_TYPES = (DenseStore, CollapsingLowestDenseStore, CollapsingHighestDenseStore)
+
+#: Largest cell buffer (the sum of the per-group key spans, float64 cells)
+#: the combined-bincount fast path may allocate.  Anything past this cap
+#: falls back to the per-group path instead of allocating a giant scratch
+#: array.
 MAX_FLAT_CELLS = 1 << 26
 
 
@@ -143,48 +154,74 @@ def add_grouped_batch(
 
     Notes
     -----
-    When every target is a plain :class:`DenseStore` and the combined
-    ``groups x span`` grid fits :data:`MAX_FLAT_CELLS`, all buckets are
-    accumulated with **one** ``numpy.bincount`` over the flat index
-    ``group * span + (key - offset)`` and fanned out row by row —
-    ``O(n + groups * span)`` total, independent of the number of groups at
-    the Python level.  Otherwise the batch is stable-sorted by group once
-    and each group's slice goes through its store's own ``add_batch``, which
-    preserves the collapsing/uniform/sparse semantics exactly.
+    When every target's type is in :data:`SEGMENT_STORE_TYPES` and the
+    per-group rows fit :data:`MAX_FLAT_CELLS`, the per-group key ranges come
+    from one :func:`repro.kernel.group_key_ranges` pass, all buckets are
+    accumulated with **one** :func:`repro.kernel.bin_grouped` pass into the
+    rows, and the rows are fanned out store by store — ``O(n + sum of the
+    group spans)`` total.  Otherwise the batch is stable-sorted by group
+    once and each group's slice goes through its store's own ``add_batch``,
+    which preserves the uniform/sparse semantics exactly.
 
     Either way the resulting per-store contents are identical to calling
-    ``stores[g].add_batch`` with each group's own slice (bit-for-bit for
-    unit weights; within one bucket the float summation order matches the
-    per-item loop).
+    ``stores[g].add_batch`` with each group's own slice: bit-for-bit for
+    unit weights, including each store's window offset and collapse state.
+    With fractional weights the running count and any folded boundary
+    bucket are summed in a different order, so they may differ in the last
+    ulp.
     """
     num_groups = len(stores)
     group_indices, keys, weights = _coerce_grouped(num_groups, group_indices, keys, weights)
     if keys.size == 0:
         return
-
-    flat_ok = all(type(store) is DenseStore for store in stores)
-    if flat_ok:
-        offset = int(keys.min())
-        span = int(keys.max()) - offset + 1
-        if num_groups * span > MAX_FLAT_CELLS:
-            flat_ok = False
-
-    if not flat_ok:
-        order = np.argsort(group_indices, kind="stable")
-        sorted_groups = group_indices[order]
-        sorted_keys = keys[order]
-        sorted_weights = None if weights is None else weights[order]
-        boundaries = np.searchsorted(sorted_groups, np.arange(num_groups + 1))
-        for group in np.unique(sorted_groups).tolist():
-            low, high = int(boundaries[group]), int(boundaries[group + 1])
-            stores[group].add_batch(
-                sorted_keys[low:high],
-                None if sorted_weights is None else sorted_weights[low:high],
-            )
+    if all(type(store) in SEGMENT_STORE_TYPES for store in stores) and _add_segments(
+        stores, group_indices, keys, weights, scratch
+    ):
         return
 
+    order = np.argsort(group_indices, kind="stable")
+    sorted_groups = group_indices[order]
+    sorted_keys = keys[order]
+    sorted_weights = None if weights is None else weights[order]
+    boundaries = np.searchsorted(sorted_groups, np.arange(num_groups + 1))
+    for group in np.unique(sorted_groups).tolist():
+        low, high = int(boundaries[group]), int(boundaries[group + 1])
+        stores[group].add_batch(
+            sorted_keys[low:high],
+            None if sorted_weights is None else sorted_weights[low:high],
+        )
+
+
+def _add_segments(
+    stores: Sequence[Store],
+    group_indices: "np.ndarray",
+    keys: "np.ndarray",
+    weights: Optional["np.ndarray"],
+    scratch: Optional[GroupedScratch],
+) -> bool:
+    """The combined pass; returns ``False`` (having changed nothing) when the
+    rows would exceed :data:`MAX_FLAT_CELLS`."""
+    num_groups = len(stores)
+    min_keys, max_keys = kernel.group_key_ranges(group_indices, keys, num_groups)
+    present = np.flatnonzero(max_keys >= min_keys)
+    min_keys = min_keys[present]
+    max_keys = max_keys[present]
+    # Bound the global span in Python integers first, so the int64 row
+    # arithmetic below cannot overflow on absurd keys.
+    if int(max_keys.max()) - int(min_keys.min()) >= MAX_FLAT_CELLS:
+        return False
+    row_ends = np.cumsum(max_keys - min_keys + 1)
+    num_cells = int(row_ends[-1])
+    if num_cells > MAX_FLAT_CELLS:
+        return False
+    # Key k of a group lands at row_start + (k - min_key), where the row
+    # starts at row_end - (max_key - min_key + 1).
+    row_bases = np.zeros(num_groups, dtype=np.int64)
+    row_bases[present] = row_ends - max_keys - 1
     cells = kernel.bin_grouped(
-        group_indices, keys, weights, num_groups, offset, span, scratch=scratch
+        group_indices, keys, weights, row_bases, num_cells, scratch=scratch
     )
-    totals = group_totals(num_groups, group_indices, weights)
-    kernel.apply_segments(stores, offset, cells, totals)
+    totals = group_totals(num_groups, group_indices, weights)[present]
+    targets = [stores[group] for group in present.tolist()]
+    kernel.apply_segments(targets, cells, min_keys, row_ends, totals)
+    return True

@@ -73,6 +73,24 @@ def mixed_sign_stream(rng: random.Random):
     return values
 
 
+@pytest.fixture(params=["numpy", "native"])
+def kernel_backend(request):
+    """Run a test once per ingest-kernel backend (native skips when unavailable)."""
+    from repro import kernel
+    from repro.kernel.native import availability
+
+    if request.param == "native":
+        available, reason = availability()
+        if not available:
+            pytest.skip(f"native kernel backend unavailable: {reason}")
+    before = kernel.active_backend()
+    kernel.set_backend(request.param)
+    try:
+        yield request.param
+    finally:
+        kernel.set_backend(before)
+
+
 @pytest.fixture
 def default_sketch() -> DDSketch:
     """A DDSketch with the paper's default parameters."""

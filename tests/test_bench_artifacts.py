@@ -8,9 +8,16 @@ through
 trajectory stays machine-readable across PRs: one envelope of
 ``name`` / ``timestamp`` / ``machine`` / ``metrics``.  This suite pins the
 schema itself and sweeps whatever artifacts are present at the repo root.
+
+The artifacts are gitignored and written by the benchmarks under
+``benchmarks/``, which the tier-1 run collects after ``tests/``.  So on a
+fresh checkout an absent artifact skips its checks, with the reason; set
+``REPRO_REQUIRE_BENCH_ARTIFACTS=1`` once the benchmarks have run to make an
+absent artifact fail instead.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -27,7 +34,8 @@ from repro.exceptions import IllegalArgumentError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Artifacts every checkout must carry (CI regenerates and archives them).
+#: Artifacts the benchmarks under ``benchmarks/`` write (CI regenerates and
+#: archives them).
 EXPECTED_ARTIFACTS = (
     "BENCH_groupby.json",
     "BENCH_sharded.json",
@@ -38,16 +46,34 @@ EXPECTED_ARTIFACTS = (
     "BENCH_wire.json",
 )
 
+#: Environment switch turning an absent expected artifact from a skip into a
+#: failure (for a run after the benchmarks have written them).
+REQUIRE_ENV = "REPRO_REQUIRE_BENCH_ARTIFACTS"
+
 
 def _artifact_paths():
     return sorted(REPO_ROOT.glob("BENCH_*.json"))
 
 
+def _missing_artifacts(names):
+    """Skip (or, under ``REQUIRE_ENV``, fail) when any of ``names`` is absent."""
+    missing = sorted(name for name in names if not (REPO_ROOT / name).is_file())
+    if not missing:
+        return
+    message = f"benchmark artifacts missing from the repo root: {missing}"
+    if os.environ.get(REQUIRE_ENV) == "1":
+        pytest.fail(message)
+    pytest.skip(f"{message}; the benchmarks under benchmarks/ write them")
+
+
+def _load(name):
+    _missing_artifacts([name])
+    return json.loads((REPO_ROOT / name).read_text(encoding="utf-8"))
+
+
 class TestCommittedArtifacts:
     def test_expected_artifacts_exist(self):
-        names = {path.name for path in _artifact_paths()}
-        missing = set(EXPECTED_ARTIFACTS) - names
-        assert not missing, f"benchmark artifacts missing from the repo root: {sorted(missing)}"
+        _missing_artifacts(EXPECTED_ARTIFACTS)
 
     @pytest.mark.parametrize(
         "path", _artifact_paths(), ids=lambda path: path.name
@@ -57,16 +83,14 @@ class TestCommittedArtifacts:
         validate_bench_artifact(document)  # raises IllegalArgumentError on violation
 
     def test_service_artifact_carries_throughput_metrics(self):
-        path = REPO_ROOT / "BENCH_service.json"
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document = _load("BENCH_service.json")
         sections = document["metrics"]
         assert any("values_per_sec" in section for section in sections.values()), (
             "BENCH_service.json must record the service's end-to-end values/sec"
         )
 
     def test_query_artifact_carries_interactivity_gates(self):
-        path = REPO_ROOT / "BENCH_query.json"
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document = _load("BENCH_query.json")
         sections = document["metrics"]
         assert {"tag_slice", "threshold"} <= set(sections)
         assert sections["tag_slice"]["warm_seconds"] < 0.010, (
@@ -77,8 +101,7 @@ class TestCommittedArtifacts:
         )
 
     def test_kernel_artifact_records_backends(self):
-        path = REPO_ROOT / "BENCH_kernel.json"
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document = _load("BENCH_kernel.json")
         sections = document["metrics"]
         assert "numpy" in sections, "the NumPy reference backend must always be measured"
         assert "comparison" in sections
@@ -105,8 +128,7 @@ class TestCommittedArtifacts:
             assert comparison["batch_cubic_speedup"] >= comparison["required_batch_speedup"]
 
     def test_wire_artifact_carries_compression_gate(self):
-        path = REPO_ROOT / "BENCH_wire.json"
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document = _load("BENCH_wire.json")
         frame = document["metrics"]["frame"]
         assert frame["num_series"] >= 1_000
         assert frame["zlib_compression_ratio"] >= frame["required_zlib_ratio"], (
@@ -125,8 +147,7 @@ class TestCommittedArtifacts:
             assert frame[key] > 0.0
 
     def test_overload_artifact_carries_degradation_metrics(self):
-        path = REPO_ROOT / "BENCH_overload.json"
-        document = json.loads(path.read_text(encoding="utf-8"))
+        document = _load("BENCH_overload.json")
         sections = document["metrics"]
         assert {"capacity_1x", "capacity_2x", "outage_spool"} <= set(sections)
         assert sections["capacity_2x"]["shed_replies"] > 0, (

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import signal
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +324,50 @@ class TestServiceCommands:
         output = stdout.getvalue()
         assert "recovered 0 record(s)" in output
         assert "served 2 frame(s)" in output
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_serve_stops_gracefully_on_a_signal(self, tmp_path, signum):
+        import re
+        import subprocess
+
+        from repro.service import ServiceClient
+        from _service_testkit import make_frame
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+
+        def start():
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--data-dir", str(tmp_path), "--port", "0"],
+                stdout=subprocess.PIPE, text=True, env=env,
+            )
+            match = re.search(r"listening on ([\d.]+):(\d+)", process.stdout.readline())
+            assert match is not None
+            return process, (match.group(1), int(match.group(2)))
+
+        process, address = start()
+        try:
+            with ServiceClient(*address) as client:
+                client.push_frame(make_frame([1.0, 2.0]), host="h")
+            process.send_signal(signum)
+            output, _ = process.communicate(timeout=30)
+        finally:
+            process.kill()
+        assert process.returncode == 0
+        assert "served 1 frame(s), 2 values" in output
+        # The drain wrote a final snapshot, so a restart replays nothing.
+        assert list(tmp_path.glob("snapshot-*"))
+        process, _ = start()
+        try:
+            recovered = process.stdout.readline()
+            process.send_signal(signum)
+            process.communicate(timeout=30)
+        finally:
+            process.kill()
+        assert "recovered 0 record(s) after snapshot seq 1" in recovered
 
     def test_load_gen_writes_the_artifact(self, tmp_path):
         import json

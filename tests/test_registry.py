@@ -14,7 +14,13 @@ from repro import (
 )
 from repro.core.ddsketch import BaseDDSketch
 from repro.exceptions import EmptySketchError, IllegalArgumentError
-from repro.store import DenseStore, SparseStore, add_grouped_batch
+from repro.store import (
+    CollapsingHighestDenseStore,
+    CollapsingLowestDenseStore,
+    DenseStore,
+    SparseStore,
+    add_grouped_batch,
+)
 
 
 FACTORIES = {
@@ -81,28 +87,100 @@ class TestSeriesKey:
         ]
 
 
+#: Store families the combined pass takes; the 64-key limits fold the
+#: [-200, 900) test keys, the 2048-key one (the default sketch's) does not.
+SEGMENT_STORES = {
+    "dense": DenseStore,
+    "collapsing_low": lambda: CollapsingLowestDenseStore(bin_limit=2048),
+    "collapsing_low_folding": lambda: CollapsingLowestDenseStore(bin_limit=64),
+    "collapsing_high_folding": lambda: CollapsingHighestDenseStore(bin_limit=64),
+}
+
+
+def _counting_bin_grouped(monkeypatch):
+    """Record the ``num_cells`` of every combined binning pass."""
+    from repro import kernel
+
+    calls = []
+    original = kernel.bin_grouped
+
+    def bin_grouped(group_indices, keys, weights, row_bases, num_cells, scratch=None):
+        calls.append(num_cells)
+        return original(group_indices, keys, weights, row_bases, num_cells, scratch=scratch)
+
+    monkeypatch.setattr(kernel, "bin_grouped", bin_grouped)
+    return calls
+
+
 class TestStoreGroupedPrimitive:
+    @pytest.mark.parametrize("store_family", sorted(SEGMENT_STORES))
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_dense_flat_path_matches_per_group(self, weighted):
+    def test_dense_flat_path_matches_per_group(
+        self, store_family, weighted, kernel_backend, monkeypatch
+    ):
+        factory = SEGMENT_STORES[store_family]
         rng = np.random.default_rng(1)
         n, groups = 50_000, 17
-        group_indices = rng.integers(0, groups, n)
-        keys = rng.integers(-200, 900, n)
-        weights = (rng.random(n) + 0.1) if weighted else None
+        calls = _counting_bin_grouped(monkeypatch)
+        stores = [factory() for _ in range(groups)]
+        references = [factory() for _ in range(groups)]
+        # A narrow batch first, so the wide one lands in non-empty (and, with
+        # a small bin limit, already collapsed) windows.
+        for low, high in ((300, 340), (-200, 900)):
+            group_indices = rng.integers(0, groups, n)
+            keys = rng.integers(low, high, n)
+            weights = (rng.random(n) + 0.1) if weighted else None
+            add_grouped_batch(stores, group_indices, keys, weights)
+            for group in range(groups):
+                mask = group_indices == group
+                references[group].add_batch(
+                    keys[mask], None if weights is None else weights[mask]
+                )
+        assert len(calls) == 2, "the combined pass must run once per batch"
 
-        stores = [DenseStore() for _ in range(groups)]
-        add_grouped_batch(stores, group_indices, keys, weights)
-        for group in range(groups):
-            mask = group_indices == group
-            reference = DenseStore()
-            reference.add_batch(keys[mask], None if weights is None else weights[mask])
-            assert stores[group].key_counts() == reference.key_counts()
+        for store, reference in zip(stores, references):
+            assert store._offset == reference._offset
+            assert getattr(store, "is_collapsed", None) == getattr(reference, "is_collapsed", None)
             if weighted:
-                # The running total is accumulated in per-item order by the
-                # grouped path and pairwise by add_batch; equal up to an ulp.
-                assert stores[group].count == pytest.approx(reference.count, rel=1e-12)
+                # The grouped path sums the running total (and any folded
+                # boundary bucket) in per-item order, add_batch pairwise.
+                np.testing.assert_allclose(store._bins, reference._bins, rtol=1e-12)
+                assert store.count == pytest.approx(reference.count, rel=1e-12)
             else:
-                assert stores[group].count == reference.count
+                assert np.array_equal(store._bins, reference._bins)
+                assert store.count == reference.count
+        if store_family.endswith("folding"):
+            assert all(store.is_collapsed for store in stores)
+
+    def test_cells_are_the_sum_of_group_spans(self, kernel_backend, monkeypatch):
+        # Two groups a million keys apart: a groups x global-span grid would
+        # need 2M cells, one row per group needs 11 + 21.
+        calls = _counting_bin_grouped(monkeypatch)
+        stores = [CollapsingLowestDenseStore(bin_limit=2048) for _ in range(3)]
+        group_indices = np.array([0, 0, 2, 2, 2])
+        keys = np.array([0, 10, 1_000_000, 1_000_020, 1_000_005])
+        add_grouped_batch(stores, group_indices, keys)
+        assert calls == [11 + 21]
+        assert stores[0].key_counts() == {0: 1.0, 10: 1.0}
+        assert stores[1].is_empty
+        assert stores[2].key_counts() == {1_000_000: 1.0, 1_000_005: 1.0, 1_000_020: 1.0}
+
+    def test_rows_over_the_cell_cap_take_the_fallback(self, kernel_backend, monkeypatch):
+        import repro.store.grouped as grouped
+
+        calls = _counting_bin_grouped(monkeypatch)
+        monkeypatch.setattr(grouped, "MAX_FLAT_CELLS", 100)
+        rng = np.random.default_rng(3)
+        group_indices = rng.integers(0, 4, 2_000)
+        keys = rng.integers(0, 500, 2_000)
+        stores = [CollapsingLowestDenseStore(bin_limit=64) for _ in range(4)]
+        add_grouped_batch(stores, group_indices, keys)
+        assert calls == []
+        for group, store in enumerate(stores):
+            reference = CollapsingLowestDenseStore(bin_limit=64)
+            reference.add_batch(keys[group_indices == group])
+            assert store.key_counts() == reference.key_counts()
+            assert store.is_collapsed == reference.is_collapsed
 
     def test_mixed_store_families_take_the_fallback(self):
         rng = np.random.default_rng(2)
@@ -188,6 +266,38 @@ class TestGroupedSketchIngestion:
             for sketch, reference in zip(sketches, references):
                 assert sketch.store.key_counts() == reference.store.key_counts()
                 assert sketch.count == pytest.approx(reference.count)
+
+    @pytest.mark.parametrize("bin_limit", [2048, 64])
+    def test_default_sketch_takes_the_combined_pass(self, bin_limit, kernel_backend, monkeypatch):
+        # The default DDSketch's collapsing stores take the one-bincount
+        # path and end bit-identical to per-group add_batch.
+        calls = _counting_bin_grouped(monkeypatch)
+        sketches = [DDSketch(relative_accuracy=0.01, bin_limit=bin_limit) for _ in range(23)]
+        references = [DDSketch(relative_accuracy=0.01, bin_limit=bin_limit) for _ in range(23)]
+        for seed in (6, 7):
+            group_indices, values = grouped_workload(seed=seed, n=10_000)
+            BaseDDSketch.add_grouped_batch(sketches, group_indices, values)
+            for group, reference in enumerate(references):
+                reference.add_batch(values[group_indices == group])
+        assert len(calls) == 4, "one combined pass per sign and batch"
+
+        for sketch, reference in zip(sketches, references):
+            for store, expected in (
+                (sketch.store, reference.store),
+                (sketch.negative_store, reference.negative_store),
+            ):
+                assert store._offset == expected._offset
+                assert np.array_equal(store._bins, expected._bins)
+                assert store.count == expected.count
+                assert store.is_collapsed == expected.is_collapsed
+            assert sketch.count == reference.count
+            assert sketch.zero_count == reference.zero_count
+            assert sketch.min == reference.min
+            assert sketch.max == reference.max
+            # Input-order sum here, add_batch's pairwise sum there.
+            assert sketch.sum == pytest.approx(reference.sum, rel=1e-12)
+        if bin_limit == 64:
+            assert all(sketch.store.is_collapsed for sketch in sketches)
 
     def test_diverged_udd_mappings_take_the_fallback(self):
         # One series collapses ahead of the others; its mapping differs, so

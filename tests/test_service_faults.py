@@ -25,6 +25,7 @@ from _service_testkit import (
 )
 from repro.exceptions import DeserializationError, ServiceError
 from repro.service import AggregationServer, SegmentLog, ServiceClient, serve_in_thread
+from repro.service.protocol import encode_push_envelope
 from repro.service.segment_log import _RECORD_HEADER
 
 
@@ -376,3 +377,77 @@ class TestDeliveryFaults:
             # The server survives and keeps serving.
             with ServiceClient(*handle.address) as client:
                 assert client.ping()
+
+
+def _count_frame_decodes(monkeypatch):
+    """Record the payload of every ``decode_frame`` call."""
+    import repro.serialization.frame as frame_codec
+
+    calls = []
+    original = frame_codec.decode_frame
+
+    def decode_frame(payload, *args, **kwargs):
+        calls.append(bytes(payload))
+        return original(payload, *args, **kwargs)
+
+    monkeypatch.setattr(frame_codec, "decode_frame", decode_frame)
+    return calls
+
+
+class TestSingleDecode:
+    """The decode that validates a push is the one the state folds in."""
+
+    def test_accepted_push_decodes_its_frame_once(self, tmp_path, monkeypatch, kernel_backend):
+        frames = [
+            make_frame([1.0, 2.0, 3.0], tags={"endpoint": "/api"}),
+            make_frame([4.0], tags={"endpoint": "/api"}),
+        ]
+        calls = _count_frame_decodes(monkeypatch)
+        with serve_in_thread(data_dir=tmp_path) as handle:
+            with ServiceClient(*handle.address) as client:
+                for sequence, frame in enumerate(frames, start=1):
+                    decoded_before = len(calls)
+                    assert client.push_frame(frame, host="h", sequence=sequence)["duplicate"] is False
+                    assert calls[decoded_before:] == [frame]
+                stats = client.stats()
+                served = client.query_quantiles("latency", [0.5, 0.99])["values"]
+        assert stats["frames_applied"] == 2
+        assert stats["total_count"] == 4.0
+        envelopes = [
+            make_envelope(values, host="h", sequence=sequence, tags={"endpoint": "/api"})
+            for sequence, values in ((1, [1.0, 2.0, 3.0]), (2, [4.0]))
+        ]
+        assert served == reference_state(envelopes).quantiles("latency", [0.5, 0.99])
+
+    def test_corrupt_frame_is_refused_before_the_log_with_nothing_applied(
+        self, tmp_path, monkeypatch, kernel_backend
+    ):
+        good = make_envelope([1.0], host="h", sequence=1)
+        corrupt = bytearray(make_frame([2.0]))
+        corrupt[len(corrupt) // 2] ^= 0xFF
+        calls = _count_frame_decodes(monkeypatch)
+        server = AggregationServer(data_dir=tmp_path)
+        server.recover()
+        server._handle_push(good)
+        with pytest.raises(DeserializationError):
+            server._handle_push(encode_push_envelope(bytes(corrupt), host="h", sequence=2))
+        assert calls[-1] == bytes(corrupt) and len(calls) == 2
+        assert server.state.frames_applied == 1
+        assert server.state.total_count() == 1.0
+        assert not server.state.is_duplicate("h", 2)
+        server.log.close()
+        assert [record.payload for record in SegmentLog(tmp_path).replay()] == [good]
+
+    def test_state_adopts_pre_decoded_entries(self, kernel_backend):
+        from repro.serialization.frame import decode_frame
+        from repro.service.protocol import decode_push_envelope
+        from repro.service.state import ServiceState
+
+        payloads = [make_envelope([float(n), 2.0 * n], host="h", sequence=n) for n in (1, 2, 3)]
+        decoding = ServiceState(retention_intervals=2)
+        handed = ServiceState(retention_intervals=2)
+        for payload in payloads:
+            decoding.apply_envelope_bytes(payload)
+            envelope = decode_push_envelope(payload)
+            handed.apply(envelope, decode_frame(envelope.frame))
+        assert handed.to_snapshot() == decoding.to_snapshot()

@@ -82,6 +82,47 @@ def test_merge_matches_per_bucket_reference(
     assert source.key_counts() == build(source_name, source_content).key_counts()
 
 
+DENSE_FAMILIES = ["dense", "collapsing_low", "collapsing_high"]
+
+
+def _no_scalar_add(self, key, weight=1.0):
+    raise AssertionError("a dense source must merge in bulk, not bucket by bucket")
+
+
+@pytest.mark.parametrize("target_name", DENSE_FAMILIES)
+@pytest.mark.parametrize("source_name", DENSE_FAMILIES)
+@pytest.mark.parametrize("source_content", ["narrow", "wide", "negative_keys"])
+@pytest.mark.parametrize("emptied", [False, True], ids=["fresh", "emptied"])
+def test_merge_into_empty_target_takes_the_bulk_path(
+    target_name, source_name, source_content, emptied, monkeypatch
+):
+    """An empty dense target anchors its window on the source in one pass.
+
+    ``wide`` from a plain dense source spans more keys than the bounded
+    targets' ``bin_limit``, so those targets fold on the way in.
+    """
+    source = build(source_name, source_content)
+    expected = reference_merge(build(target_name, "empty"), source)
+    actual = build(target_name, "narrow")
+    if emptied:
+        for key, weight in CONTENTS["narrow"]:
+            actual.remove(key, weight)
+    else:
+        actual = build(target_name, "empty")
+    assert actual.is_empty
+
+    monkeypatch.setattr(DenseStore, "add", _no_scalar_add)
+    actual.merge(source)
+    assert actual.key_counts() == expected.key_counts()
+    assert actual.count == expected.count
+    assert actual.num_buckets == expected.num_buckets
+    if target_name.startswith("collapsing"):
+        assert actual.is_collapsed == expected.is_collapsed
+        assert actual.key_span <= BIN_LIMIT
+        if source_name == "dense" and source_content == "wide":
+            assert actual.is_collapsed
+
+
 @pytest.mark.parametrize("target_name, source_name", MATRIX)
 def test_merge_into_post_collapse_target(target_name, source_name):
     """Targets that already folded weight keep folding identically."""
