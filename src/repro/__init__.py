@@ -46,7 +46,7 @@ from repro.core import (
     UDDSketch,
     UniformCollapsingDDSketch,
 )
-from repro.registry import SeriesKey, ShardedRegistry, SketchRegistry
+from repro.registry import SeriesKey, SketchRegistry
 from repro.exceptions import (
     DeserializationError,
     EmptySketchError,
@@ -90,7 +90,6 @@ __all__ = [
     "GroupedIngest",
     "SeriesKey",
     "SketchRegistry",
-    "ShardedRegistry",
     # Mappings
     "KeyMapping",
     "LogarithmicMapping",

@@ -1,6 +1,6 @@
 """Command-line interface for the DDSketch reproduction.
 
-Four subcommands cover the common workflows:
+Ten subcommands cover the common workflows:
 
 ``sketch``
     Read one number per line (stdin or a file), build a DDSketch and print the
@@ -40,6 +40,14 @@ Four subcommands cover the common workflows:
     ``--spool-dir`` a push that still fails is parked in a durable
     :class:`~repro.service.FrameSpool` (and replayed on the next run).
 
+``query``
+    Ask a running ``serve`` instance for the quantiles of a metric —
+    optionally merged over ``--tag-filter KEY=VALUE`` series and a
+    ``--window-start``/``--window-end`` window — or, with ``--threshold``,
+    list the series whose quantile estimate passes a value (``--below``
+    flips the direction) together with the share of series pruned without
+    a merge.
+
 ``load-gen``
     Run the agent-fleet load generator against a freshly started in-process
     server and write the measured end-to-end frames/sec and values/sec to
@@ -62,10 +70,7 @@ Four subcommands cover the common workflows:
     ``--series-cardinality N`` fans the metric out into ``N`` tagged
     endpoint series ingested through the grouped registry pipeline (flushed
     as multi-sketch wire frames, frame v3); the report then includes a
-    tag-filtered per-endpoint p99 sample.  ``--shards N`` (with optional
-    ``--workers K``) runs every agent on the sharded concurrent registry:
-    per-shard ingest queues, a thread-pool flush, and one frame per shard
-    on the wire.
+    tag-filtered per-endpoint p99 sample.
 
 Run ``python -m repro --help`` for details.
 """
@@ -192,25 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
             "values > 1 exercise the grouped registry ingestion and the "
             "multi-sketch wire frames (frame v3, version byte 0x03; "
             "default: 1)"
-        ),
-    )
-    simulate.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "ingestion shards per agent; values > 1 run the sharded "
-            "concurrent registry (per-shard ingest queues, thread-pool "
-            "flush, one frame-v3 payload per shard on the wire; default: 1)"
-        ),
-    )
-    simulate.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "flush worker threads per agent in sharded mode "
-            "(default: one per shard, capped at the CPU count)"
         ),
     )
     simulate.add_argument(
@@ -570,15 +556,12 @@ def _run_simulate(args: argparse.Namespace, stdout) -> int:
         relative_accuracy=args.relative_accuracy,
         seed=args.seed,
         series_cardinality=args.series_cardinality,
-        shards=args.shards,
-        flush_workers=args.workers,
     )
     simulation.run()
     report = simulation.report(quantiles=tuple(args.quantiles))
     print(
         f"metric: {report.metric}   hosts = {report.num_hosts}   "
-        f"intervals = {report.num_intervals}   series = {report.num_series}"
-        + (f"   shards = {report.shards}" if report.shards > 1 else ""),
+        f"intervals = {report.num_intervals}   series = {report.num_series}",
         file=stdout,
     )
     rows = [

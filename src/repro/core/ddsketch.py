@@ -379,9 +379,10 @@ class BaseDDSketch:
             Positive finite multiplicities (scalar or per-sample array).
         scratch : repro.store.GroupedScratch, optional
             Reusable flat-index scratch for the combined ``bincount`` pass;
-            single-writer callers that flush repeatedly (registry shards)
-            pass one to avoid reallocating the batch-sized temporary every
-            flush.  Results are bit-identical with or without it.
+            single-writer callers that ingest repeatedly (each registry's
+            grouped ingest) pass one to avoid reallocating the batch-sized
+            temporary every call.  Results are bit-identical with or without
+            it.
 
         Notes
         -----

@@ -46,9 +46,9 @@ class GroupedIngest:
     def __init__(self, sketch_factory: Optional[Callable[[], BaseDDSketch]] = None) -> None:
         self._sketch_factory = sketch_factory or (lambda: DDSketch(relative_accuracy=0.01))
         self._sketches: Dict[Hashable, BaseDDSketch] = {}
-        # One reusable flat-index scratch per facade: each registry (and each
-        # shard of a ShardedRegistry) owns exactly one GroupedIngest, so the
-        # single-writer discipline required by GroupedScratch holds.
+        # One reusable flat-index scratch per facade: each registry owns
+        # exactly one GroupedIngest, so the single-writer discipline
+        # required by GroupedScratch holds.
         self._scratch = GroupedScratch()
 
     # ------------------------------------------------------------------ #

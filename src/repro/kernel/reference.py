@@ -110,8 +110,9 @@ class NumpyBackend:
         """One combined ``bincount`` over the flat index ``row_bases[group] + key``.
 
         ``scratch`` (a :class:`repro.store.grouped.GroupedScratch`) lets a
-        single-writer caller reuse the batch-sized flat-index temporary; the
-        in-place arithmetic produces bit-identical indices.
+        registry's single-writer grouped ingest reuse the batch-sized
+        flat-index temporary; the in-place arithmetic produces bit-identical
+        indices.
         """
         if scratch is None:
             flat = row_bases[group_indices] + keys

@@ -16,13 +16,11 @@ many series, ingested through the grouped ``bincount`` pipeline), and a
 flush can ship the entire series population as **one** multi-sketch wire
 frame (:meth:`MetricAgent.flush_frame`) instead of one payload per series.
 
-With ``shards=N`` the agent runs on the sharded concurrency tier
-(:class:`~repro.registry.ShardedRegistry`): record calls from any number of
-application threads buffer into per-shard columnar ingest queues, a flush
-drains them on a thread pool (the grouped ``bincount`` ingestion releases
-the GIL, so shard drains overlap), and
-:meth:`MetricAgent.flush_shard_frames` ships one frame per shard — the
-cross-process transport shape.
+An agent is single-writer, like the registry it wraps.  To use more cores,
+run one agent per process, each with its own ``host``, all pushing to one
+aggregation server: the server deduplicates pushes by ``(host, sequence)``
+and full mergeability makes the merged state independent of how the values
+were split across agents.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 
 from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.exceptions import IllegalArgumentError, ServiceError
-from repro.registry import SeriesKey, ShardedRegistry, SketchRegistry
+from repro.registry import SeriesKey, SketchRegistry
 from repro.registry.series import SeriesLike, TagsLike
 from repro.serialization.frame import compress_frame
 
@@ -102,17 +100,6 @@ class MetricAgent:
     interval_length:
         Length of a flush interval in seconds (only recorded in the payload
         metadata; the agent itself is driven explicitly via :meth:`flush`).
-    shards:
-        With ``shards > 1`` the agent's registry becomes a
-        :class:`~repro.registry.ShardedRegistry`: record calls buffer into
-        per-shard columnar ingest queues, flushes drain them with one
-        grouped ``bincount`` pass per shard on a thread pool, and any
-        number of application threads may record concurrently.  ``1``
-        (the default) keeps the original single-writer
-        :class:`SketchRegistry`.
-    flush_workers:
-        Thread-pool width for sharded flushes (defaults to one worker per
-        shard, capped at the CPU count; ignored when ``shards == 1``).
     """
 
     def __init__(
@@ -120,28 +107,17 @@ class MetricAgent:
         host: str,
         sketch_factory: Optional[Callable[[], BaseDDSketch]] = None,
         interval_length: float = 1.0,
-        shards: int = 1,
-        flush_workers: Optional[int] = None,
     ) -> None:
         if interval_length <= 0:
             raise IllegalArgumentError(f"interval_length must be positive, got {interval_length!r}")
-        if shards < 1:
-            raise IllegalArgumentError(f"shards must be positive, got {shards!r}")
         self._host = str(host)
-        self._sketch_factory = sketch_factory or (lambda: DDSketch(relative_accuracy=0.01))
         self._interval_length = float(interval_length)
-        self._shards = int(shards)
-        if self._shards > 1:
-            self._registry: Union[SketchRegistry, ShardedRegistry] = ShardedRegistry(
-                num_shards=self._shards,
-                sketch_factory=self._sketch_factory,
-                flush_workers=flush_workers,
-            )
-        else:
-            self._registry = SketchRegistry(sketch_factory=self._sketch_factory)
+        self._registry = SketchRegistry(
+            sketch_factory=sketch_factory or (lambda: DDSketch(relative_accuracy=0.01))
+        )
         self._records = 0
-        # Sharded agents invite concurrent record calls; an unsynchronized
-        # += would silently lose counter updates under races.
+        # The agent is single-writer, but this read-modify-write counter
+        # stays exact even if a caller records from a second thread.
         self._records_lock = threading.Lock()
 
     @property
@@ -155,14 +131,9 @@ class MetricAgent:
         return self._interval_length
 
     @property
-    def registry(self) -> Union[SketchRegistry, ShardedRegistry]:
+    def registry(self) -> SketchRegistry:
         """The registry holding this agent's unflushed series."""
         return self._registry
-
-    @property
-    def shards(self) -> int:
-        """Number of ingestion shards (1 = unsharded single-writer registry)."""
-        return self._shards
 
     @property
     def pending_metrics(self) -> List[str]:
@@ -270,53 +241,21 @@ class MetricAgent:
             num_series=num_series,
         )
 
-    def flush_shard_frames(self, interval_start: float) -> List[FramePayload]:
-        """Flush as **one wire frame per shard**, then reset local state.
-
-        The cross-process transport shape of the sharded tier: each shard's
-        series population leaves as its own frame-v3 payload, so a
-        shard-per-worker deployment never funnels all series through one
-        serialization pass.  Because merging is associative and commutative
-        (paper Section 2.1), the receiving
-        :meth:`~repro.monitoring.Aggregator.ingest_frames` reassembles the
-        identical state whatever the arrival order.  An unsharded agent
-        degrades to at most one frame.  Returns an empty list when the
-        agent holds no data.
-        """
-        payloads: List[FramePayload] = []
-        if isinstance(self._registry, ShardedRegistry):
-            for num_series, frame in self._registry.shard_frames(clear=True):
-                payloads.append(
-                    FramePayload(
-                        host=self._host,
-                        interval_start=float(interval_start),
-                        interval_length=self._interval_length,
-                        payload=frame,
-                        num_series=num_series,
-                    )
-                )
-        else:
-            single = self.flush_frame(interval_start)
-            if single is not None:
-                payloads.append(single)
-        self._records = 0
-        return payloads
-
     def push_frames(
         self, client, interval_start: float, spool=None, compression: str = "none"
     ) -> List[dict]:
-        """Flush and push every pending frame to an aggregation service.
+        """Flush the pending series and push them to an aggregation service.
 
         The cross-process flush: the agent's series population leaves as
-        frame-v3 payloads (one per shard on the sharded tier, one total
-        otherwise) and travels through ``client`` — a
-        :class:`~repro.service.ServiceClient` connected to a running
-        :class:`~repro.service.AggregationServer` — which wraps each frame
-        in a push envelope carrying this agent's host identity and a
-        deduplicating sequence number.  Returns the server
-        acknowledgements; an agent with no data returns an empty list.
-        The client retransmits timed-out pushes with the same sequence
-        number and the server deduplicates, so retries never double count.
+        one frame-v3 payload (:meth:`flush_frame`) and travels through
+        ``client`` — a :class:`~repro.service.ServiceClient` connected to a
+        running :class:`~repro.service.AggregationServer` — which wraps the
+        frame in a push envelope carrying this agent's host identity and a
+        deduplicating sequence number.  Returns the server's
+        acknowledgement as a one-element list; an agent with no data pushes
+        nothing and returns an empty list.  The client retransmits timed-out
+        pushes with the same sequence number and the server deduplicates,
+        so retries never double count.
 
         Without a ``spool``, a push that still fails after its retries
         raises :class:`~repro.exceptions.ServiceError` (local state was
@@ -330,42 +269,41 @@ class MetricAgent:
         An envelope the spool's byte budget forces out is *counted* in the
         spool's ``frames_dropped``, never lost silently.
 
-        ``compression`` (``"none"``/``"zlib"``/``"zstd"``) wraps each frame
+        ``compression`` (``"none"``/``"zlib"``/``"zstd"``) wraps the frame
         in the compressed envelope of
         :func:`repro.serialization.frame.compress_frame` before it enters
         the push envelope; the server decodes either form transparently,
         and spooled envelopes keep their compressed body on disk.
         """
-        acks: List[dict] = []
         if spool is not None and spool.pending:
             # Recovery path first: older spooled envelopes should land
-            # before this interval's frames.  A still-down server just
+            # before this interval's frame.  A still-down server just
             # leaves them spooled for the next flush.
             try:
                 spool.drain(client.push_envelope)
             except ServiceError:
                 pass
-        for payload in self.flush_shard_frames(interval_start):
-            envelope = client.build_envelope(
-                compress_frame(payload.payload, compression),
-                host=payload.host,
-                interval_start=payload.interval_start,
-            )
+        payload = self.flush_frame(interval_start)
+        if payload is None:
+            return []
+        envelope = client.build_envelope(
+            compress_frame(payload.payload, compression),
+            host=payload.host,
+            interval_start=payload.interval_start,
+        )
+        try:
+            return [client.push_envelope(envelope)]
+        except ServiceError:
             if spool is None:
-                acks.append(client.push_envelope(envelope))
-                continue
-            try:
-                acks.append(client.push_envelope(envelope))
-            except ServiceError:
-                spooled = spool.offer(envelope)
-                acks.append(
-                    {
-                        "status": "spooled" if spooled else "dropped",
-                        "host": payload.host,
-                        "spooled": spooled,
-                    }
-                )
-        return acks
+                raise
+            spooled = spool.offer(envelope)
+            return [
+                {
+                    "status": "spooled" if spooled else "dropped",
+                    "host": payload.host,
+                    "spooled": spooled,
+                }
+            ]
 
     def __repr__(self) -> str:
         return f"MetricAgent(host={self._host!r}, pending_metrics={self.pending_metrics})"

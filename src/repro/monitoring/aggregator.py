@@ -174,21 +174,6 @@ class Aggregator:
         self._bytes_received += frame.size_in_bytes
         return len(entries)
 
-    def ingest_frames(self, frames: Iterable[FramePayload]) -> int:
-        """Ingest several multi-sketch frames; returns total series merged.
-
-        The receiving half of the sharded transport: a
-        :meth:`~repro.monitoring.MetricAgent.flush_shard_frames` flush
-        arrives as one frame per shard, and because merging is associative
-        and commutative (paper Section 2.1) the aggregated state is
-        identical whatever order — or interleaving with other agents'
-        payloads — the frames arrive in.
-        """
-        merged = 0
-        for frame in frames:
-            merged += self.ingest_frame(frame)
-        return merged
-
     def ingest_many(self, payloads: Iterable[SketchPayload]) -> int:
         """Ingest an iterable of payloads; returns how many were processed."""
         processed = 0

@@ -46,7 +46,6 @@ class SimulationReport:
     bytes_on_wire: int
     series_cardinality: int = 1
     num_series: int = 1
-    shards: int = 1
     #: Which ingest-kernel backend (``numpy``/``native``) produced the run —
     #: recorded so benchmark output stays comparable across machines.
     kernel_backend: str = "numpy"
@@ -98,17 +97,6 @@ class MonitoringSimulation:
     series_cardinality:
         Number of tagged ``endpoint`` series the metric fans out into; 1
         keeps the paper's untagged single-series setting.
-    shards:
-        With ``shards > 1`` every agent runs on the sharded concurrency
-        tier (:class:`~repro.registry.ShardedRegistry`): records buffer in
-        per-shard ingest queues, each flush drains them on a thread pool,
-        and the wire hop ships **one frame per shard** instead of one per
-        host (the cross-process transport shape).  Results are bit-exact
-        with ``shards=1`` on the same seed — sharding is a concurrency
-        change, not an accuracy change.
-    flush_workers:
-        Thread-pool width for sharded flushes (default: one worker per
-        shard, capped at the CPU count).
     """
 
     def __init__(
@@ -122,8 +110,6 @@ class MonitoringSimulation:
         metric: str = "web.request.latency",
         sketch_factory: Optional[Callable[[], BaseDDSketch]] = None,
         series_cardinality: int = 1,
-        shards: int = 1,
-        flush_workers: Optional[int] = None,
     ) -> None:
         if num_hosts < 1:
             raise IllegalArgumentError(f"num_hosts must be positive, got {num_hosts!r}")
@@ -137,8 +123,6 @@ class MonitoringSimulation:
             raise IllegalArgumentError(
                 f"series_cardinality must be positive, got {series_cardinality!r}"
             )
-        if shards < 1:
-            raise IllegalArgumentError(f"shards must be positive, got {shards!r}")
         self._num_hosts = int(num_hosts)
         self._requests_per_interval = int(requests_per_interval)
         self._num_intervals = int(num_intervals)
@@ -157,14 +141,8 @@ class MonitoringSimulation:
 
         if sketch_factory is None:
             sketch_factory = lambda: DDSketch(relative_accuracy=self._relative_accuracy)  # noqa: E731
-        self._shards = int(shards)
         self._agents = [
-            MetricAgent(
-                host=f"host-{index:03d}",
-                sketch_factory=sketch_factory,
-                shards=self._shards,
-                flush_workers=flush_workers,
-            )
+            MetricAgent(host=f"host-{index:03d}", sketch_factory=sketch_factory)
             for index in range(self._num_hosts)
         ]
         self._aggregator = Aggregator(interval_length=1.0, sketch_factory=sketch_factory)
@@ -195,11 +173,6 @@ class MonitoringSimulation:
     def series_cardinality(self) -> int:
         """Number of tagged series the metric fans out into."""
         return self._series_cardinality
-
-    @property
-    def shards(self) -> int:
-        """Ingestion shards per agent (1 = unsharded single-writer path)."""
-        return self._shards
 
     @property
     def series_keys(self) -> List[SeriesKey]:
@@ -245,20 +218,13 @@ class MonitoringSimulation:
                 )
         self._exact.add_batch(latencies)
 
-        # Each host flushes its whole series population as one wire frame —
-        # or, on the sharded tier, as one frame per shard (the cross-process
-        # transport shape); mergeability makes both arrivals equivalent.
+        # Each host flushes its whole series population as one wire frame.
         timestamp = float(index)
         for agent in self._agents:
-            if self._shards > 1:
-                frames = agent.flush_shard_frames(timestamp)
-                self._bytes_on_wire += sum(frame.size_in_bytes for frame in frames)
-                self._aggregator.ingest_frames(frames)
-            else:
-                frame = agent.flush_frame(timestamp)
-                if frame is not None:
-                    self._bytes_on_wire += frame.size_in_bytes
-                    self._aggregator.ingest_frame(frame)
+            frame = agent.flush_frame(timestamp)
+            if frame is not None:
+                self._bytes_on_wire += frame.size_in_bytes
+                self._aggregator.ingest_frame(frame)
         self._intervals_run += 1
         return len(latencies)
 
@@ -305,7 +271,6 @@ class MonitoringSimulation:
             bytes_on_wire=self._bytes_on_wire,
             series_cardinality=self._series_cardinality,
             num_series=self._aggregator.num_series,
-            shards=self._shards,
             average_series=average_series,
             p50_series=[(start, qs[0]) for start, qs in interval_quantiles if qs[0] is not None],
             p75_series=[(start, qs[1]) for start, qs in interval_quantiles if qs[1] is not None],

@@ -2,8 +2,7 @@
 
 :class:`QueryEngine` fronts a data source — a live
 :class:`~repro.monitoring.Aggregator` or a
-:class:`~repro.registry.SketchRegistry` (typically a
-:meth:`~repro.registry.ShardedRegistry.snapshot`) — and answers the two
+:class:`~repro.registry.SketchRegistry` — and answers the two
 interactive query shapes of the paper's motivating dashboard scenario:
 
 * **tag-slice quantiles** ("p99 for endpoint /checkout over this window"):
@@ -75,9 +74,8 @@ class QueryEngine:
 
     Build engines through :meth:`over_aggregator` /
     :meth:`over_registry` (or the ``query_engine()`` convenience methods on
-    :class:`~repro.monitoring.Aggregator`,
-    :class:`~repro.registry.SketchRegistry` and
-    :class:`~repro.registry.ShardedRegistry`) rather than the constructor.
+    :class:`~repro.monitoring.Aggregator` and
+    :class:`~repro.registry.SketchRegistry`) rather than the constructor.
 
     Over an **aggregator**, the engine registers an ingest observer (keeps
     cube cells incrementally premerged) and an invalidation hook (drops

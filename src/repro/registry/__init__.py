@@ -15,28 +15,21 @@ accuracy guarantee.
 * :class:`SketchRegistry` — owns one sketch per series, ingests columnar
   ``(series, value)`` batches through the grouped vectorized pipeline, and
   answers exact-series / tag-filtered / metric-rollup quantile queries.
-* :class:`ShardedRegistry` — the concurrency tier: hash-partitions the
-  series space across N single-writer shards, buffers writes in bounded
-  per-shard columnar ingest queues (:mod:`repro.registry.ingest_queue`),
-  drains them with one grouped ``bincount`` pass per shard (optionally on
-  a thread pool), and answers queries by snapshot merge-on-read —
-  bit-exact with an unsharded registry fed the same stream.
 * Wire frames — a registry round-trips through the length-prefixed
   multi-sketch frame of :mod:`repro.serialization.frame`, so an agent
-  flushes its whole series population in one payload (or one frame per
-  shard, for the cross-process shard-per-worker layout).
+  flushes its whole series population in one payload.
+
+A registry is single-writer, and ingestion scales out by process: every
+agent process owns its own registry and pushes its frames to one
+aggregation server (``repro serve``), where full mergeability gives the
+same answers as one registry fed every value.
 """
 
 from repro.registry.series import SeriesKey, normalize_tags
 from repro.registry.registry import SketchRegistry
-from repro.registry.ingest_queue import ShardBuffer
-from repro.registry.sharded import ShardedRegistry, shard_of
 
 __all__ = [
     "SeriesKey",
     "SketchRegistry",
-    "ShardedRegistry",
-    "ShardBuffer",
     "normalize_tags",
-    "shard_of",
 ]

@@ -214,8 +214,8 @@ class SketchRegistry:
 
         With ``copy=False`` a *new* series adopts ``sketch`` itself instead
         of a copy — the ownership-transfer shape used when routing decoded
-        wire-frame entries (:meth:`merge_frame`) or shard snapshots, where
-        the caller holds the only reference.  Merging into an existing
+        wire-frame entries (:meth:`merge_frame`), where the caller holds the
+        only reference.  Merging into an existing
         series behaves identically either way (Algorithm 4 mergeability).
         """
         self._data_version += 1

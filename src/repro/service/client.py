@@ -40,7 +40,7 @@ import random
 import socket
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import (
     CircuitOpenError,
@@ -400,35 +400,6 @@ class ServiceClient:
             frame, host=host, interval_start=interval_start, sequence=sequence
         )
         return self._request(protocol.MSG_PUSH, envelope, retry=True)
-
-    def push_frames(
-        self,
-        frames: Iterable[Union[bytes, "FramePayloadLike"]],
-        host: Optional[str] = None,
-        interval_start: float = 0.0,
-    ) -> List[Dict[str, Any]]:
-        """Push several frames; returns one acknowledgement per frame.
-
-        Accepts raw frame bytes (``host`` required) or
-        :class:`~repro.monitoring.FramePayload`-shaped objects carrying
-        their own ``host``/``interval_start``/``payload`` attributes — the
-        output of :meth:`~repro.monitoring.MetricAgent.flush_shard_frames`.
-        """
-        acks = []
-        for frame in frames:
-            if isinstance(frame, (bytes, bytearray, memoryview)):
-                if host is None:
-                    raise IllegalArgumentError("host is required when pushing raw frame bytes")
-                acks.append(self.push_frame(bytes(frame), host=host, interval_start=interval_start))
-            else:
-                acks.append(
-                    self.push_frame(
-                        frame.payload,
-                        host=frame.host,
-                        interval_start=frame.interval_start,
-                    )
-                )
-        return acks
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -53,16 +53,15 @@ class GroupedScratch:
     """Reusable scratch for the combined-bincount fast path.
 
     Every :func:`add_grouped_batch` call on the fast path materialises one
-    ``int64`` flat-index array as large as the batch.  A steady-state flush
-    loop — e.g. one shard of :class:`~repro.registry.ShardedRegistry`
-    draining its ingest buffer every interval — would reallocate that
-    temporary on every drain; holding a ``GroupedScratch`` per single-writer
-    owner lets the allocation be grown once and reused (the batch math is
-    computed in place with ``out=``, producing bit-identical indices).
+    ``int64`` flat-index array as large as the batch.  A registry that
+    ingests a columnar batch every interval would reallocate that temporary
+    on every call; holding a ``GroupedScratch`` per single-writer owner (each
+    registry's :class:`~repro.core.grouped.GroupedIngest` holds one) lets the
+    allocation be grown once and reused (the batch math is computed in place
+    with ``out=``, producing bit-identical indices).
 
-    Instances are **not** thread-safe: each concurrent writer (each shard)
-    must own its own scratch, which is exactly the single-writer discipline
-    the sharded registry enforces.
+    Instances are **not** thread-safe: each concurrent writer must own its
+    own scratch, which the single-writer registry guarantees.
     """
 
     __slots__ = ("_flat",)
@@ -147,10 +146,10 @@ def add_grouped_batch(
         Positive finite per-sample weights; unit weights when omitted.
     scratch : GroupedScratch, optional
         Reusable flat-index scratch owned by a single-writer caller (e.g.
-        one registry shard); when given, the fast path computes its combined
-        index in place instead of allocating a fresh batch-sized temporary.
-        The resulting indices — and therefore the stores — are bit-identical
-        either way.
+        one registry's grouped ingest); when given, the fast path computes
+        its combined index in place instead of allocating a fresh
+        batch-sized temporary.  The resulting indices — and therefore the
+        stores — are bit-identical either way.
 
     Notes
     -----

@@ -1,9 +1,8 @@
 """Every committed ``BENCH_*.json`` artifact validates the shared schema.
 
 The repository's benchmark emitters (``benchmarks/test_groupby_ingest_speed``,
-``benchmarks/test_sharded_ingest_speed``, ``benchmarks/test_service_throughput``,
-``benchmarks/test_overload_throughput``, and ``repro load-gen``) all write
-through
+``benchmarks/test_service_throughput``, ``benchmarks/test_overload_throughput``,
+and ``repro load-gen``) all write through
 :func:`repro.evaluation.artifacts.write_bench_artifact`, so the perf
 trajectory stays machine-readable across PRs: one envelope of
 ``name`` / ``timestamp`` / ``machine`` / ``metrics``.  This suite pins the
@@ -38,7 +37,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: archives them).
 EXPECTED_ARTIFACTS = (
     "BENCH_groupby.json",
-    "BENCH_sharded.json",
     "BENCH_service.json",
     "BENCH_overload.json",
     "BENCH_query.json",

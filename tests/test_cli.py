@@ -152,7 +152,7 @@ class TestParser:
 
 
 class TestSimulateCommand:
-    def test_simulate_sharded_runs_and_reports(self):
+    def test_simulate_runs_and_reports(self):
         exit_code, output = run_cli(
             [
                 "simulate",
@@ -160,21 +160,12 @@ class TestSimulateCommand:
                 "--intervals", "2",
                 "--requests-per-interval", "400",
                 "--series-cardinality", "4",
-                "--shards", "3",
-                "--workers", "2",
             ]
         )
         assert exit_code == 0
-        assert "shards = 3" in output
+        assert "hosts = 2" in output and "series = 4" in output
         assert "tag-filtered p99 per endpoint" in output
         assert "kernel backend" in output
-
-    def test_simulate_rejects_invalid_shards(self):
-        exit_code, output = run_cli(
-            ["simulate", "--hosts", "1", "--intervals", "1", "--shards", "0"]
-        )
-        assert exit_code == 2
-        assert "error" in output
 
     def test_series_cardinality_help_names_frame_v3(self):
         """The CLI help and the architecture guide must agree on the frame

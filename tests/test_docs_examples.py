@@ -92,7 +92,6 @@ def test_architecture_guide_exists_and_mentions_every_layer():
     for layer in ("mapping", "store", "sketch", "registry", "serialization", "monitoring", "evaluation"):
         assert layer in text.lower(), f"architecture guide does not cover the {layer} layer"
     assert "add_batch" in text and "key_batch" in text, "batch path must be documented"
-    assert "ShardedRegistry" in text, "sharded tier must be documented"
 
 
 def test_markdown_links_resolve():

@@ -1,11 +1,12 @@
 """End-to-end tests for the high-cardinality monitoring pipeline.
 
-Covers the registry-backed agents (grouped ingestion, frame flushes), the
-tag-aware aggregator (exact-series / tag-filtered / metric rollups), the
-hierarchical time-window rollups, the error-behaviour contract (unknown
-metric or empty window raises ``EmptySketchError``/``IllegalArgumentError``,
-never a bare ``KeyError``), and the UDDSketch-factory end-to-end equivalence
-with a naive per-series ``add`` loop.
+Covers the registry-backed agents (grouped ingestion, frame flushes, what
+one push sends), the tag-aware aggregator (exact-series / tag-filtered /
+metric rollups), the hierarchical time-window rollups, the error-behaviour
+contract (unknown metric or empty window raises
+``EmptySketchError``/``IllegalArgumentError``, never a bare ``KeyError``),
+and the UDDSketch-factory end-to-end equivalence with a naive per-series
+``add`` loop.
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ from repro.monitoring import (
     MonitoringSimulation,
     SketchTimeSeries,
 )
+from repro.service import ServiceClient
+from repro.service.protocol import decode_push_envelope
 
 
 class TestTaggedAgent:
@@ -331,87 +334,44 @@ class TestHighCardinalitySimulation:
             assert report.endpoint_p99[endpoint] == direct
 
 
-class TestShardedMonitoring:
-    """The shards=N mode of the monitoring tier (sharded agents, per-shard
-    frame transport, thread-pool flush) must be invisible in every answer."""
+class _RecordingClient(ServiceClient):
+    """A service client that records push envelopes instead of sending them."""
 
-    def test_sharded_agent_matches_unsharded_agent(self):
+    def __init__(self):
+        super().__init__("127.0.0.1", 0)
+        self.envelopes = []
+
+    def push_envelope(self, envelope):
+        self.envelopes.append(bytes(envelope))
+        return {"status": "ok"}
+
+
+class TestAgentPush:
+    """What ``MetricAgent.push_frames`` ships: one envelope, or nothing."""
+
+    def test_empty_agent_builds_no_envelope(self):
+        agent = MetricAgent("host-a")
+        client = _RecordingClient()
+        sequence = client.next_sequence("host-a")
+        assert agent.push_frames(client, interval_start=0.0) == []
+        assert client.envelopes == []
+        assert client.next_sequence("host-a") == sequence
+
+    def test_push_sends_one_envelope_carrying_the_flush_frame(self):
         rng = np.random.default_rng(9)
         keys = [SeriesKey("lat", (("e", f"/{index}"),)) for index in range(12)]
         groups = rng.integers(0, len(keys), 20_000)
         values = rng.lognormal(0.0, 1.0, 20_000)
+        agent, twin = MetricAgent("host-a"), MetricAgent("host-a")
+        agent.record_grouped(keys, groups, values)
+        twin.record_grouped(keys, groups, values)
 
-        plain = MetricAgent("host-a")
-        sharded = MetricAgent("host-a", shards=4, flush_workers=2)
-        assert plain.shards == 1 and sharded.shards == 4
-        plain.record_grouped(keys, groups, values)
-        sharded.record_grouped(keys, groups, values)
-        assert sharded.records_since_flush == 20_000
-        assert sharded.pending_series == plain.pending_series
-
-        frame_plain = plain.flush_frame(0.0)
-        frame_sharded = sharded.flush_frame(0.0)
-        assert frame_sharded.payload == frame_plain.payload
-        assert frame_sharded.num_series == frame_plain.num_series
-        assert sharded.records_since_flush == 0
-
-    def test_flush_shard_frames_reassembles_in_the_aggregator(self):
-        rng = np.random.default_rng(10)
-        keys = [SeriesKey("lat", (("e", f"/{index}"),)) for index in range(8)]
-        groups = rng.integers(0, len(keys), 10_000)
-        values = rng.lognormal(0.0, 1.0, 10_000)
-
-        plain = MetricAgent("host-a")
-        sharded = MetricAgent("host-a", shards=4)
-        plain.record_grouped(keys, groups, values)
-        sharded.record_grouped(keys, groups, values)
-
-        via_one_frame = Aggregator()
-        via_one_frame.ingest_frame(plain.flush_frame(0.0))
-        via_shard_frames = Aggregator()
-        frames = sharded.flush_shard_frames(0.0)
-        assert len(frames) > 1, "expected several per-shard frames"
-        merged = via_shard_frames.ingest_frames(frames)
-        assert merged == len(keys)
-        assert sharded.registry.num_series == 0
-
-        quantiles = (0.5, 0.9, 0.99)
-        assert via_shard_frames.quantiles("lat", quantiles) == (
-            via_one_frame.quantiles("lat", quantiles)
-        )
-        for key in keys:
-            assert via_shard_frames.quantiles("lat", quantiles, tags=dict(key.tags)) == (
-                via_one_frame.quantiles("lat", quantiles, tags=dict(key.tags))
-            )
-
-    def test_flush_shard_frames_degrades_gracefully_unsharded(self):
-        agent = MetricAgent("host-a")
-        assert agent.flush_shard_frames(0.0) == []
-        agent.record("lat", 1.0)
-        frames = agent.flush_shard_frames(1.0)
-        assert len(frames) == 1 and frames[0].num_series == 1
-
-    def test_sharded_simulation_is_bit_exact_with_unsharded(self):
-        plain = MonitoringSimulation(
-            num_hosts=3, requests_per_interval=800, num_intervals=3,
-            seed=21, series_cardinality=6,
-        )
-        sharded = MonitoringSimulation(
-            num_hosts=3, requests_per_interval=800, num_intervals=3,
-            seed=21, series_cardinality=6, shards=4, flush_workers=2,
-        )
-        report_plain = plain.run()
-        report_sharded = sharded.run()
-        assert report_sharded.shards == 4
-        assert report_sharded.overall_quantiles == report_plain.overall_quantiles
-        assert report_sharded.endpoint_p99 == report_plain.endpoint_p99
-        assert report_sharded.p99_series == report_plain.p99_series
-        assert report_sharded.total_requests == report_plain.total_requests
-        # One frame per non-empty shard per host/interval on the wire.
-        assert sharded.aggregator.payloads_received >= plain.aggregator.payloads_received
-
-    def test_invalid_shard_configuration_rejected(self):
-        with pytest.raises(IllegalArgumentError):
-            MetricAgent("h", shards=0)
-        with pytest.raises(IllegalArgumentError):
-            MonitoringSimulation(shards=0)
+        client = _RecordingClient()
+        assert agent.push_frames(client, interval_start=3.0) == [{"status": "ok"}]
+        [raw] = client.envelopes
+        envelope = decode_push_envelope(raw)
+        assert envelope.identity == ("host-a", 1)
+        assert envelope.interval_start == 3.0
+        assert envelope.frame == twin.flush_frame(3.0).payload
+        assert agent.records_since_flush == 0
+        assert client.next_sequence("host-a") == 2

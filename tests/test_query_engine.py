@@ -18,7 +18,6 @@ from repro import (
     EmptySketchError,
     IllegalArgumentError,
     LogCollapsingLowestDenseDDSketch,
-    ShardedRegistry,
     SketchRegistry,
     SparseDDSketch,
     UDDSketch,
@@ -322,20 +321,16 @@ class TestThresholdQueries:
         assert result.pruned == 0
 
 
-class TestRegistryAndShardedSources:
-    def test_sharded_snapshot_engine(self):
-        sharded = ShardedRegistry(num_shards=4)
+class TestRegistrySource:
+    def test_rollup_and_threshold_over_registry(self):
+        registry = SketchRegistry()
         for host in range(8):
-            sharded.add("lat", 1.0 + host, tags={"host": f"h{host}"})
-        engine = sharded.query_engine(cube_dimensions=("host",))
+            registry.add("lat", 1.0 + host, tags={"host": f"h{host}"})
+        engine = registry.query_engine(cube_dimensions=("host",))
         merged = engine.rollup("lat", tag_filter={})
-        assert merged.count == sharded.snapshot().rollup("lat").count
+        assert merged.count == registry.rollup("lat").count
         result = engine.threshold_query("lat", 0.5, 5.0)
-        expected = {
-            str(key)
-            for key, sketch in sharded.snapshot()
-            if sketch.quantile(0.5) > 5.0
-        }
+        expected = {str(key) for key, sketch in registry if sketch.quantile(0.5) > 5.0}
         assert {str(key) for key in result.matches} == expected
 
     def test_window_rejected_over_registry(self):

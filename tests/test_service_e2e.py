@@ -75,8 +75,7 @@ class TestThreadedAgents:
     def test_metric_agent_push_frames_round_trip(self):
         with serve_in_thread() as handle:
             with ServiceClient(*handle.address) as client:
-                agents = [MetricAgent(host=f"agent-{index}", shards=shards)
-                          for index, shards in enumerate((1, 2))]
+                agents = [MetricAgent(host=f"agent-{index}") for index in range(2)]
                 reference = SketchRegistry()
                 rng = np.random.default_rng(7)
                 for interval in range(3):

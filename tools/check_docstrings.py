@@ -26,7 +26,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Audited by default: the high-cardinality registry package (series keys,
-#: registry, sharded tier, ingest queue) and the grouped ingestion facade.
+#: registry) and the grouped ingestion facade.
 DEFAULT_TARGETS = [
     REPO_ROOT / "src" / "repro" / "registry",
     REPO_ROOT / "src" / "repro" / "core" / "grouped.py",
