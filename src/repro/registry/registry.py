@@ -144,8 +144,19 @@ class SketchRegistry:
         weight: float = 1.0,
         tags: TagsLike = None,
     ) -> None:
-        """Record one value for one series."""
-        self.sketch(series, tags).add(value, weight)
+        """Record one value for one series.
+
+        A new series is only created once its first value was accepted, so
+        a rejected value leaves no empty phantom series behind (the same
+        contract as :meth:`ingest_grouped`).
+        """
+        key = SeriesKey.of(series, tags)
+        if key in self._ingest:
+            self.sketch(key).add(value, weight)
+            return
+        sketch = self._sketch_factory()
+        sketch.add(value, weight)
+        self.merge_series(key, sketch, copy=False)
 
     def add_batch(
         self,
@@ -154,8 +165,18 @@ class SketchRegistry:
         weights: Optional[Union[float, "np.ndarray"]] = None,
         tags: TagsLike = None,
     ) -> None:
-        """Record a whole array for one series (vectorized)."""
-        self.sketch(series, tags).add_batch(values, weights)
+        """Record a whole array for one series (vectorized).
+
+        As with :meth:`add`, a rejected or empty batch creates no series.
+        """
+        key = SeriesKey.of(series, tags)
+        if key in self._ingest:
+            self.sketch(key).add_batch(values, weights)
+            return
+        sketch = self._sketch_factory()
+        sketch.add_batch(values, weights)
+        if sketch.count > 0:
+            self.merge_series(key, sketch, copy=False)
 
     def ingest_grouped(
         self,

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.ddsketch import DDSketch
 from repro.registry import SketchRegistry
+from repro.service.client import ServiceClient
 from repro.service.protocol import encode_push_envelope
 from repro.service.state import ServiceState
 
@@ -221,6 +222,22 @@ class ChaosProxy:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class RecordingClient(ServiceClient):
+    """A service client that records push envelopes instead of sending them.
+
+    It never connects: envelopes are built (reserving per-host sequence
+    numbers) exactly as for a live server and kept in ``envelopes``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__("127.0.0.1", 0)
+        self.envelopes = []
+
+    def push_envelope(self, envelope: bytes) -> dict:
+        self.envelopes.append(bytes(envelope))
+        return {"status": "ok"}
 
 
 def make_frame(values, metric: str = "latency", tags=None, relative_accuracy: float = 0.01):

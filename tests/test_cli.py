@@ -167,6 +167,13 @@ class TestSimulateCommand:
         assert "tag-filtered p99 per endpoint" in output
         assert "kernel backend" in output
 
+    def test_simulate_rejects_invalid_hosts(self):
+        exit_code, output = run_cli(
+            ["simulate", "--hosts", "0", "--intervals", "1"]
+        )
+        assert exit_code == 2
+        assert "error" in output and "num_hosts" in output
+
     def test_series_cardinality_help_names_frame_v3(self):
         """The CLI help and the architecture guide must agree on the frame
         name and version byte (pinned again in test_docs_examples)."""

@@ -20,8 +20,9 @@ from repro.monitoring import (
     MonitoringSimulation,
     SketchTimeSeries,
 )
-from repro.service import ServiceClient
 from repro.service.protocol import decode_push_envelope
+
+from _service_testkit import RecordingClient
 
 
 class TestTaggedAgent:
@@ -334,24 +335,12 @@ class TestHighCardinalitySimulation:
             assert report.endpoint_p99[endpoint] == direct
 
 
-class _RecordingClient(ServiceClient):
-    """A service client that records push envelopes instead of sending them."""
-
-    def __init__(self):
-        super().__init__("127.0.0.1", 0)
-        self.envelopes = []
-
-    def push_envelope(self, envelope):
-        self.envelopes.append(bytes(envelope))
-        return {"status": "ok"}
-
-
 class TestAgentPush:
     """What ``MetricAgent.push_frames`` ships: one envelope, or nothing."""
 
     def test_empty_agent_builds_no_envelope(self):
         agent = MetricAgent("host-a")
-        client = _RecordingClient()
+        client = RecordingClient()
         sequence = client.next_sequence("host-a")
         assert agent.push_frames(client, interval_start=0.0) == []
         assert client.envelopes == []
@@ -366,7 +355,7 @@ class TestAgentPush:
         agent.record_grouped(keys, groups, values)
         twin.record_grouped(keys, groups, values)
 
-        client = _RecordingClient()
+        client = RecordingClient()
         assert agent.push_frames(client, interval_start=3.0) == [{"status": "ok"}]
         [raw] = client.envelopes
         envelope = decode_push_envelope(raw)
