@@ -24,6 +24,7 @@ extensions discussed in Section 2.2:
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,6 +47,14 @@ DEFAULT_BIN_LIMIT = 2048
 
 #: Default relative accuracy; matches the paper's experiments (Table 2).
 DEFAULT_RELATIVE_ACCURACY = 0.01
+
+#: A sketch's whole state in one call: ``(mapping, zero_count, count, sum,
+#: min, max, store, negative_store)``, where min/max of an empty sketch are
+#: the sentinels ``inf``/``-inf``.  The frame encoder gathers thousands of
+#: sketches per flush through it instead of ten property reads each.
+_SKETCH_STATE = operator.attrgetter(
+    "_mapping", "_zero_count", "_count", "_sum", "_min", "_max", "_store", "_negative_store"
+)
 
 
 class BaseDDSketch:
@@ -703,6 +712,31 @@ class BaseDDSketch:
         result = self.copy()
         result.merge(other)
         return result
+
+    @classmethod
+    def _decoded(
+        cls, mapping: KeyMapping, store: Store, negative_store: Store,
+        zero_count: float, count: float, total: float, minimum: float, maximum: float,
+    ) -> "BaseDDSketch":
+        """A sketch of class ``cls`` holding exactly the given decoded state.
+
+        The frame decoder's constructor: no validation, and ``minimum`` /
+        ``maximum`` may be NaN for an empty sketch (stored as the empty
+        sentinels).  A :class:`~repro.core.UDDSketch` still needs its
+        collapse lineage set by the caller.
+        """
+        sketch = cls.__new__(cls)
+        # Attribute by attribute, in __init__'s order, so the instance keeps
+        # CPython's compact attribute storage.
+        sketch._mapping = mapping
+        sketch._store = store
+        sketch._negative_store = negative_store
+        sketch._zero_count = zero_count
+        sketch._min = math.inf if minimum != minimum else minimum
+        sketch._max = -math.inf if maximum != maximum else maximum
+        sketch._count = count
+        sketch._sum = total
+        return sketch
 
     def copy(self) -> "BaseDDSketch":
         """Return a deep copy of this sketch."""

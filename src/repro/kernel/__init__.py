@@ -56,9 +56,12 @@ __all__ = [
     "bin_selection",
     "classify_value",
     "coerce_values_weights",
+    "columnar_frames",
     "compute_keys",
     "decode_bucket_pairs",
+    "decode_frame_columns",
     "encode_bucket_pairs",
+    "encode_frame_columns",
     "encode_proto_bins",
     "group_key_ranges",
     "native_available",
@@ -241,6 +244,56 @@ def decode_bucket_pairs(reader, num_buckets: int):
     consumed bytes; malformed input raises the codec's historical exceptions.
     """
     return _backend().decode_bucket_pairs(reader, num_buckets)
+
+
+def columnar_frames() -> bool:
+    """Whether the active backend codes whole frames in one pass.
+
+    Only the native backend does.  Under the NumPy backend
+    :func:`~repro.serialization.frame.encode_frame` and
+    :func:`~repro.serialization.frame.decode_frame` run their per-sketch
+    loop, the reference both backends must agree with byte for byte.
+    """
+    return _backend().columnar_frames
+
+
+def encode_frame_columns(key_bytes, key_ends, ints, floats, stores, cells, keys, counts):
+    """Encode frame-v3 entries from gathered columns in one native pass.
+
+    ``key_bytes`` holds the entries' series-key bytes end to end
+    (``key_ends`` marks where each stops); ``ints`` rows are (mapping code,
+    sketch collapse count); ``floats`` rows are (accuracy, offset, initial
+    accuracy, zero count, count, sum, min, max).  ``stores`` has one row per
+    store, positive store first: (code, bin limit, collapse count, window
+    flag, window start key, first cell or pair, length).  A window store's
+    cells are read from ``cells`` and its positive cells written as
+    buckets; any other store lists its buckets in ``keys``/``counts``.
+    Returns the entries' bytes, or ``None`` for a value the pass does not
+    encode (the per-sketch loop then raises its error).  Only for backends
+    with :func:`columnar_frames`.
+    """
+    return _backend().encode_frame_columns(
+        key_bytes, key_ends, ints, floats, stores, cells, keys, counts
+    )
+
+
+def decode_frame_columns(payload, start, count, budget, dense_chunk, default_bin_limit):
+    """Parse ``count`` frame-v3 entries from ``payload[start:]`` in one native pass.
+
+    Returns a :class:`~repro.kernel.native.FrameColumns` chunk — each
+    entry's key span and sketch header, each store's header, buckets and
+    (for the dense families) the window ``add_batch`` into an empty store
+    would give, already binned — or ``None`` for anything the pass does not
+    decode exactly as the per-sketch loop, malformed input included.
+    ``budget`` is an ``int64`` pair ``[enforced, remaining cells]`` charged
+    with every dense store's key span; ``dense_chunk`` and
+    ``default_bin_limit`` are the plain dense store's allocation chunk and
+    the bin limit a zero on the wire stands for.  Only for backends with
+    :func:`columnar_frames`.
+    """
+    return _backend().decode_frame_columns(
+        payload, start, count, budget, dense_chunk, default_bin_limit
+    )
 
 
 def encode_proto_bins(keys, counts) -> bytes:

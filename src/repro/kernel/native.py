@@ -24,6 +24,7 @@ summaries) never runs here at all; it lives in the shared segment layer.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -31,7 +32,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +46,13 @@ _MODES = {"log": 0, "linear": 1, "quadratic": 2, "cubic": 3}
 
 #: Worst-case wire bytes per encoded bucket: a 10-byte varint + 8-byte float.
 _MAX_PAIR_BYTES = 18
+
+#: Worst-case frame bytes of one entry besides its key bytes and buckets:
+#: the sketch length varint, the sketch header and two store headers.
+_MAX_ENTRY_OVERHEAD = 192
+
+#: Columns of one decoded store row (``DE_COLS`` in ``_kernel.c``).
+DECODED_STORE_COLUMNS = 10
 
 _COMPILE_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
@@ -144,6 +152,14 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_encode_pairs.restype = i64
     lib.repro_decode_pairs.argtypes = [p, i64, i64, i64, p, p]
     lib.repro_decode_pairs.restype = i64
+    lib.repro_pairwise_sum.argtypes = [p, i64]
+    lib.repro_pairwise_sum.restype = ctypes.c_double
+    lib.repro_encode_frame_columns.argtypes = [i64, p, p, p, p, p, p, p, p, p]
+    lib.repro_encode_frame_columns.restype = i64
+    lib.repro_decode_frame_columns.argtypes = [p, i64, i64, i64, p, i64, i64, p, p, p, p, p, p, p]
+    lib.repro_decode_frame_columns.restype = i64
+    lib.repro_fill_frame_windows.argtypes = [i64, p, p, p, p]
+    lib.repro_fill_frame_windows.restype = None
 
 
 def _ptr(array: Optional["np.ndarray"]):
@@ -186,6 +202,37 @@ class NativeSignSplit(SignSplit):
         return int(self._stats[4]), int(self._stats[5])
 
 
+class FrameColumns(NamedTuple):
+    """One chunk of frame entries as the C decode pass returns them.
+
+    The columns are flat Python lists, row after row, so the entry builder
+    reads them without NumPy scalar overhead:
+
+    * ``ints`` — per entry: key start, key end (the entry's series-key bytes
+      in the payload), mapping code, sketch collapse count;
+    * ``floats`` — per entry: accuracy, offset, initial accuracy, zero
+      count, count, sum, min, max; ``offset_bits`` holds each offset's
+      IEEE-754 bit pattern;
+    * ``stores`` — per store, positive store first: code, bin limit (the
+      decoded store's, defaults applied), collapse count, first pair, pair
+      count, window start key, window size, collapsed flag, positive cells,
+      first window cell;
+    * ``totals`` — each store's ``float(counts.sum())``;
+    * ``keys`` / ``counts`` — every store's buckets end to end;
+    * ``cells`` — the dense stores' windows end to end, already binned.
+    """
+
+    end: int
+    ints: List[int]
+    floats: List[float]
+    offset_bits: List[int]
+    stores: List[int]
+    totals: List[float]
+    keys: "np.ndarray"
+    counts: "np.ndarray"
+    cells: "np.ndarray"
+
+
 class NativeBackend:
     """Kernel backend dispatching the inner loops to the compiled library.
 
@@ -196,6 +243,7 @@ class NativeBackend:
     """
 
     name = "native"
+    columnar_frames = True
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
@@ -315,6 +363,87 @@ class NativeBackend:
         reader._offset = int(end)
         return deltas, counts
 
+    def encode_frame_columns(
+        self, key_bytes: bytes, key_ends, ints, floats, stores, cells, keys, counts
+    ) -> Optional[bytes]:
+        """Frame entries from gathered columns in one C pass, or ``None``.
+
+        ``None`` means the C pass met a value it does not encode byte for
+        byte (a negative count or code); the caller then encodes with the
+        per-sketch loop, which raises the loop's exact error.
+        """
+        key_ends = np.ascontiguousarray(key_ends, dtype=np.int64)
+        ints = np.ascontiguousarray(ints, dtype=np.int64)
+        floats = np.ascontiguousarray(floats, dtype=np.float64)
+        stores = np.ascontiguousarray(stores, dtype=np.int64)
+        cells = np.ascontiguousarray(cells, dtype=np.float64)
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        counts = np.ascontiguousarray(counts, dtype=np.float64)
+        entries = key_ends.size
+        out = np.empty(
+            len(key_bytes) + entries * _MAX_ENTRY_OVERHEAD
+            + _MAX_PAIR_BYTES * (cells.size + keys.size),
+            dtype=np.uint8,
+        )
+        written = self._lib.repro_encode_frame_columns(
+            entries, key_bytes, _ptr(key_ends), _ptr(ints), _ptr(floats), _ptr(stores),
+            _ptr(cells), _ptr(keys), _ptr(counts), _ptr(out),
+        )
+        if written < 0:
+            return None
+        return out[:written].tobytes()
+
+    def decode_frame_columns(
+        self, payload: bytes, start: int, count: int, budget: "np.ndarray",
+        dense_chunk: int, default_bin_limit: int,
+    ) -> Optional["FrameColumns"]:
+        """Parse ``count`` frame entries from ``payload[start:]`` in C.
+
+        Returns the entries' columns with every dense store's window
+        already binned, or ``None`` when the pass met anything it does not
+        decode exactly as the per-sketch loop (malformed input included);
+        the caller then runs that loop.  ``budget`` is the caller's
+        ``[enforced, remaining cells]`` pair, updated in place.
+        """
+        buffer = np.frombuffer(payload, dtype=np.uint8)
+        capacity = (len(payload) - start) // 9 + 1
+        ints = np.empty((count, 4), dtype=np.int64)
+        floats = np.empty((count, 8), dtype=np.float64)
+        stores = np.empty((2 * count, DECODED_STORE_COLUMNS), dtype=np.int64)
+        totals = np.empty(2 * count, dtype=np.float64)
+        keys = np.empty(capacity, dtype=np.int64)
+        counts = np.empty(capacity, dtype=np.float64)
+        num_cells = np.zeros(1, dtype=np.int64)
+        end = self._lib.repro_decode_frame_columns(
+            _ptr(buffer), len(payload), start, count, _ptr(budget), dense_chunk,
+            default_bin_limit, _ptr(ints), _ptr(floats), _ptr(stores), _ptr(totals),
+            _ptr(keys), _ptr(counts), _ptr(num_cells),
+        )
+        if end < 0:
+            return None
+        cells = np.zeros(int(num_cells[0]), dtype=np.float64)
+        self._lib.repro_fill_frame_windows(
+            2 * count, _ptr(stores), _ptr(keys), _ptr(counts), _ptr(cells)
+        )
+        # Flat lists, not one list per row: the rows would outlive the
+        # whole build and each count toward the garbage collector's passes.
+        return FrameColumns(
+            end=int(end),
+            ints=ints.ravel().tolist(),
+            floats=floats.ravel().tolist(),
+            offset_bits=floats[:, 1].view(np.int64).tolist(),
+            stores=stores.ravel().tolist(),
+            totals=totals.tolist(),
+            keys=keys,
+            counts=counts,
+            cells=cells,
+        )
+
+    def pairwise_sum(self, values: "np.ndarray") -> float:
+        """``float(values.sum())`` computed by the C pass (self-test hook)."""
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        return float(self._lib.repro_pairwise_sum(_ptr(values), values.size))
+
     def encode_proto_bins(self, keys: "np.ndarray", counts: "np.ndarray") -> bytes:
         """DataDog-proto map entries composed around the C varint pass.
 
@@ -334,7 +463,8 @@ def _self_test(backend: NativeBackend) -> None:
     """Verify the compiled kernel against the NumPy reference at load time.
 
     Covers all four mapping families, both signs, zeros, denormal-adjacent
-    magnitudes, window clipping, grouped binning, and a codec round trip.
+    magnitudes, window clipping, grouped binning, a codec round trip, the
+    pairwise count totals and a small frame through the columnar codec.
     A failure raises :class:`NativeKernelUnavailable` so the facade falls
     back to NumPy rather than ever serving non-reference bytes.
     """
@@ -409,6 +539,100 @@ def _self_test(backend: NativeBackend) -> None:
     )
     if not (np.array_equal(out_deltas, deltas) and np.array_equal(out_counts, counts)):
         raise NativeKernelUnavailable("self-test: codec round-trip mismatch")
+    for size in (0, 5, 8, 13, 128, 129, 1000):
+        weights = rng.random(size) / 3.0
+        if backend.pairwise_sum(weights) != float(weights.sum()):
+            raise NativeKernelUnavailable("self-test: pairwise sum mismatch")
+    _frame_self_test(backend, rng)
+
+
+@contextlib.contextmanager
+def _reference_facade():
+    """Serve :mod:`repro.kernel` calls from the NumPy reference meanwhile.
+
+    The frame self-test builds sketches and runs the per-sketch codec, which
+    call the kernel facade; while this backend is still being verified, the
+    facade must not try to load it again.
+    """
+    import repro.kernel as facade
+
+    saved = facade._active
+    facade._active = NumpyBackend()
+    try:
+        yield
+    finally:
+        facade._active = saved
+
+
+def _frame_self_test(backend: "NativeBackend", rng) -> None:
+    """A small frame through both column passes against the per-sketch loop.
+
+    Every store family, both signs, zeros, fractional weights, collapsed
+    windows and an empty sketch: the bytes must equal the loop's, and every
+    decoded store must hold the loop's exact window and counters.
+    """
+    with _reference_facade():
+        _check_frame_columns(backend, rng)
+
+
+def _check_frame_columns(backend: "NativeBackend", rng) -> None:
+    from repro.core import (
+        DDSketch,
+        LogUnboundedDenseDDSketch,
+        SparseDDSketch,
+        UDDSketch,
+    )
+    from repro.registry.series import SeriesKey
+    from repro.serialization import frame
+
+    values = np.concatenate([rng.lognormal(0.0, 2.0, 64), -rng.lognormal(0.0, 1.0, 16), [0.0]])
+    # Irregular weights, so the stores' count totals depend on summation order.
+    weights = rng.random(values.size) * 3.0 + 0.1
+    sketches = [
+        DDSketch(0.02),
+        DDSketch(0.02, bin_limit=6),
+        LogUnboundedDenseDDSketch(0.02),
+        SparseDDSketch(0.02),
+        UDDSketch(0.02, bin_limit=8),
+    ]
+    for sketch in sketches:
+        sketch.add_batch(values, weights)
+    sketches.append(DDSketch(0.02))
+    entries = [
+        (SeriesKey("self.test", {"family": str(index)}), sketch)
+        for index, sketch in enumerate(sketches)
+    ]
+    body = frame._encode_entries(entries)
+    if frame._encode_columns(entries, backend.encode_frame_columns) != body:
+        raise NativeKernelUnavailable("self-test: frame encode mismatch")
+    payload = frame._MAGIC + bytes((3, len(entries))) + body
+    decoded = frame._decode_columns(payload, None, None, backend.decode_frame_columns)
+    expected = frame._decode_entries(payload, None, None)
+    if decoded is None or [key for key, _ in decoded] != [key for key, _ in expected]:
+        raise NativeKernelUnavailable("self-test: frame decode mismatch")
+    for (_, got), (_, want) in zip(decoded, expected):
+        if type(got) is not type(want) or vars(got).keys() != vars(want).keys():
+            raise NativeKernelUnavailable("self-test: decoded sketch mismatch")
+        for name, value in vars(want).items():
+            if name in ("_store", "_negative_store"):
+                if not _same_store(getattr(got, name), value):
+                    raise NativeKernelUnavailable("self-test: decoded store mismatch")
+            elif getattr(got, name) != value:
+                raise NativeKernelUnavailable(f"self-test: decoded {name} mismatch")
+
+
+def _same_store(got, want) -> bool:
+    """Same type and the same state, bins compared cell for cell."""
+    if type(got) is not type(want) or vars(got).keys() != vars(want).keys():
+        return False
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            if not np.array_equal(other, value):
+                return False
+        elif other != value:
+            return False
+    return True
 
 
 def load_native_backend() -> NativeBackend:

@@ -72,6 +72,9 @@ class NumpyBackend:
     """Kernel backend implemented entirely with NumPy array expressions."""
 
     name = "numpy"
+    #: No columnar frame pass: frames take the per-sketch loop of
+    #: :mod:`repro.serialization.frame`, the codec's oracle.
+    columnar_frames = False
 
     def split_keys(self, mapping, values: "np.ndarray") -> NumpySignSplit:
         """Sign-split a value batch and prepare per-sign key computation."""

@@ -93,8 +93,8 @@ class SketchRegistry:
     def series_keys(self, metric: Optional[str] = None, tag_filter: TagsLike = None) -> List[SeriesKey]:
         """Sorted keys of the stored series, optionally filtered."""
         return sorted(
-            key for key in self._ingest.series_ids()
-            if key.matches(metric, tag_filter)
+            (key for key in self._ingest.series_ids() if key.matches(metric, tag_filter)),
+            key=SeriesKey.sort_key,
         )
 
     def metrics(self) -> List[str]:

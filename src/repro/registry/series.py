@@ -17,6 +17,12 @@ from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import IllegalArgumentError
 
+#: Largest UTF-8 size, in bytes, of a metric name, tag key or tag value.
+#: Frames carry each string behind a varint length, and the frame decoder
+#: rejects longer ones as malformed, so a key is refused here already: every
+#: key a registry accepts can travel in a frame.
+MAX_STRING_BYTES = 1 << 16
+
 #: Anything accepted where tags are expected: a mapping, an iterable of
 #: ``(key, value)`` pairs, or ``None`` for an untagged series.
 TagsLike = Union[None, Mapping[str, str], Iterable[Tuple[str, str]]]
@@ -74,7 +80,34 @@ class SeriesKey:
             raise IllegalArgumentError(
                 f"metric must be a non-empty string, got {self.metric!r}"
             )
-        object.__setattr__(self, "tags", normalize_tags(self.tags))
+        tags = normalize_tags(self.tags)
+        object.__setattr__(self, "tags", tags)
+        # The key's frame encoding, computed once: the strings' UTF-8 forms
+        # are validated here and written verbatim by every later frame.
+        parts = [_wire_string(self.metric, "metric"), _varint(len(tags))]
+        for key, value in tags:
+            parts.append(_wire_string(key, "tag key"))
+            parts.append(_wire_string(value, "tag value"))
+        object.__setattr__(self, "_wire", b"".join(parts))
+        object.__setattr__(self, "_hash", hash((self.metric, tags)))
+
+    def __hash__(self) -> int:
+        # Keys are immutable and hashed on every registry and frame lookup,
+        # so the hash is computed once.
+        return self._hash
+
+    def sort_key(self) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
+        """``(metric, tags)``: sorting by it orders keys as ``<`` does, faster."""
+        return (self.metric, self.tags)
+
+    @property
+    def wire_bytes(self) -> bytes:
+        """The key as a frame entry starts: metric, tag count, tag pairs.
+
+        Each string is its varint byte length followed by its UTF-8 bytes
+        (see :mod:`repro.serialization.frame`).
+        """
+        return self._wire
 
     @classmethod
     def of(cls, series: SeriesLike, tags: TagsLike = None) -> "SeriesKey":
@@ -128,3 +161,29 @@ class SeriesKey:
             return self.metric
         rendered = ",".join(f"{key}={value}" for key, value in self.tags)
         return f"{self.metric}{{{rendered}}}"
+
+
+def _varint(value: int) -> bytes:
+    """``encode_varint`` of :mod:`repro.serialization.encoding`, which this
+    module cannot import: that package imports this one."""
+    out = bytearray()
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _wire_string(text: str, what: str) -> bytes:
+    """``text`` as a frame string (varint length + UTF-8), or raise."""
+    try:
+        encoded = text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise IllegalArgumentError(
+            f"{what} {text[:40]!r} is not encodable as UTF-8"
+        ) from error
+    if len(encoded) > MAX_STRING_BYTES:
+        raise IllegalArgumentError(
+            f"{what} of {len(encoded)} UTF-8 bytes exceeds the {MAX_STRING_BYTES}-byte limit"
+        )
+    return _varint(len(encoded)) + encoded

@@ -40,7 +40,7 @@ than an ``IndexError``/``MemoryError`` from the decoding internals.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from repro.store import (
     Store,
     UniformCollapsingDenseStore,
 )
+from repro.store.grouped import SEGMENT_STORE_TYPES
 
 _MAGIC = b"DD"
 _VERSION = 2
@@ -101,6 +102,41 @@ _STORE_CODES: List[Type[Store]] = [
     UniformCollapsingDenseStore,
 ]
 
+#: Wire code of each mapping and store type (the lists above, inverted).
+_MAPPING_CODE = {cls: code for code, cls in enumerate(_MAPPING_CODES)}
+_STORE_CODE = {cls: code for code, cls in enumerate(_STORE_CODES)}
+_UNIFORM_CODE = _STORE_CODE[UniformCollapsingDenseStore]
+
+#: Store codes whose decoded window the columnar frame codec places itself.
+_WINDOW_CODES = frozenset(_STORE_CODE[cls] for cls in SEGMENT_STORE_TYPES)
+
+
+class _BinBudget:
+    """How many float64 bins a frame's dense stores may still decode to.
+
+    A frame entry's dense store allocates one bin per key of its span, and
+    a short payload can declare long spans, so one pushed frame could make
+    the decoder allocate gigabytes.  The frame decoder charges every dense
+    store's span here, before allocating it, and rejects the frame once
+    the total passes ``limit_bytes``.  Sparse stores allocate per bucket,
+    not per key, so they are not charged.
+    """
+
+    __slots__ = ("limit_bytes", "remaining")
+
+    def __init__(self, limit_bytes: int) -> None:
+        self.limit_bytes = int(limit_bytes)
+        self.remaining = self.limit_bytes // 8
+
+    def charge(self, span: int) -> None:
+        """Take ``span`` bins; raise :class:`DeserializationError` past the limit."""
+        self.remaining -= span
+        if self.remaining < 0:
+            raise DeserializationError(
+                f"the frame's dense stores decode to more than {self.limit_bytes} "
+                "bytes of bins"
+            )
+
 
 def _encode_store(store: Store) -> bytes:
     out = bytearray()
@@ -122,7 +158,9 @@ def _encode_store(store: Store) -> bytes:
     return bytes(out)
 
 
-def _decode_store(reader: VarintReader, version: int) -> Store:
+def _decode_store(
+    reader: VarintReader, version: int, budget: Optional[_BinBudget] = None
+) -> Store:
     store_code = reader.read_varint()
     if store_code >= len(_STORE_CODES):
         raise DeserializationError(f"unknown store code {store_code}")
@@ -162,6 +200,8 @@ def _decode_store(reader: VarintReader, version: int) -> Store:
         )
     if not np.isfinite(counts).all() or (counts < 0.0).any():
         raise DeserializationError("bucket counts must be finite and non-negative")
+    if budget is not None and store_cls is not SparseStore:
+        budget.charge(span)
     store.add_batch(keys, counts)
     if isinstance(store, UniformCollapsingDenseStore):
         if store.collapse_count:
@@ -222,6 +262,13 @@ def decode_sketch(payload: bytes, sketch_cls: Any = None) -> Any:
         that callers never see an ``IndexError`` or similar escape from the
         decoding internals.
     """
+    return _decode_sketch(payload, sketch_cls)
+
+
+def _decode_sketch(
+    payload: bytes, sketch_cls: Any = None, budget: Optional[_BinBudget] = None
+) -> Any:
+    """:func:`decode_sketch`, charging its dense stores to a frame's ``budget``."""
     from repro.core.ddsketch import BaseDDSketch
     from repro.core.uddsketch import UDDSketch
 
@@ -264,8 +311,8 @@ def decode_sketch(payload: bytes, sketch_cls: Any = None) -> Any:
             raise DeserializationError(f"invalid total count {count!r}")
         if not math.isfinite(total):
             raise DeserializationError(f"invalid sum {total!r}")
-        store = _decode_store(reader, version)
-        negative_store = _decode_store(reader, version)
+        store = _decode_store(reader, version, budget)
+        negative_store = _decode_store(reader, version, budget)
         if not reader.exhausted:
             raise DeserializationError(
                 f"{len(payload) - 2 - reader.offset} trailing bytes after the sketch"

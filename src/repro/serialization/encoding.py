@@ -101,18 +101,25 @@ class VarintReader:
         return max(len(self._payload) - self._offset, 0)
 
     def read_varint(self) -> int:
+        """Read one unsigned varint; raises :class:`DeserializationError`
+        when it is truncated or longer than 70 bits of payload."""
         value, self._offset = decode_varint(self._payload, self._offset)
         return value
 
     def read_zigzag(self) -> int:
+        """Read one zig-zag-encoded signed integer (see :func:`decode_zigzag`)."""
         value, self._offset = decode_zigzag(self._payload, self._offset)
         return value
 
     def read_float(self) -> float:
+        """Read one little-endian float64; raises :class:`DeserializationError`
+        when fewer than 8 bytes remain."""
         value, self._offset = decode_float(self._payload, self._offset)
         return value
 
     def read_bytes(self, length: int) -> bytes:
+        """Read the next ``length`` bytes; raises :class:`DeserializationError`
+        when fewer remain."""
         if self._offset + length > len(self._payload):
             raise DeserializationError("truncated byte string")
         chunk = self._payload[self._offset : self._offset + length]

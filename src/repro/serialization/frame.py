@@ -59,12 +59,33 @@ or the stdlib ``compression.zstd`` of Python 3.14+ — is importable, see
 
 from __future__ import annotations
 
+import math
 import zlib
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro import kernel
+from repro.core.ddsketch import _SKETCH_STATE, DEFAULT_BIN_LIMIT, BaseDDSketch, DDSketch
+from repro.core.uddsketch import UDDSketch
 from repro.exceptions import DeserializationError, IllegalArgumentError, ReproError
-from repro.registry.series import SeriesKey
-from repro.serialization.encoding import VarintReader, encode_varint
+from repro.kernel.native import DECODED_STORE_COLUMNS
+from repro.registry.series import MAX_STRING_BYTES, SeriesKey
+from repro.serialization.binary_codec import (
+    _MAPPING_CODE,
+    _MAPPING_CODES,
+    _STORE_CODE,
+    _STORE_CODES,
+    _UNIFORM_CODE,
+    _WINDOW_CODES,
+    _BinBudget,
+    _decode_sketch,
+    encode_sketch,
+)
+from repro.serialization.encoding import VarintReader, decode_varint, encode_varint
+from repro.store import UniformCollapsingDenseStore
+from repro.store.dense import CHUNK_SIZE
+from repro.store.grouped import SEGMENT_STORE_TYPES
 
 _MAGIC = b"DD"
 _COMPRESSED_MAGIC = b"DZ"
@@ -80,10 +101,32 @@ _CODE_TO_COMPRESSION = {code: name for name, code in COMPRESSION_CODES.items()}
 #: before any inflation happens.
 MAX_DECOMPRESSED_FRAME_BYTES = 256 * 1024 * 1024
 
-#: Ceiling on any single decoded string (metric, tag key, tag value).  Real
-#: series names are tens of bytes; anything larger is a malformed length
-#: field that would otherwise drive a giant slice.
-_MAX_STRING_BYTES = 1 << 16
+#: Series gathered per native encode or decode call.  A snapshot of a large
+#: state is coded chunk by chunk, so its bins are never copied all at once.
+FRAME_CHUNK_SERIES = 1024
+
+#: Most series keys the decoder remembers by their raw frame bytes.  Agents
+#: push the same keys every interval, so each is parsed and validated once;
+#: past the cap the table starts over.
+KEY_INTERN_LIMIT = 1 << 16
+
+# Sketch classes read through _SKETCH_STATE: they override none of its
+# properties and have no uniform-collapse lineage, so they encode zero
+# collapses and their current accuracy as the initial one.
+_PLAIN_SKETCH_TYPES = frozenset((BaseDDSketch, DDSketch))
+
+# Store type -> (wire code, encodes its raw dense window, has a bin limit).
+_STORE_INFO = {
+    cls: (code, cls in SEGMENT_STORE_TYPES, hasattr(cls, "bin_limit"))
+    for cls, code in _STORE_CODE.items()
+}
+
+# Store code -> constructor of the decoded state, for the dense windows.
+_DECODED_WINDOW = {code: _STORE_CODES[code]._decoded for code in _WINDOW_CODES}
+
+# Raw key bytes -> parsed SeriesKey.  A pure cache: keys are immutable and
+# parsing is a function of the bytes alone, so a hit is what parsing gives.
+_interned_keys: Dict[bytes, SeriesKey] = {}
 
 #: Minimum wire size of one frame entry: metric (>= 2 bytes), tag count,
 #: sketch length, and the smallest well-formed version-2 sketch payload
@@ -300,9 +343,12 @@ def _encode_string(text: str) -> bytes:
 
 def _read_string(reader: VarintReader, what: str) -> str:
     length = reader.read_varint()
-    if length > _MAX_STRING_BYTES:
+    if length > MAX_STRING_BYTES:
+        # Real series names are tens of bytes; a longer one is a malformed
+        # length field that would otherwise drive a giant slice.
+        # SeriesKey refuses longer strings, so the encoder never writes one.
         raise DeserializationError(
-            f"{what} length {length} exceeds the sanity limit {_MAX_STRING_BYTES}"
+            f"{what} length {length} exceeds the sanity limit {MAX_STRING_BYTES}"
         )
     chunk = reader.read_bytes(length)
     try:
@@ -317,18 +363,31 @@ def encode_frame(
     """Serialize ``(series_key, sketch)`` pairs into one frame payload.
 
     Accepts any iterable of pairs — a :class:`~repro.registry.SketchRegistry`
-    iterates as one — and embeds each sketch via
-    :func:`~repro.serialization.binary_codec.encode_sketch`.  With the
-    default ``compression="none"`` the bytes are identical to what earlier
-    releases produced; ``"zlib"``/``"zstd"`` wrap the frame in the
-    compressed envelope described in the module docstring.
+    iterates as one.  With the native kernel the entries are gathered into
+    columns and encoded by :func:`repro.kernel.encode_frame_columns`, a
+    chunk of :data:`FRAME_CHUNK_SERIES` series per call; otherwise each
+    sketch is embedded via
+    :func:`~repro.serialization.binary_codec.encode_sketch`.  Both give the
+    same bytes.  With the default ``compression="none"`` the bytes are
+    identical to what earlier releases produced; ``"zlib"``/``"zstd"`` wrap
+    the frame in the compressed envelope described in the module docstring.
     """
-    from repro.serialization.binary_codec import encode_sketch
+    entries = [(SeriesKey.of(key), sketch) for key, sketch in entries]
+    body = None
+    if kernel.columnar_frames():
+        body = _encode_columns(entries, kernel.encode_frame_columns)
+    if body is None:
+        body = _encode_entries(entries)
+    frame = _MAGIC + encode_varint(_FRAME_VERSION) + encode_varint(len(entries)) + body
+    if compression == "none":
+        return frame
+    return compress_frame(frame, compression)
 
+
+def _encode_entries(entries: List[Tuple[SeriesKey, Any]]) -> bytes:
+    """The per-sketch encode loop: the reference for the columnar encoder."""
     body = bytearray()
-    count = 0
     for key, sketch in entries:
-        key = SeriesKey.of(key)
         body += _encode_string(key.metric)
         body += encode_varint(len(key.tags))
         for tag_key, tag_value in key.tags:
@@ -337,17 +396,116 @@ def encode_frame(
         sketch_bytes = encode_sketch(sketch)
         body += encode_varint(len(sketch_bytes))
         body += sketch_bytes
-        count += 1
-    frame = _MAGIC + encode_varint(_FRAME_VERSION) + encode_varint(count) + bytes(body)
-    if compression == "none":
-        return frame
-    return compress_frame(frame, compression)
+    return bytes(body)
+
+
+def _encode_columns(
+    entries: List[Tuple[SeriesKey, Any]], encode_columns: Callable[..., Optional[bytes]]
+) -> Optional[bytes]:
+    """Frame entries through ``encode_columns`` (the native encoder), or ``None``.
+
+    ``None`` hands the frame to :func:`_encode_entries`: for a mapping or
+    store type without a wire code (which raises there) or a value the
+    native pass does not encode.
+    """
+    parts = []
+    for start in range(0, len(entries), FRAME_CHUNK_SERIES):
+        part = _encode_chunk(entries[start : start + FRAME_CHUNK_SERIES], encode_columns)
+        if part is None:
+            return None
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _encode_chunk(
+    entries: List[Tuple[SeriesKey, Any]], encode_columns: Callable[..., Optional[bytes]]
+) -> Optional[bytes]:
+    """Gather one chunk's columns and encode it in one native call.
+
+    Dense windows (:data:`~repro.store.grouped.SEGMENT_STORE_TYPES`) pass
+    their raw cells, which the native pass scans for non-empty ones; other
+    stores pass ``nonzero_bins()``.
+    """
+    wires = []
+    ints: List[int] = []
+    floats: List[float] = []
+    stores: List[int] = []
+    cells = []
+    keys = []
+    counts = []
+    num_cells = 0
+    num_pairs = 0
+    for key, sketch in entries:
+        wires.append(key.wire_bytes)
+        if type(sketch) in _PLAIN_SKETCH_TYPES:
+            mapping, zero_count, count, total, minimum, maximum, positive, negative = (
+                _SKETCH_STATE(sketch)
+            )
+            if not count > 0:
+                minimum = maximum = math.nan
+            accuracy = mapping.relative_accuracy
+            collapses, initial = 0, accuracy
+        else:
+            mapping = sketch.mapping
+            accuracy = mapping.relative_accuracy
+            zero_count, count, total = sketch.zero_count, sketch.count, sketch.sum
+            minimum = sketch.min if count > 0 else math.nan
+            maximum = sketch.max if count > 0 else math.nan
+            positive, negative = sketch.store, sketch.negative_store
+            collapses = getattr(sketch, "collapse_count", 0)
+            initial = getattr(sketch, "initial_relative_accuracy", accuracy)
+        mapping_code = _MAPPING_CODE.get(type(mapping))
+        if mapping_code is None:
+            return None
+        ints += (mapping_code, int(collapses))
+        floats += (
+            accuracy, mapping.offset, float(initial), zero_count, count, total, minimum, maximum
+        )
+        for store in (positive, negative):
+            info = _STORE_INFO.get(type(store))
+            if info is None:
+                return None
+            store_code, window, limited = info
+            bin_limit = store.bin_limit if limited else 0
+            store_collapses = store.collapse_count if store_code == _UNIFORM_CODE else 0
+            if window:
+                offset, bins = store.bins_window()
+                size = bins.size
+                stores += (store_code, bin_limit, store_collapses, 1, offset, num_cells, size)
+                if size:
+                    cells.append(bins)
+                    num_cells += size
+            else:
+                store_keys, store_counts = store.nonzero_bins()
+                stores += (
+                    store_code, bin_limit, store_collapses, 0, 0, num_pairs, store_keys.size
+                )
+                keys.append(store_keys)
+                counts.append(store_counts)
+                num_pairs += store_keys.size
+    try:
+        columns = (
+            np.array(ints, dtype=np.int64),
+            np.array(floats, dtype=np.float64),
+            np.array(stores, dtype=np.int64),
+        )
+    except OverflowError:
+        return None  # a count or limit past int64: the loop raises or copes
+    return encode_columns(
+        b"".join(wires),
+        np.cumsum([len(wire) for wire in wires], dtype=np.int64),
+        *columns,
+        np.concatenate(cells) if cells else np.zeros(0),
+        np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64),
+        np.concatenate(counts) if counts else np.zeros(0),
+    )
 
 
 def decode_frame(
     payload: bytes,
     sketch_cls: Any = None,
     max_decompressed_bytes: Optional[int] = None,
+    bin_budget: bool = True,
 ) -> List[Tuple[SeriesKey, Any]]:
     """Decode a (plain or compressed) frame into ``(series_key, sketch)`` pairs.
 
@@ -359,17 +517,31 @@ def decode_frame(
     (by default, payloads carrying uniform-collapse stores auto-upgrade to
     :class:`~repro.core.UDDSketch`).
 
+    With ``bin_budget`` (the default) the frame's dense stores may decode to
+    at most :data:`MAX_DECOMPRESSED_FRAME_BYTES` of float64 bins in total,
+    the ceiling a compressed frame may inflate to: a short frame declaring
+    long key spans is rejected before its bins are allocated.  Only a
+    trusted payload, such as the server's own CRC-checked snapshot, should
+    pass ``bin_budget=False``.
+
+    With the native kernel, one :func:`repro.kernel.decode_frame_columns`
+    call parses a chunk of :data:`FRAME_CHUNK_SERIES` entries, and the
+    sketches are built from its columns: series keys interned by their raw
+    bytes, one mapping object per distinct mapping, and each store holding
+    its own bins in exactly the window a per-sketch decode gives.  Any
+    input that pass declines is decoded by the per-sketch loop instead,
+    which raises the errors below.  Every call returns new sketches that no
+    one else holds.
+
     Raises
     ------
     DeserializationError
         For any malformed payload: wrong magic or version, a compressed
         envelope failing its size declaration or guard, series/tag counts
         or string/sketch lengths that cannot fit the remaining bytes,
-        invalid UTF-8, duplicate series, corrupt embedded sketches, or
-        trailing bytes.
+        invalid UTF-8, duplicate series, corrupt embedded sketches, dense
+        stores past the bin budget, or trailing bytes.
     """
-    from repro.serialization.binary_codec import decode_sketch
-
     if not isinstance(payload, (bytes, bytearray, memoryview)):
         raise DeserializationError(
             f"frame payload must be bytes, got {type(payload).__name__}"
@@ -386,6 +558,21 @@ def decode_frame(
         )
     if payload[:2] != _MAGIC:
         raise DeserializationError("payload does not start with the DDSketch magic bytes")
+    limit = MAX_DECOMPRESSED_FRAME_BYTES if bin_budget else None
+    if kernel.columnar_frames():
+        entries = _decode_columns(payload, sketch_cls, limit, kernel.decode_frame_columns)
+        if entries is not None:
+            return entries
+    return _decode_entries(payload, sketch_cls, None if limit is None else _BinBudget(limit))
+
+
+def _decode_entries(
+    payload: bytes, sketch_cls: Any, budget: Optional[_BinBudget]
+) -> List[Tuple[SeriesKey, Any]]:
+    """The per-sketch decode loop: the oracle for the columnar decoder.
+
+    Every error message of :func:`decode_frame` comes from here.
+    """
     reader = VarintReader(payload[2:])
     entries: List[Tuple[SeriesKey, Any]] = []
     seen: set = set()
@@ -419,7 +606,7 @@ def decode_frame(
             if key in seen:
                 raise DeserializationError(f"duplicate series {key} in frame")
             seen.add(key)
-            entries.append((key, decode_sketch(sketch_bytes, sketch_cls=sketch_cls)))
+            entries.append((key, _decode_sketch(sketch_bytes, sketch_cls, budget)))
         if not reader.exhausted:
             raise DeserializationError(
                 f"{reader.remaining} trailing bytes after the frame"
@@ -431,6 +618,205 @@ def decode_frame(
         # means the payload is bad.
         raise DeserializationError(f"malformed frame payload: {error}") from error
     return entries
+
+
+class _Declined(Exception):
+    """The columnar decode cannot reproduce the per-sketch loop for a frame."""
+
+
+def _decode_columns(
+    payload: bytes, sketch_cls: Any, limit: Optional[int], decode_columns: Callable[..., Any]
+) -> Optional[List[Tuple[SeriesKey, Any]]]:
+    """Decode a plain frame through ``decode_columns`` (the native pass), or ``None``.
+
+    ``None`` sends the frame to :func:`_decode_entries`: malformed input,
+    which that loop rejects with its exact message, or well-formed input
+    outside the native pass (version-1 sketches, non-positive counts).
+    """
+    try:
+        version, position = decode_varint(payload, 2)
+        num_series, position = decode_varint(payload, position)
+    except DeserializationError:
+        return None
+    if version != _FRAME_VERSION or num_series > (len(payload) - position) // _MIN_ENTRY_BYTES:
+        return None
+    budget = np.array([limit is not None, (limit or 0) // 8], dtype=np.int64)
+    builder = _EntryBuilder(payload, sketch_cls)
+    while num_series:
+        count = min(num_series, FRAME_CHUNK_SERIES)
+        columns = decode_columns(payload, position, count, budget, CHUNK_SIZE, DEFAULT_BIN_LIMIT)
+        if columns is None:
+            return None
+        try:
+            builder.add(columns)
+        except _Declined:
+            return None
+        position = columns.end
+        num_series -= count
+    return builder.entries if position == len(payload) else None
+
+
+class _EntryBuilder:
+    """Builds decoded entries from native frame columns, chunk by chunk."""
+
+    def __init__(self, payload: bytes, sketch_cls: Any) -> None:
+        self.payload = payload
+        self.sketch_cls = BaseDDSketch if sketch_cls is None else sketch_cls
+        self.entries: List[Tuple[SeriesKey, Any]] = []
+        self.seen: set = set()
+        # Mappings are immutable, so the frame's sketches share one object
+        # per (code, accuracy, offset bit pattern).
+        self.mappings: Dict[Tuple[int, float, int], Any] = {}
+        # Sketch class per number of uniform-collapse stores, checked once.
+        self.classes: Dict[int, Any] = {}
+
+    def add(self, columns) -> None:
+        """Append one chunk's entries; raise :class:`_Declined` on any doubt."""
+        payload = self.payload
+        seen = self.seen
+        entries = self.entries
+        append = entries.append
+        mappings = self.mappings
+        cells = columns.cells
+        build_store = _StoreBuilder(columns).build
+        plain = self.classes.get(0)
+        mapping_id = mapping = None
+        # Rows of the flat columns.  zip recycles its result tuple, so the
+        # loop allocates nothing per row; `rows` and `totals` appear twice
+        # because each entry takes two stores, positive first.
+        rows = zip(*[iter(columns.stores)] * DECODED_STORE_COLUMNS)
+        totals = iter(columns.totals)
+        for (
+            (key_start, key_end, mapping_code, collapses),
+            (accuracy, offset, initial, zero_count, count, total, minimum, maximum),
+            offset_bits,
+            positive_row,
+            negative_row,
+            positive_total,
+            negative_total,
+        ) in zip(
+            zip(*[iter(columns.ints)] * 4),
+            zip(*[iter(columns.floats)] * 8),
+            columns.offset_bits,
+            rows,
+            rows,
+            totals,
+            totals,
+        ):
+            raw = payload[key_start:key_end]
+            key = _interned_keys.get(raw)
+            if key is None:
+                key = _intern_key(raw)
+            seen.add(key)
+            if mapping_id != (mapping_code, accuracy, offset_bits):
+                mapping_id = (mapping_code, accuracy, offset_bits)
+                mapping = mappings.get(mapping_id)
+                if mapping is None:
+                    mapping = mappings[mapping_id] = _mapping(mapping_code, accuracy, offset)
+            code, limit, _, _, pairs, low, size, collapsed, positive_cells, first = positive_row
+            negative_code = negative_row[0]
+            if code in _WINDOW_CODES and negative_code in _WINDOW_CODES:
+                # The dense families: each window was binned natively.
+                if plain is None:
+                    plain = self._sketch_class(0)
+                store = _DECODED_WINDOW[code](
+                    cells[first : first + size].copy() if pairs else np.zeros(0),
+                    low, positive_total, positive_cells, limit, collapsed == 1,
+                )
+                _, limit, _, _, pairs, low, size, collapsed, positive_cells, first = negative_row
+                negative_store = _DECODED_WINDOW[negative_code](
+                    cells[first : first + size].copy() if pairs else np.zeros(0),
+                    low, negative_total, positive_cells, limit, collapsed == 1,
+                )
+                append((key, plain._decoded(
+                    mapping, store, negative_store, zero_count, count, total, minimum, maximum
+                )))
+                continue
+            uniform = (code == _UNIFORM_CODE) + (negative_code == _UNIFORM_CODE)
+            cls = self._sketch_class(uniform)
+            if uniform and offset != 0.0:
+                raise _Declined
+            store = build_store(positive_row, positive_total)
+            sketch = cls._decoded(
+                mapping, store, build_store(negative_row, negative_total),
+                zero_count, count, total, minimum, maximum,
+            )
+            if uniform:
+                sketch._collapse_count = collapses
+                sketch._initial_relative_accuracy = initial
+                sketch._bin_limit = store.bin_limit
+            append((key, sketch))
+        if len(seen) != len(entries):
+            raise _Declined  # a duplicate series
+
+    def _sketch_class(self, uniform: int) -> Any:
+        """The decoded class for ``uniform`` uniform-collapse stores (as
+        :func:`~repro.serialization.binary_codec.decode_sketch` picks it)."""
+        cls = self.classes.get(uniform)
+        if cls is None:
+            cls = self.sketch_cls
+            if cls is BaseDDSketch and uniform:
+                cls = UDDSketch
+            if uniform and not issubclass(cls, UDDSketch):
+                raise _Declined
+            if issubclass(cls, UDDSketch) and uniform != 2:
+                raise _Declined
+            self.classes[uniform] = cls
+        return cls
+
+
+class _StoreBuilder:
+    """Rebuilds each store of a column chunk in its per-sketch decode state."""
+
+    def __init__(self, columns) -> None:
+        self.cells = columns.cells
+        self.keys = columns.keys
+        self.counts = columns.counts
+
+    def build(self, row: List[int], total: float):
+        """The store of one column row; its count total is ``total``."""
+        code, limit, collapses, first_pair, pairs, low, size, collapsed, positive, first = row
+        if code in _WINDOW_CODES:
+            return _DECODED_WINDOW[code](
+                self.cells[first : first + size].copy() if pairs else np.zeros(0),
+                low, total, positive, limit, collapsed == 1,
+            )
+        if code == _UNIFORM_CODE:
+            store = UniformCollapsingDenseStore(bin_limit=limit)
+        else:
+            store = _STORE_CODES[code]()
+        if pairs:
+            end = first_pair + pairs
+            store.add_batch(self.keys[first_pair:end], self.counts[first_pair:end])
+        if code == _UNIFORM_CODE:
+            store._collapse_count = collapses
+        return store
+
+
+def _mapping(code: int, accuracy: float, offset: float):
+    """The key mapping a sketch header declares, or :class:`_Declined`."""
+    try:
+        return _MAPPING_CODES[code](accuracy, offset=offset)
+    except ReproError:
+        raise _Declined from None
+
+
+def _intern_key(raw: bytes) -> SeriesKey:
+    """Parse one entry's series-key bytes and remember the key."""
+    reader = VarintReader(raw)
+    try:
+        metric = _read_string(reader, "metric name")
+        tags = tuple(
+            (_read_string(reader, "tag key"), _read_string(reader, "tag value"))
+            for _ in range(reader.read_varint())
+        )
+        key = SeriesKey(metric, tags)
+    except ReproError:
+        raise _Declined from None
+    if len(_interned_keys) >= KEY_INTERN_LIMIT:
+        _interned_keys.clear()
+    _interned_keys[raw] = key
+    return key
 
 
 def frame_to_dict(entries: Iterable[Tuple[SeriesKey, Any]]) -> Dict[str, Any]:
@@ -455,9 +841,6 @@ def frame_from_dict(payload: Dict[str, Any]) -> List[Tuple[SeriesKey, Any]]:
     positive store carries uniform-collapse state decodes to
     :class:`~repro.core.UDDSketch`.
     """
-    from repro.core.ddsketch import BaseDDSketch
-    from repro.core.uddsketch import UDDSketch
-
     if not isinstance(payload, dict):
         raise DeserializationError("expected a JSON object at the top level")
     if payload.get("version") != _FRAME_VERSION:

@@ -535,11 +535,14 @@ class AggregationServer:
 
         Returns the envelope and its decoded frame entries.  Decoding the
         frame is the validation, and it happens once per push: the entries
-        go on to :meth:`ServiceState.apply`, which adopts them.
+        go on to :meth:`ServiceState.apply`, which adopts them.  An
+        envelope whose interval bucket a snapshot could not store is
+        rejected here, before it reaches the log.
         """
         from repro.serialization.frame import decode_frame
 
         envelope = decode_push_envelope(payload)
+        self.state.envelope_bucket(envelope)
         entries = decode_frame(envelope.frame)
         if envelope.sequence < 1:
             # Sequences are 1-based (the dedup watermark's zero state means

@@ -47,6 +47,11 @@ from repro.service.protocol import PushEnvelope, decode_push_envelope
 
 _SNAPSHOT_STATE_VERSION = 2
 
+#: Envelope buckets ``floor(interval_start / interval_length)`` must lie in
+#: ``[-2**63, 2**63)``: snapshots store them as zig-zag varints, which
+#: ``decode_varint`` reads back only up to that range.
+_BUCKET_LIMIT = float(2**63)
+
 #: How many out-of-order sequences above a host's watermark the dedup table
 #: tracks individually.  When a gap (a sequence a client burned without the
 #: server ever seeing it) would let the set grow past this, the watermark
@@ -171,7 +176,9 @@ class ServiceState:
         A duplicate ``(host, sequence)`` identity is counted and ignored
         (returns 0) — the exactly-once half of the delivery contract.
         Raises :class:`~repro.exceptions.DeserializationError` when the
-        carried frame is corrupt; nothing is mutated in that case.
+        carried frame is corrupt or the envelope's interval bucket is out
+        of range (see :meth:`envelope_bucket`); nothing is mutated in that
+        case.
 
         ``entries`` is the envelope's frame already decoded
         (``decode_frame(envelope.frame)``), as the server's validation
@@ -182,13 +189,13 @@ class ServiceState:
         """
         from repro.serialization.frame import decode_frame
 
+        bucket = self.envelope_bucket(envelope)
         if self.is_duplicate(envelope.host, envelope.sequence):
             self.duplicates_rejected += 1
             return 0
         if entries is None:
             entries = decode_frame(envelope.frame)
         self._mark_applied(envelope.host, envelope.sequence)
-        bucket = self._bucket_of(envelope.interval_start)
         window = self._window_for(bucket)
         for key, sketch in entries:
             self.values_applied += sketch.count
@@ -203,6 +210,22 @@ class ServiceState:
     def apply_envelope_bytes(self, payload: bytes) -> int:
         """Decode a serialized envelope and apply it (the replay path)."""
         return self.apply(decode_push_envelope(payload))
+
+    def envelope_bucket(self, envelope: PushEnvelope) -> int:
+        """The retention bucket an envelope lands in, validated.
+
+        The bucket is ``floor(interval_start / interval_length)``.  Raises
+        :class:`~repro.exceptions.DeserializationError` when it does not fit
+        a signed 64-bit integer: a snapshot could not store it.  The server
+        checks this before it logs a push.
+        """
+        quotient = envelope.interval_start / self._interval_length
+        if not -_BUCKET_LIMIT <= quotient < _BUCKET_LIMIT:
+            raise DeserializationError(
+                f"envelope interval_start {envelope.interval_start!r} maps to a "
+                "bucket outside the signed 64-bit range"
+            )
+        return int(math.floor(quotient))
 
     def _bucket_of(self, interval_start: float) -> int:
         return int(math.floor(interval_start / self._interval_length))
@@ -354,7 +377,9 @@ class ServiceState:
 
         Raises :class:`~repro.exceptions.DeserializationError` for any
         malformed payload (the snapshot file's CRC catches disk corruption
-        first; this guards the structure itself).
+        first; this guards the structure itself).  The server's own state
+        may legitimately hold more bins than one pushed frame may decode
+        to, so snapshot frames are exempt from the frame decode budget.
         """
         state = cls(
             sketch_factory=sketch_factory,
@@ -370,7 +395,9 @@ class ServiceState:
             merged_length = reader.read_varint()
             if merged_length > reader.remaining:
                 raise DeserializationError("snapshot merged frame exceeds the payload")
-            state.registry.merge_frame(reader.read_bytes(merged_length))
+            state.registry = _registry_from_frame(
+                reader.read_bytes(merged_length), sketch_factory
+            )
             max_bucket = reader.read_zigzag()
             has_bucket = reader.read_varint()
             state._max_bucket = max_bucket if has_bucket else None
@@ -382,9 +409,9 @@ class ServiceState:
                 frame_length = reader.read_varint()
                 if frame_length > reader.remaining:
                     raise DeserializationError("snapshot window frame exceeds the payload")
-                window = SketchRegistry(sketch_factory=sketch_factory)
-                window.merge_frame(reader.read_bytes(frame_length))
-                state._windows[bucket] = window
+                state._windows[bucket] = _registry_from_frame(
+                    reader.read_bytes(frame_length), sketch_factory
+                )
             num_hosts = reader.read_varint()
             if num_hosts > reader.remaining:
                 raise DeserializationError("snapshot host count exceeds the payload")
@@ -444,3 +471,15 @@ class ServiceState:
             f"frames_applied={self.frames_applied}, "
             f"windows={len(self._windows)})"
         )
+
+
+def _registry_from_frame(
+    frame: bytes, sketch_factory: Optional[Callable[[], BaseDDSketch]]
+) -> SketchRegistry:
+    """A registry adopting every series of one snapshot frame."""
+    from repro.serialization.frame import decode_frame
+
+    registry = SketchRegistry(sketch_factory=sketch_factory)
+    for key, sketch in decode_frame(frame, bin_budget=False):
+        registry.merge_series(key, sketch, copy=False)
+    return registry

@@ -55,6 +55,22 @@ class _BoundedDenseStore(DenseStore):
         """Whether any weight has been folded into a boundary bucket."""
         return self._is_collapsed
 
+    @classmethod
+    def _decoded(
+        cls, bins: "np.ndarray", offset: int, count: float, num_positive: int,
+        bin_limit: int, is_collapsed: bool,
+    ) -> "_BoundedDenseStore":
+        """The bounded form of :meth:`DenseStore._decoded`."""
+        store = cls.__new__(cls)
+        store._chunk_size = CHUNK_SIZE if bin_limit >= CHUNK_SIZE else max(1, bin_limit)
+        store._bins = bins
+        store._offset = offset
+        store._count = count
+        store._num_positive = num_positive
+        store._bin_limit = bin_limit
+        store._is_collapsed = is_collapsed
+        return store
+
     def copy(self) -> "_BoundedDenseStore":
         new = type(self)(bin_limit=self._bin_limit, chunk_size=self._chunk_size)
         new._bins = self._bins.copy()

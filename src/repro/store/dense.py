@@ -269,6 +269,28 @@ class DenseStore(Store):
                 bins[size - 1] += above
         self._count += other._count
 
+    @classmethod
+    def _decoded(
+        cls, bins: "np.ndarray", offset: int, count: float, num_positive: int,
+        bin_limit: int, is_collapsed: bool,
+    ) -> "DenseStore":
+        """A default-configured store that adopts ``bins`` from key ``offset``.
+
+        The columnar frame decoder computes the window that ``add_batch``
+        into an empty store places and bins it natively; this constructor
+        installs that state without replaying the batch.  ``count`` is the
+        batch total and ``num_positive`` the cells above zero.  The plain
+        store has no bin limit and never collapses, so it ignores the last
+        two arguments, which the bounded subclasses keep.
+        """
+        store = cls.__new__(cls)
+        store._chunk_size = CHUNK_SIZE
+        store._bins = bins
+        store._offset = offset
+        store._count = count
+        store._num_positive = num_positive
+        return store
+
     def copy(self) -> "DenseStore":
         new = type(self)(chunk_size=self._chunk_size)
         new._bins = self._bins.copy()
@@ -375,6 +397,11 @@ class DenseStore(Store):
         """
         for index in np.flatnonzero(self._bins > 0.0)[::-1].tolist():
             yield Bucket(index + self._offset, float(self._bins[index]))
+
+    def bins_window(self) -> Tuple[int, "np.ndarray"]:
+        """``(offset, bins)``: the key of the first allocated cell and the
+        backing cells themselves, empty ones included (not a copy)."""
+        return self._offset, self._bins
 
     def nonzero_bins(self) -> Tuple["np.ndarray", "np.ndarray"]:
         indices = np.flatnonzero(self._bins > 0.0)

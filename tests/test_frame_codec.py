@@ -114,6 +114,45 @@ class TestFrameHardening:
             decode_frame(forged)
         assert len(decode_frame(frame)) == 2
 
+    @staticmethod
+    def _wide_dense_frame(entries):
+        """``entries`` plain dense stores holding keys 0 and 8,000,000: each
+        passes the per-store span cap, and decodes to ~64 MB of bins."""
+        from repro import LogUnboundedDenseDDSketch
+
+        sketch = LogUnboundedDenseDDSketch(0.01)
+        sketch.store.add(0)
+        sketch.store.add(8_000_000)
+        payload = sketch.to_bytes()
+        sketch.store.clear()
+        body = b"".join(
+            SeriesKey(f"m{index}").wire_bytes + encode_varint(len(payload)) + payload
+            for index in range(entries)
+        )
+        return b"DD" + encode_varint(3) + encode_varint(entries) + body
+
+    def test_frame_past_the_bin_budget_is_rejected(self, kernel_backend):
+        # Five such stores sum to ~320 MB of bins, past the 256 MiB budget;
+        # the payload itself is ~0.5 KB.
+        frame = self._wide_dense_frame(5)
+        assert len(frame) < 1000
+        with pytest.raises(DeserializationError, match="bytes of bins"):
+            decode_frame(frame)
+
+    def test_bin_budget_counts_the_whole_frame(self, kernel_backend, monkeypatch):
+        import repro.serialization.frame as frame_codec
+
+        frame = build_frame(seed=9, num_series=4).to_frame()
+        spans = [
+            sketch.store.max_key - sketch.store.min_key + 1 for _, sketch in decode_frame(frame)
+        ]
+        monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * sum(spans))
+        assert len(decode_frame(frame)) == 4
+        monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * sum(spans) - 8)
+        with pytest.raises(DeserializationError, match="bytes of bins"):
+            decode_frame(frame)
+        assert len(decode_frame(frame, bin_budget=False)) == 4
+
     def test_trailing_bytes_rejected(self):
         frame = build_frame(seed=3, num_series=2).to_frame()
         with pytest.raises(DeserializationError):

@@ -201,3 +201,24 @@ def test_codec_error_contract_identical():
         assert DDSketch.from_bytes(payload).count == 100.0
         with pytest.raises(DeserializationError):
             DDSketch.from_bytes(truncated)
+
+
+def test_loading_the_native_backend_does_not_reenter_itself(monkeypatch):
+    """The load-time self-test builds sketches and frames through the kernel
+    facade; while the backend is being verified those calls must not start
+    another load (each would compile, load and self-test again)."""
+    from repro.kernel import native
+
+    loads = []
+    compile_and_load = native._compile_and_load
+
+    def counting_compile_and_load():
+        loads.append(1)
+        return compile_and_load()
+
+    monkeypatch.setattr(native, "_compile_and_load", counting_compile_and_load)
+    monkeypatch.setattr(native, "_LOAD_RESULT", None)
+    monkeypatch.setattr(kernel, "_active", None)
+    monkeypatch.delenv(kernel.BACKEND_ENV, raising=False)
+    assert kernel.active_backend() == "native"
+    assert loads == [1]

@@ -3,6 +3,7 @@ tag-aware queries, and bit-exact agreement with naive per-series sketching."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import (
     DDSketch,
@@ -95,6 +96,90 @@ SEGMENT_STORES = {
     "collapsing_low_folding": lambda: CollapsingLowestDenseStore(bin_limit=64),
     "collapsing_high_folding": lambda: CollapsingHighestDenseStore(bin_limit=64),
 }
+
+
+#: Keys the frame decoder would reject: a string past the 65,536-byte
+#: limit (in bytes, so two-byte characters count twice) or one that is
+#: not encodable as UTF-8 (a lone surrogate), as metric, tag key or value.
+_UNWIRABLE_SERIES = [
+    ("m" * 70000, None),
+    ("\u00e9" * 32769, None),
+    ("m\ud800", None),
+    ("m", {"k" * 65537: "v"}),
+    ("m", {"\udfff": "v"}),
+    ("m", {"k": "v" * 65537}),
+    ("m", {"k": "v\ud800"}),
+]
+
+
+class TestSeriesKeyWireLimits:
+    """A key is accepted only if every frame can carry it."""
+
+    @pytest.mark.parametrize("metric, tags", _UNWIRABLE_SERIES)
+    def test_key_is_rejected(self, metric, tags):
+        with pytest.raises(IllegalArgumentError):
+            SeriesKey(metric, tags)
+
+    @pytest.mark.parametrize("metric, tags", _UNWIRABLE_SERIES)
+    def test_registry_add_leaves_no_series(self, metric, tags):
+        registry = SketchRegistry()
+        with pytest.raises(IllegalArgumentError):
+            registry.add(metric, 1.0, tags=tags)
+        assert registry.num_series == 0
+        assert SketchRegistry.from_frame(registry.flush_frame()).num_series == 0
+
+    @pytest.mark.parametrize("metric, tags", _UNWIRABLE_SERIES)
+    def test_ingest_grouped_leaves_no_series(self, metric, tags):
+        registry = SketchRegistry()
+        with pytest.raises(IllegalArgumentError):
+            registry.ingest_grouped(
+                ["fine", (metric, tags)], np.array([0, 1]), np.array([1.0, 2.0])
+            )
+        assert registry.num_series == 0
+
+    @pytest.mark.parametrize("metric, tags", _UNWIRABLE_SERIES)
+    def test_agent_record_grouped_leaves_no_series(self, metric, tags):
+        from repro.monitoring import MetricAgent
+
+        agent = MetricAgent("host-a")
+        with pytest.raises(IllegalArgumentError):
+            agent.record_grouped([(metric, tags)], np.array([0]), np.array([1.0]))
+        assert agent.pending_series == []
+        assert agent.records_since_flush == 0
+        # The agent keeps flushing: the rejected series never poisons a frame.
+        agent.record("fine", 1.0)
+        assert [key for key, _ in agent.flush_frame(0.0).decode()] == [SeriesKey("fine")]
+
+    def test_longest_strings_round_trip(self):
+        key = SeriesKey("m" * 65536, {"\u00e9" * 32768: "v" * 65536})
+        registry = SketchRegistry()
+        registry.add(key, 1.0)
+        assert SketchRegistry.from_frame(registry.to_frame()).series_keys() == [key]
+
+    def test_wire_bytes_are_what_the_frame_carries(self, kernel_backend):
+        key = SeriesKey("m\u00e9", {"b": "2", "a": "1"})
+        assert key.wire_bytes == b"\x03m\xc3\xa9\x02\x01a\x011\x01b\x012"
+        registry = SketchRegistry()
+        registry.add(key, 1.0)
+        # Magic, version and one series, then the key's bytes verbatim.
+        assert registry.to_frame()[4:].startswith(key.wire_bytes)
+
+    @given(
+        metric=st.text(min_size=1, max_size=12),
+        tags=st.dictionaries(st.text(min_size=1, max_size=6), st.text(max_size=6), max_size=3),
+    )
+    def test_every_accepted_key_round_trips(self, metric, tags):
+        """Hypothesis text includes lone surrogates: such keys must be
+        refused; every key that is accepted must survive a frame."""
+        try:
+            key = SeriesKey(metric, tags)
+        except IllegalArgumentError:
+            return
+        registry = SketchRegistry()
+        registry.add(key, 1.0)
+        decoded = SketchRegistry.from_frame(registry.to_frame()).series_keys()
+        assert decoded == [key]
+        assert decoded[0].wire_bytes == key.wire_bytes
 
 
 def _counting_bin_grouped(monkeypatch):

@@ -451,3 +451,61 @@ class TestSingleDecode:
             envelope = decode_push_envelope(payload)
             handed.apply(envelope, decode_frame(envelope.frame))
         assert handed.to_snapshot() == decoding.to_snapshot()
+
+
+class TestPushLimits:
+    """Pushes the server refuses with an ERROR reply before they reach the log."""
+
+    def test_push_past_the_bin_budget_is_refused_before_the_log(
+        self, tmp_path, monkeypatch, kernel_backend
+    ):
+        import repro.serialization.frame as frame_codec
+
+        good = make_envelope([1.0], host="h", sequence=1)
+        # A store spanning ~2,000 keys, against a 100-bin budget.
+        wide = make_frame([1e-3, 1e6])
+        monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * 100)
+        with serve_in_thread(data_dir=tmp_path) as handle:
+            with ServiceClient(*handle.address, retries=0) as client:
+                client.push_envelope(good)
+                with pytest.raises(DeserializationError, match="bytes of bins"):
+                    client.push_frame(wide, host="h", sequence=2)
+                assert client.stats()["frames_applied"] == 1
+        assert [record.payload for record in SegmentLog(tmp_path).replay()] == [good]
+
+    def test_snapshot_past_the_bin_budget_still_restores(
+        self, tmp_path, monkeypatch, kernel_backend
+    ):
+        import repro.serialization.frame as frame_codec
+
+        server = AggregationServer(data_dir=tmp_path, retention_intervals=4)
+        server.recover()
+        for sequence in (1, 2):
+            server._handle_push(
+                make_envelope([1e-3, 1e6], host="h", sequence=sequence,
+                              interval_start=float(sequence))
+            )
+        server._write_snapshot()
+        expected = server.state.to_snapshot()
+        merged = server.state.to_frame()
+        server.log.close()
+        monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * 100)
+        with pytest.raises(DeserializationError, match="bytes of bins"):
+            frame_codec.decode_frame(merged)  # too large to arrive as a push
+        restarted = AggregationServer(data_dir=tmp_path, retention_intervals=4)
+        report = restarted.recover()
+        assert report.snapshot_applied == 2
+        assert restarted.state.to_snapshot() == expected
+        restarted.log.close()
+
+    @pytest.mark.parametrize("interval_start", [1e25, -1e25, 1e300, -1e300, 2.0**63])
+    def test_unsnapshotable_bucket_is_refused_before_the_log(self, tmp_path, interval_start):
+        good = make_envelope([1.0], host="h", sequence=1)
+        bad = make_envelope([2.0], host="h", sequence=2, interval_start=interval_start)
+        with serve_in_thread(data_dir=tmp_path) as handle:
+            with ServiceClient(*handle.address, retries=0) as client:
+                client.push_envelope(good)
+                with pytest.raises(DeserializationError, match="64-bit"):
+                    client.push_envelope(bad)
+                assert client.stats()["frames_applied"] == 1
+        assert [record.payload for record in SegmentLog(tmp_path).replay()] == [good]

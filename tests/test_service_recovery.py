@@ -14,14 +14,16 @@ same property for heterogeneous sketch families sharing one log.
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _service_testkit import reference_state
+from _service_testkit import make_envelope, reference_state
 from repro.core.uddsketch import UDDSketch
 from repro.registry import SketchRegistry
-from repro.service import AggregationServer, ServiceState
-from repro.service.protocol import encode_push_envelope
+from repro.exceptions import DeserializationError
+from repro.service import AggregationServer, SegmentLog, ServiceState
+from repro.service.protocol import decode_push_envelope, encode_push_envelope
 
 _HOSTS = ("alpha", "beta", "gamma")
 
@@ -206,3 +208,55 @@ class TestDedupTableBounds:
         # growth allowed is a few varint counter bytes, never a
         # per-sequence dedup list.
         assert len(large) - len(small) < 16
+
+
+class TestIntervalBucketRange:
+    """Every accepted bucket fits a snapshot; nothing else is accepted."""
+
+    def test_restart_after_a_refused_bucket_and_a_snapshot_recovers(self, tmp_path):
+        server = AggregationServer(data_dir=tmp_path)
+        server.recover()
+        server._handle_push(make_envelope([1.0], host="h", sequence=1))
+        with pytest.raises(DeserializationError, match="64-bit"):
+            server._handle_push(make_envelope([2.0], host="h", sequence=2, interval_start=1e25))
+        server._write_snapshot()
+        expected = server.state.to_snapshot()
+        server.log.close()
+        restarted = AggregationServer(data_dir=tmp_path)
+        restarted.recover()
+        assert restarted.state.to_snapshot() == expected
+        restarted.log.close()
+
+    @pytest.mark.parametrize("interval_start", [1e18, 9.2e18, -(2.0**63)])
+    def test_large_in_range_bucket_round_trips_through_a_snapshot(self, interval_start):
+        state = ServiceState(retention_intervals=2)
+        state.apply_envelope_bytes(make_envelope([1.0], interval_start=interval_start))
+        assert state.window_buckets() == [int(interval_start)]
+        restored = ServiceState.from_snapshot(state.to_snapshot(), retention_intervals=2)
+        assert restored.window_buckets() == state.window_buckets()
+        assert restored.to_snapshot() == state.to_snapshot()
+
+    def test_apply_refuses_before_mutating(self):
+        state = ServiceState()
+        envelope = decode_push_envelope(
+            make_envelope([1.0], host="h", sequence=1, interval_start=1e25)
+        )
+        with pytest.raises(DeserializationError, match="64-bit"):
+            state.apply(envelope)
+        assert state.frames_applied == 0
+        assert not state.is_duplicate("h", 1)
+        assert state.registry.num_series == 0
+
+    def test_replay_skips_a_logged_out_of_range_bucket(self, tmp_path):
+        # Such a record could have been logged before the server refused
+        # these pushes; replay counts it corrupt instead of failing.
+        good = make_envelope([1.0], host="h", sequence=1)
+        log = SegmentLog(tmp_path)
+        log.append(make_envelope([2.0], host="h", sequence=2, interval_start=1e25))
+        log.append(good)
+        log.close()
+        server = AggregationServer(data_dir=tmp_path)
+        report = server.recover()
+        assert (report.records_replayed, report.corrupt_records) == (1, 1)
+        assert server.state.to_snapshot() == reference_state([good]).to_snapshot()
+        server.log.close()
