@@ -24,7 +24,6 @@ extensions discussed in Section 2.2:
 from __future__ import annotations
 
 import math
-import operator
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,14 +46,6 @@ DEFAULT_BIN_LIMIT = 2048
 
 #: Default relative accuracy; matches the paper's experiments (Table 2).
 DEFAULT_RELATIVE_ACCURACY = 0.01
-
-#: A sketch's whole state in one call: ``(mapping, zero_count, count, sum,
-#: min, max, store, negative_store)``, where min/max of an empty sketch are
-#: the sentinels ``inf``/``-inf``.  The frame encoder gathers thousands of
-#: sketches per flush through it instead of ten property reads each.
-_SKETCH_STATE = operator.attrgetter(
-    "_mapping", "_zero_count", "_count", "_sum", "_min", "_max", "_store", "_negative_store"
-)
 
 
 class BaseDDSketch:

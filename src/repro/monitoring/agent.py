@@ -35,7 +35,7 @@ from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.exceptions import IllegalArgumentError, ServiceError
 from repro.registry import SeriesKey, SketchRegistry
 from repro.registry.series import SeriesLike, TagsLike
-from repro.serialization.frame import compress_frame
+from repro.serialization.frame import compress_frame, encode_frame, split_for_push
 
 
 @dataclass(frozen=True)
@@ -247,15 +247,18 @@ class MetricAgent:
         """Flush the pending series and push them to an aggregation service.
 
         The cross-process flush: the agent's series population leaves as
-        one frame-v3 payload (:meth:`flush_frame`) and travels through
-        ``client`` — a :class:`~repro.service.ServiceClient` connected to a
-        running :class:`~repro.service.AggregationServer` — which wraps the
-        frame in a push envelope carrying this agent's host identity and a
-        deduplicating sequence number.  Returns the server's
-        acknowledgement as a one-element list; an agent with no data pushes
-        nothing and returns an empty list.  The client retransmits timed-out
-        pushes with the same sequence number and the server deduplicates,
-        so retries never double count.
+        one frame-v3 payload (the bytes of :meth:`flush_frame`) and travels
+        through ``client`` — a :class:`~repro.service.ServiceClient`
+        connected to a running :class:`~repro.service.AggregationServer` —
+        which wraps the frame in a push envelope carrying this agent's host
+        identity and a deduplicating sequence number.  Series whose bins
+        would decode past the server's per-push budget leave in several
+        frames instead, each within it
+        (:func:`~repro.serialization.frame.split_for_push`).  Returns the
+        server's acknowledgements, one per frame; an agent with no data
+        pushes nothing and returns an empty list.  The client retransmits
+        timed-out pushes with the same sequence number and the server
+        deduplicates, so retries never double count.
 
         Without a ``spool``, a push that still fails after its retries
         raises :class:`~repro.exceptions.ServiceError` (local state was
@@ -283,27 +286,32 @@ class MetricAgent:
                 spool.drain(client.push_envelope)
             except ServiceError:
                 pass
-        payload = self.flush_frame(interval_start)
-        if payload is None:
+        if self._registry.num_series == 0:
             return []
-        envelope = client.build_envelope(
-            compress_frame(payload.payload, compression),
-            host=payload.host,
-            interval_start=payload.interval_start,
-        )
-        try:
-            return [client.push_envelope(envelope)]
-        except ServiceError:
-            if spool is None:
-                raise
-            spooled = spool.offer(envelope)
-            return [
-                {
-                    "status": "spooled" if spooled else "dropped",
-                    "host": payload.host,
-                    "spooled": spooled,
-                }
-            ]
+        frames = [encode_frame(run) for run in split_for_push(self._registry)]
+        self._registry.clear()
+        self._records = 0
+        acks = []
+        for frame in frames:
+            envelope = client.build_envelope(
+                compress_frame(frame, compression),
+                host=self._host,
+                interval_start=float(interval_start),
+            )
+            try:
+                acks.append(client.push_envelope(envelope))
+            except ServiceError:
+                if spool is None:
+                    raise
+                spooled = spool.offer(envelope)
+                acks.append(
+                    {
+                        "status": "spooled" if spooled else "dropped",
+                        "host": self._host,
+                        "spooled": spooled,
+                    }
+                )
+        return acks
 
     def __repr__(self) -> str:
         return f"MetricAgent(host={self._host!r}, pending_metrics={self.pending_metrics})"

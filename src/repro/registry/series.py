@@ -89,12 +89,6 @@ class SeriesKey:
             parts.append(_wire_string(key, "tag key"))
             parts.append(_wire_string(value, "tag value"))
         object.__setattr__(self, "_wire", b"".join(parts))
-        object.__setattr__(self, "_hash", hash((self.metric, tags)))
-
-    def __hash__(self) -> int:
-        # Keys are immutable and hashed on every registry and frame lookup,
-        # so the hash is computed once.
-        return self._hash
 
     def sort_key(self) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
         """``(metric, tags)``: sorting by it orders keys as ``<`` does, faster."""

@@ -66,7 +66,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro import kernel
-from repro.core.ddsketch import _SKETCH_STATE, DEFAULT_BIN_LIMIT, BaseDDSketch, DDSketch
+from repro.core.ddsketch import DEFAULT_BIN_LIMIT, BaseDDSketch
 from repro.core.uddsketch import UDDSketch
 from repro.exceptions import DeserializationError, IllegalArgumentError, ReproError
 from repro.kernel.native import DECODED_STORE_COLUMNS
@@ -84,7 +84,7 @@ from repro.serialization.binary_codec import (
 )
 from repro.serialization.encoding import VarintReader, decode_varint, encode_varint
 from repro.store import UniformCollapsingDenseStore
-from repro.store.dense import CHUNK_SIZE
+from repro.store.dense import CHUNK_SIZE, DenseStore
 from repro.store.grouped import SEGMENT_STORE_TYPES
 
 _MAGIC = b"DD"
@@ -105,15 +105,12 @@ MAX_DECOMPRESSED_FRAME_BYTES = 256 * 1024 * 1024
 #: state is coded chunk by chunk, so its bins are never copied all at once.
 FRAME_CHUNK_SERIES = 1024
 
-#: Most series keys the decoder remembers by their raw frame bytes.  Agents
-#: push the same keys every interval, so each is parsed and validated once;
-#: past the cap the table starts over.
+#: Most series keys, and most raw key bytes, the decoder remembers by their
+#: raw frame bytes.  Agents push the same keys every interval, so each is
+#: parsed and validated once; past either cap the table starts over, so keys
+#: from frames the server goes on to reject cannot pile up.
 KEY_INTERN_LIMIT = 1 << 16
-
-# Sketch classes read through _SKETCH_STATE: they override none of its
-# properties and have no uniform-collapse lineage, so they encode zero
-# collapses and their current accuracy as the initial one.
-_PLAIN_SKETCH_TYPES = frozenset((BaseDDSketch, DDSketch))
+KEY_INTERN_BYTES = 1 << 23
 
 # Store type -> (wire code, encodes its raw dense window, has a bin limit).
 _STORE_INFO = {
@@ -127,6 +124,7 @@ _DECODED_WINDOW = {code: _STORE_CODES[code]._decoded for code in _WINDOW_CODES}
 # Raw key bytes -> parsed SeriesKey.  A pure cache: keys are immutable and
 # parsing is a function of the bytes alone, so a hit is what parsing gives.
 _interned_keys: Dict[bytes, SeriesKey] = {}
+_interned_bytes = 0
 
 #: Minimum wire size of one frame entry: metric (>= 2 bytes), tag count,
 #: sketch length, and the smallest well-formed version-2 sketch payload
@@ -384,6 +382,36 @@ def encode_frame(
     return compress_frame(frame, compression)
 
 
+def split_for_push(
+    entries: Iterable[Tuple[SeriesKey, Any]]
+) -> List[List[Tuple[SeriesKey, Any]]]:
+    """Split ``entries``, in order, into runs whose frames each pass the
+    server's push decode (``decode_frame(..., bin_budget=True)``).
+
+    That budget charges every dense store the key span it decodes to, and
+    a store's allocated span (``key_span``) bounds it from above.  The
+    entries stay one run unless their allocated spans sum past
+    :data:`MAX_DECOMPRESSED_FRAME_BYTES` of float64 bins; every run holds at
+    least one entry.
+    """
+    limit = MAX_DECOMPRESSED_FRAME_BYTES // 8
+    runs: List[List[Tuple[SeriesKey, Any]]] = [[]]
+    used = 0
+    for key, sketch in entries:
+        bins = _allocated_bins(sketch.store) + _allocated_bins(sketch.negative_store)
+        if used + bins > limit and runs[-1]:
+            runs.append([])
+            used = 0
+        runs[-1].append((key, sketch))
+        used += bins
+    return runs
+
+
+def _allocated_bins(store) -> int:
+    """Bins a store's decode is charged at most: sparse stores are not charged."""
+    return store.key_span if isinstance(store, DenseStore) else 0
+
+
 def _encode_entries(entries: List[Tuple[SeriesKey, Any]]) -> bytes:
     """The per-sketch encode loop: the reference for the columnar encoder."""
     body = bytearray()
@@ -437,23 +465,13 @@ def _encode_chunk(
     num_pairs = 0
     for key, sketch in entries:
         wires.append(key.wire_bytes)
-        if type(sketch) in _PLAIN_SKETCH_TYPES:
-            mapping, zero_count, count, total, minimum, maximum, positive, negative = (
-                _SKETCH_STATE(sketch)
-            )
-            if not count > 0:
-                minimum = maximum = math.nan
-            accuracy = mapping.relative_accuracy
-            collapses, initial = 0, accuracy
-        else:
-            mapping = sketch.mapping
-            accuracy = mapping.relative_accuracy
-            zero_count, count, total = sketch.zero_count, sketch.count, sketch.sum
-            minimum = sketch.min if count > 0 else math.nan
-            maximum = sketch.max if count > 0 else math.nan
-            positive, negative = sketch.store, sketch.negative_store
-            collapses = getattr(sketch, "collapse_count", 0)
-            initial = getattr(sketch, "initial_relative_accuracy", accuracy)
+        mapping = sketch.mapping
+        accuracy = mapping.relative_accuracy
+        zero_count, count, total = sketch.zero_count, sketch.count, sketch.sum
+        minimum = sketch.min if count > 0 else math.nan
+        maximum = sketch.max if count > 0 else math.nan
+        collapses = getattr(sketch, "collapse_count", 0)
+        initial = getattr(sketch, "initial_relative_accuracy", accuracy)
         mapping_code = _MAPPING_CODE.get(type(mapping))
         if mapping_code is None:
             return None
@@ -461,7 +479,7 @@ def _encode_chunk(
         floats += (
             accuracy, mapping.offset, float(initial), zero_count, count, total, minimum, maximum
         )
-        for store in (positive, negative):
+        for store in (sketch.store, sketch.negative_store):
             info = _STORE_INFO.get(type(store))
             if info is None:
                 return None
@@ -505,7 +523,7 @@ def decode_frame(
     payload: bytes,
     sketch_cls: Any = None,
     max_decompressed_bytes: Optional[int] = None,
-    bin_budget: bool = True,
+    bin_budget: bool = False,
 ) -> List[Tuple[SeriesKey, Any]]:
     """Decode a (plain or compressed) frame into ``(series_key, sketch)`` pairs.
 
@@ -517,12 +535,14 @@ def decode_frame(
     (by default, payloads carrying uniform-collapse stores auto-upgrade to
     :class:`~repro.core.UDDSketch`).
 
-    With ``bin_budget`` (the default) the frame's dense stores may decode to
-    at most :data:`MAX_DECOMPRESSED_FRAME_BYTES` of float64 bins in total,
-    the ceiling a compressed frame may inflate to: a short frame declaring
-    long key spans is rejected before its bins are allocated.  Only a
-    trusted payload, such as the server's own CRC-checked snapshot, should
-    pass ``bin_budget=False``.
+    With ``bin_budget=True`` the frame's dense stores may decode to at most
+    :data:`MAX_DECOMPRESSED_FRAME_BYTES` of float64 bins in total, the
+    ceiling a compressed frame may inflate to: a short frame declaring long
+    key spans is rejected before its bins are allocated.  The server passes
+    it for every pushed frame; local decodes (a registry's own frames,
+    snapshots, log replay) do not, since a large state legitimately holds
+    more bins.  An agent keeps its pushes within the budget with
+    :func:`split_for_push`.
 
     With the native kernel, one :func:`repro.kernel.decode_frame_columns`
     call parses a chunk of :data:`FRAME_CHUNK_SERIES` entries, and the
@@ -677,9 +697,7 @@ class _EntryBuilder:
         entries = self.entries
         append = entries.append
         mappings = self.mappings
-        cells = columns.cells
         build_store = _StoreBuilder(columns).build
-        plain = self.classes.get(0)
         mapping_id = mapping = None
         # Rows of the flat columns.  zip recycles its result tuple, so the
         # loop allocates nothing per row; `rows` and `totals` appear twice
@@ -713,26 +731,7 @@ class _EntryBuilder:
                 mapping = mappings.get(mapping_id)
                 if mapping is None:
                     mapping = mappings[mapping_id] = _mapping(mapping_code, accuracy, offset)
-            code, limit, _, _, pairs, low, size, collapsed, positive_cells, first = positive_row
-            negative_code = negative_row[0]
-            if code in _WINDOW_CODES and negative_code in _WINDOW_CODES:
-                # The dense families: each window was binned natively.
-                if plain is None:
-                    plain = self._sketch_class(0)
-                store = _DECODED_WINDOW[code](
-                    cells[first : first + size].copy() if pairs else np.zeros(0),
-                    low, positive_total, positive_cells, limit, collapsed == 1,
-                )
-                _, limit, _, _, pairs, low, size, collapsed, positive_cells, first = negative_row
-                negative_store = _DECODED_WINDOW[negative_code](
-                    cells[first : first + size].copy() if pairs else np.zeros(0),
-                    low, negative_total, positive_cells, limit, collapsed == 1,
-                )
-                append((key, plain._decoded(
-                    mapping, store, negative_store, zero_count, count, total, minimum, maximum
-                )))
-                continue
-            uniform = (code == _UNIFORM_CODE) + (negative_code == _UNIFORM_CODE)
+            uniform = (positive_row[0] == _UNIFORM_CODE) + (negative_row[0] == _UNIFORM_CODE)
             cls = self._sketch_class(uniform)
             if uniform and offset != 0.0:
                 raise _Declined
@@ -803,6 +802,7 @@ def _mapping(code: int, accuracy: float, offset: float):
 
 def _intern_key(raw: bytes) -> SeriesKey:
     """Parse one entry's series-key bytes and remember the key."""
+    global _interned_bytes
     reader = VarintReader(raw)
     try:
         metric = _read_string(reader, "metric name")
@@ -813,9 +813,14 @@ def _intern_key(raw: bytes) -> SeriesKey:
         key = SeriesKey(metric, tags)
     except ReproError:
         raise _Declined from None
-    if len(_interned_keys) >= KEY_INTERN_LIMIT:
+    size = len(raw)
+    if len(_interned_keys) >= KEY_INTERN_LIMIT or _interned_bytes + size > KEY_INTERN_BYTES:
         _interned_keys.clear()
+        _interned_bytes = 0
+        if size > KEY_INTERN_BYTES:
+            return key
     _interned_keys[raw] = key
+    _interned_bytes += size
     return key
 
 

@@ -535,15 +535,17 @@ class AggregationServer:
 
         Returns the envelope and its decoded frame entries.  Decoding the
         frame is the validation, and it happens once per push: the entries
-        go on to :meth:`ServiceState.apply`, which adopts them.  An
-        envelope whose interval bucket a snapshot could not store is
-        rejected here, before it reaches the log.
+        go on to :meth:`ServiceState.apply`, which adopts them.  A frame
+        whose dense stores would decode past the push bin budget (see
+        :func:`~repro.serialization.frame.decode_frame`), and an envelope
+        whose interval bucket a snapshot could not store, are rejected
+        here, before they reach the log.
         """
         from repro.serialization.frame import decode_frame
 
         envelope = decode_push_envelope(payload)
         self.state.envelope_bucket(envelope)
-        entries = decode_frame(envelope.frame)
+        entries = decode_frame(envelope.frame, bin_budget=True)
         if envelope.sequence < 1:
             # Sequences are 1-based (the dedup watermark's zero state means
             # "nothing applied"); reject loudly rather than dedup silently.

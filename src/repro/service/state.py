@@ -377,9 +377,9 @@ class ServiceState:
 
         Raises :class:`~repro.exceptions.DeserializationError` for any
         malformed payload (the snapshot file's CRC catches disk corruption
-        first; this guards the structure itself).  The server's own state
-        may legitimately hold more bins than one pushed frame may decode
-        to, so snapshot frames are exempt from the frame decode budget.
+        first; this guards the structure itself).  Snapshot frames decode
+        without the push bin budget: the server's own state may
+        legitimately hold more bins than one pushed frame may decode to.
         """
         state = cls(
             sketch_factory=sketch_factory,
@@ -395,9 +395,7 @@ class ServiceState:
             merged_length = reader.read_varint()
             if merged_length > reader.remaining:
                 raise DeserializationError("snapshot merged frame exceeds the payload")
-            state.registry = _registry_from_frame(
-                reader.read_bytes(merged_length), sketch_factory
-            )
+            state.registry.merge_frame(reader.read_bytes(merged_length))
             max_bucket = reader.read_zigzag()
             has_bucket = reader.read_varint()
             state._max_bucket = max_bucket if has_bucket else None
@@ -409,9 +407,9 @@ class ServiceState:
                 frame_length = reader.read_varint()
                 if frame_length > reader.remaining:
                     raise DeserializationError("snapshot window frame exceeds the payload")
-                state._windows[bucket] = _registry_from_frame(
-                    reader.read_bytes(frame_length), sketch_factory
-                )
+                window = SketchRegistry(sketch_factory=sketch_factory)
+                window.merge_frame(reader.read_bytes(frame_length))
+                state._windows[bucket] = window
             num_hosts = reader.read_varint()
             if num_hosts > reader.remaining:
                 raise DeserializationError("snapshot host count exceeds the payload")
@@ -471,15 +469,3 @@ class ServiceState:
             f"frames_applied={self.frames_applied}, "
             f"windows={len(self._windows)})"
         )
-
-
-def _registry_from_frame(
-    frame: bytes, sketch_factory: Optional[Callable[[], BaseDDSketch]]
-) -> SketchRegistry:
-    """A registry adopting every series of one snapshot frame."""
-    from repro.serialization.frame import decode_frame
-
-    registry = SketchRegistry(sketch_factory=sketch_factory)
-    for key, sketch in decode_frame(frame, bin_budget=False):
-        registry.merge_series(key, sketch, copy=False)
-    return registry

@@ -137,7 +137,7 @@ class TestFrameHardening:
         frame = self._wide_dense_frame(5)
         assert len(frame) < 1000
         with pytest.raises(DeserializationError, match="bytes of bins"):
-            decode_frame(frame)
+            decode_frame(frame, bin_budget=True)
 
     def test_bin_budget_counts_the_whole_frame(self, kernel_backend, monkeypatch):
         import repro.serialization.frame as frame_codec
@@ -147,11 +147,41 @@ class TestFrameHardening:
             sketch.store.max_key - sketch.store.min_key + 1 for _, sketch in decode_frame(frame)
         ]
         monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * sum(spans))
-        assert len(decode_frame(frame)) == 4
+        assert len(decode_frame(frame, bin_budget=True)) == 4
         monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * sum(spans) - 8)
         with pytest.raises(DeserializationError, match="bytes of bins"):
-            decode_frame(frame)
-        assert len(decode_frame(frame, bin_budget=False)) == 4
+            decode_frame(frame, bin_budget=True)
+        assert len(decode_frame(frame)) == 4
+
+    @pytest.mark.parametrize("margin", [0, 1])
+    def test_local_decodes_ignore_the_bin_budget(self, kernel_backend, monkeypatch, margin):
+        # A registry's own frame round-trips on either side of the push
+        # budget: only the server's push decode enforces it.
+        import repro.serialization.frame as frame_codec
+        from repro.monitoring import Aggregator, FramePayload
+
+        registry = build_frame(seed=9, num_series=4)
+        frame = registry.to_frame()
+        spans = sum(
+            store.max_key - store.min_key + 1
+            for _, sketch in registry
+            for store in (sketch.store, sketch.negative_store)
+            if not store.is_empty
+        )
+        monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * (spans - margin))
+        assert SketchRegistry.from_frame(frame).to_frame() == frame
+        merged = SketchRegistry()
+        assert merged.merge_frame(frame) == 4
+        assert merged.to_frame() == frame
+        payload = FramePayload(
+            host="a", interval_start=0.0, interval_length=1.0, payload=frame, num_series=4
+        )
+        assert Aggregator().ingest_frame(payload) == 4
+        if margin:
+            with pytest.raises(DeserializationError, match="bytes of bins"):
+                decode_frame(frame, bin_budget=True)
+        else:
+            assert len(decode_frame(frame, bin_budget=True)) == 4
 
     def test_trailing_bytes_rejected(self):
         frame = build_frame(seed=3, num_series=2).to_frame()

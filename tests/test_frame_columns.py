@@ -265,6 +265,33 @@ class TestDecodedObjects:
         assert [key for key, _ in again] == [key for key, _ in parsed]
         assert [key for key, _ in again] == [key for key, _ in warm]
 
+    def test_rejected_push_leaves_the_intern_table_bounded(self, tmp_path):
+        """Keys are interned while a push decodes, before the server checks
+        its sequence; the table's byte cap bounds what a rejected push with
+        large keys leaves behind."""
+        import repro.serialization.frame as frame_codec
+        from repro.service import ServiceClient, serve_in_thread
+
+        sketch = DDSketch(0.02)
+        sketch.add(1.0)
+        # 200 keys of ~60 KiB each: ~12 MB of key bytes, past the 8 MiB cap.
+        entries = [(SeriesKey(f"{index:03d}" + "m" * 60_000), sketch) for index in range(200)]
+        envelope = bytearray(
+            encode_push_envelope(encode_frame(entries), host="h", sequence=1)
+        )
+        # Magic, version, host length, host, then the sequence: make it 0,
+        # which the server refuses only after decoding the frame.
+        assert envelope[5] == 1
+        envelope[5] = 0
+        with backend("native"), serve_in_thread(data_dir=tmp_path) as handle:
+            with ServiceClient(*handle.address, retries=0) as client:
+                with pytest.raises(ReproError, match="sequence"):
+                    client.push_envelope(bytes(envelope))
+                assert client.stats()["frames_applied"] == 0
+        interned = frame_codec._interned_keys
+        assert 0 < len(interned) < len(entries)
+        assert sum(map(len, interned)) <= frame_codec.KEY_INTERN_BYTES
+
 
 # ----------------------------------------------------------------------- #
 # Malformed corpora

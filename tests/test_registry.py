@@ -164,6 +164,37 @@ class TestSeriesKeyWireLimits:
         # Magic, version and one series, then the key's bytes verbatim.
         assert registry.to_frame()[4:].startswith(key.wire_bytes)
 
+    def test_unpickled_key_finds_its_series_under_another_hash_seed(self):
+        """Agents scale out by process: a key pickled here and unpickled in
+        a process with another string-hash seed must hash like a key built
+        there, or lookups miss and one series is stored twice."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        key = SeriesKey("web.latency", {"host": "a", "endpoint": "/x"})
+        script = (
+            "import pickle, sys\n"
+            "from repro.registry import SeriesKey, SketchRegistry\n"
+            "key = pickle.loads(sys.stdin.buffer.read())\n"
+            "registry = SketchRegistry()\n"
+            "registry.add(SeriesKey('web.latency', {'endpoint': '/x', 'host': 'a'}), 1.0)\n"
+            "registry.add(key, 2.0)\n"
+            "assert registry.num_series == 1, registry.series_keys()\n"
+            "assert registry.get(key).count == 2.0\n"
+            "assert key.wire_bytes == SeriesKey(key.metric, key.tags).wire_bytes\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )}
+            subprocess.run(
+                [sys.executable, "-c", script], input=pickle.dumps(key), env=env, check=True
+            )
+
     @given(
         metric=st.text(min_size=1, max_size=12),
         tags=st.dictionaries(st.text(min_size=1, max_size=6), st.text(max_size=6), max_size=3),

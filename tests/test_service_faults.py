@@ -14,6 +14,7 @@ The claims under test (ISSUE: crash-recoverable durability):
   irrelevant; the dedup table makes duplicates idempotent).
 """
 
+import numpy as np
 import pytest
 
 from _service_testkit import (
@@ -491,12 +492,50 @@ class TestPushLimits:
         server.log.close()
         monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * 100)
         with pytest.raises(DeserializationError, match="bytes of bins"):
-            frame_codec.decode_frame(merged)  # too large to arrive as a push
+            frame_codec.decode_frame(merged, bin_budget=True)  # too large to push
         restarted = AggregationServer(data_dir=tmp_path, retention_intervals=4)
         report = restarted.recover()
         assert report.snapshot_applied == 2
         assert restarted.state.to_snapshot() == expected
         restarted.log.close()
+
+    @pytest.mark.parametrize("budget", ["allocated", "allocated - 1", "decoded - 1"])
+    def test_agent_pushes_stay_within_the_bin_budget(
+        self, tmp_path, monkeypatch, kernel_backend, budget
+    ):
+        """An agent splits its flush where the series' allocated spans would
+        pass the push budget, so the server accepts every frame, even where
+        the flush as one frame would be refused."""
+        import repro.serialization.frame as frame_codec
+        from repro.monitoring import MetricAgent
+
+        agent = MetricAgent("h")
+        for index in range(4):
+            agent.record_batch(f"m{index}", np.array([1e-3, 1e6]))
+        frame = agent.registry.to_frame()
+        stores = [
+            store for _, sketch in agent.registry
+            for store in (sketch.store, sketch.negative_store)
+        ]
+        allocated = sum(store.key_span for store in stores)
+        decoded = sum(
+            store.max_key - store.min_key + 1 for store in stores if not store.is_empty
+        )
+        bins = {
+            "allocated": allocated, "allocated - 1": allocated - 1, "decoded - 1": decoded - 1
+        }[budget]
+        monkeypatch.setattr(frame_codec, "MAX_DECOMPRESSED_FRAME_BYTES", 8 * bins)
+        if bins < decoded:
+            with pytest.raises(DeserializationError, match="bytes of bins"):
+                frame_codec.decode_frame(frame, bin_budget=True)
+        with serve_in_thread(data_dir=tmp_path) as handle:
+            with ServiceClient(*handle.address, retries=0) as client:
+                acks = agent.push_frames(client, interval_start=0.0)
+                assert [ack["status"] for ack in acks] == ["ok"] * len(acks)
+                assert len(acks) == (1 if bins == allocated else 2)
+                assert client.stats()["frames_applied"] == len(acks)
+            assert handle.server.state.to_frame() == frame
+        assert agent.pending_series == []
 
     @pytest.mark.parametrize("interval_start", [1e25, -1e25, 1e300, -1e300, 2.0**63])
     def test_unsnapshotable_bucket_is_refused_before_the_log(self, tmp_path, interval_start):
