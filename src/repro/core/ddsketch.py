@@ -657,13 +657,13 @@ class BaseDDSketch:
         """Whether ``other`` uses compatible bucket boundaries."""
         return self._mapping == other._mapping
 
-    def merge(self, other: "BaseDDSketch") -> None:
-        """Fold ``other`` into this sketch (full mergeability, Algorithm 4).
+    def check_mergeable(self, other: object) -> None:
+        """Raise the error :meth:`merge` raises for ``other``, or return.
 
-        Because bucket boundaries are fixed by ``gamma`` and not by the data,
-        merging is a per-key sum of counters and is associative and
-        commutative: merging sketches in any order or shape of tree yields
-        exactly the same result as sketching the concatenated stream.
+        :class:`IllegalArgumentError` when ``other`` is not a sketch,
+        :class:`UnequalSketchParametersError` when :meth:`mergeable_with`
+        says no.  Changes nothing, so a bulk merge can check every pair
+        before it mutates any.
         """
         if not isinstance(other, BaseDDSketch):
             raise IllegalArgumentError(f"cannot merge DDSketch with {type(other).__name__}")
@@ -672,6 +672,16 @@ class BaseDDSketch:
                 "cannot merge sketches with different mappings: "
                 f"{self._mapping!r} vs {other._mapping!r}"
             )
+
+    def merge(self, other: "BaseDDSketch") -> None:
+        """Fold ``other`` into this sketch (full mergeability, Algorithm 4).
+
+        Because bucket boundaries are fixed by ``gamma`` and not by the data,
+        merging is a per-key sum of counters and is associative and
+        commutative: merging sketches in any order or shape of tree yields
+        exactly the same result as sketching the concatenated stream.
+        """
+        self.check_mergeable(other)
         if other.is_empty:
             return
 
@@ -684,6 +694,45 @@ class BaseDDSketch:
             self._min = other._min
         if other._max > self._max:
             self._max = other._max
+
+    @staticmethod
+    def merge_checked_pairs(
+        targets: Sequence["BaseDDSketch"], sources: Sequence["BaseDDSketch"]
+    ) -> None:
+        """Fold ``sources[i]`` into ``targets[i]`` for every ``i``, in one bulk pass.
+
+        The result is ``targets[i].merge(sources[i])`` for each ``i`` in
+        order, bit for bit, but the store merges run through one
+        :func:`repro.store.grouped.merge_store_pairs` call.  The caller has
+        checked every pair with :meth:`check_mergeable`, and no sketch is
+        the target of two pairs or the target of one and the source of
+        another.  A target whose class overrides :meth:`merge`
+        (:class:`~repro.core.UDDSketch`) takes its own ``merge``; for the
+        rest the scalars update here, in :meth:`merge`'s order.
+        """
+        from repro.store.grouped import merge_store_pairs
+
+        store_targets: List[Store] = []
+        store_sources: List[Store] = []
+        own_merges = []
+        for target, source in zip(targets, sources):
+            if type(target).merge is not BaseDDSketch.merge:
+                own_merges.append((target, source))
+                continue
+            if source._count <= 0:
+                continue
+            store_targets += (target._store, target._negative_store)
+            store_sources += (source._store, source._negative_store)
+            target._zero_count += source._zero_count
+            target._count += source._count
+            target._sum += source._sum
+            if source._min < target._min:
+                target._min = source._min
+            if source._max > target._max:
+                target._max = source._max
+        merge_store_pairs(store_targets, store_sources)
+        for target, source in own_merges:
+            target.merge(source)
 
     def __iadd__(self, other: "BaseDDSketch") -> "BaseDDSketch":
         self.merge(other)

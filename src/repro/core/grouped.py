@@ -94,6 +94,11 @@ class GroupedIngest:
         else:
             existing.merge(sketch)
 
+    def sketches_of(self, series_ids: Sequence[Hashable]) -> List[Optional[BaseDDSketch]]:
+        """The stored sketch of each id, ``None`` for an unknown one."""
+        get = self._sketches.get
+        return [get(series_id) for series_id in series_ids]
+
     def clear(self) -> None:
         """Drop every series."""
         self._sketches = {}

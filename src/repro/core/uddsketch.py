@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.core.ddsketch import BaseDDSketch, DEFAULT_RELATIVE_ACCURACY
-from repro.exceptions import IllegalArgumentError, UnequalSketchParametersError
+from repro.exceptions import IllegalArgumentError
 from repro.mapping import KeyMapping, LogarithmicMapping
 from repro.store import UniformCollapsingDenseStore
 
@@ -182,6 +182,24 @@ class UDDSketch(BaseDDSketch):
         super().delete(value, weight)
         self._sync_collapses()
 
+    def mergeable_with(self, other: BaseDDSketch) -> bool:
+        """Whether :meth:`merge` accepts ``other``.
+
+        Another :class:`UDDSketch` qualifies when it shares this sketch's
+        lineage: the finer side's mapping, collapsed as often as the
+        coarser side was, equals the coarser side's mapping (with equal
+        collapse counts, the mappings are equal).  Any other sketch needs
+        an equal mapping, as in the base class.
+        """
+        if not isinstance(other, UDDSketch) or other._collapse_count == self._collapse_count:
+            return super().mergeable_with(other)
+        if other._collapse_count > self._collapse_count:
+            finer, coarser = self, other
+        else:
+            finer, coarser = other, self
+        extra = coarser._collapse_count - finer._collapse_count
+        return finer._mapping_after_collapses(extra) == coarser._mapping
+
     def merge(self, other: BaseDDSketch) -> None:
         """Merge with mismatched-``alpha`` fusion semantics.
 
@@ -192,26 +210,15 @@ class UDDSketch(BaseDDSketch):
         finer side, a coarsened copy is merged instead.  Any other sketch is
         merged under the usual equal-mapping rule of the base class.
 
-        Lineage compatibility is validated *before* anything is coarsened:
-        a rejected merge must not leave this sketch with a needlessly
-        degraded guarantee.
+        Lineage compatibility (:meth:`mergeable_with`) is validated
+        *before* anything is coarsened: a rejected merge must not leave
+        this sketch with a needlessly degraded guarantee.
         """
+        self.check_mergeable(other)
         if isinstance(other, UDDSketch) and other._collapse_count != self._collapse_count:
             if other._collapse_count > self._collapse_count:
-                diff = other._collapse_count - self._collapse_count
-                if self._mapping_after_collapses(diff) != other._mapping:
-                    raise UnequalSketchParametersError(
-                        "cannot merge UDDSketches from different lineages: "
-                        f"{self._mapping!r} (+{diff} collapses) vs {other._mapping!r}"
-                    )
                 self._collapse_to(other._collapse_count)
             else:
-                diff = self._collapse_count - other._collapse_count
-                if other._mapping_after_collapses(diff) != self._mapping:
-                    raise UnequalSketchParametersError(
-                        "cannot merge UDDSketches from different lineages: "
-                        f"{other._mapping!r} (+{diff} collapses) vs {self._mapping!r}"
-                    )
                 other = other.copy()
                 other._collapse_to(self._collapse_count)
         super().merge(other)

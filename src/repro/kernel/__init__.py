@@ -64,9 +64,11 @@ __all__ = [
     "encode_frame_columns",
     "encode_proto_bins",
     "group_key_ranges",
+    "merge_windows",
     "native_available",
     "selection_from_keys",
     "set_backend",
+    "window_merges",
 ]
 
 #: Environment variable selecting the kernel backend (``auto``/``numpy``/``native``).
@@ -294,6 +296,40 @@ def decode_frame_columns(payload, start, count, budget, dense_chunk, default_bin
     return _backend().decode_frame_columns(
         payload, start, count, budget, dense_chunk, default_bin_limit
     )
+
+
+def window_merges() -> bool:
+    """Whether the active backend merges many store pairs in one pass.
+
+    Only the native backend does.  Under the NumPy backend every pair of a
+    bulk merge (:func:`repro.store.grouped.merge_store_pairs`) goes through
+    ``Store.merge``, the oracle :func:`merge_windows` must agree with.
+    """
+    return _backend().window_merges
+
+
+def merge_windows(targets, pairs, sources):
+    """Add many source windows into their target stores' bins, in one pass.
+
+    ``targets`` lists each ``(target, source)`` dense-store pair's target
+    bins (non-empty, contiguous, writable ``float64`` arrays), in merge
+    order, and ``pairs`` has one ``int64`` row per pair: the target's key
+    offset, kind (0 plain dense, 1 collapsing lowest, 2 collapsing highest)
+    and bin limit, then the source window's key offset, first cell in
+    ``sources`` and size.  ``sources`` holds the source windows end to end.
+
+    A pair is accepted only when ``Store.merge`` would leave the target's
+    window and collapse flag where they are: the source's used keys lie in
+    the window, and for a collapsing store the top (lowest-collapsing) or
+    bottom (highest-collapsing) allocated bin is used or equals the
+    source's extreme key.  An accepted pair adds the overlap into the
+    target's bins in place; its entry of the returned ``int64`` array is
+    the number of bins that went from zero to positive.  A declined pair is
+    untouched and reads ``-1``.  The caller passes only targets that hold
+    weight and sources that are not empty, and updates the stores' counts.
+    Only for backends with :func:`window_merges`.
+    """
+    return _backend().merge_windows(targets, pairs, sources)
 
 
 def encode_proto_bins(keys, counts) -> bytes:

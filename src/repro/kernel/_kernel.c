@@ -596,3 +596,93 @@ void repro_fill_frame_windows(int64_t nstores, int64_t *stores, const int64_t *k
         col[DE_POSITIVE] = positive;
     }
 }
+
+/* ---------------------------------------------------------------------- */
+/* Bulk store merge: many (target, source) dense-store pairs in one call.   */
+/* Store.merge (store/dense.py, store/collapsing.py) is the oracle: a pair  */
+/* is accepted only where that merge would leave the target's window and   */
+/* collapse flag as they are, so the merge is one slice addition.          */
+
+#define MERGE_DENSE 0
+#define MERGE_LOWEST 1
+#define MERGE_HIGHEST 2
+#define KEY_LIMIT ((int64_t)1 << 61)
+
+/* Pair columns: the target's key offset, kind and bin limit; the source
+ * window's key offset, first cell in `sources` and size. */
+enum {
+    MW_OFFSET, MW_KIND, MW_LIMIT, MW_SOURCE_OFFSET, MW_SOURCE_START, MW_SOURCE_SIZE, MW_COLS
+};
+
+static int any_positive(const double *bins, int64_t size)
+{
+    for (int64_t j = 0; j < size; j++)
+        if (bins[j] > 0.0)
+            return 1;
+    return 0;
+}
+
+/* Whether _extend_range(min_key, max_key) would keep the target's window
+ * and collapse flag; lo and hi are the source's used keys as target indices.
+ * The collapsing stores re-anchor on the target's used edge bin, so an
+ * unused edge bin moves the window unless the source fills it. */
+static int window_stays(const double *bins, int64_t size, int64_t kind, int64_t limit,
+                        int64_t lo, int64_t hi)
+{
+    if (size <= 0 || lo < 0 || hi >= size)
+        return 0;
+    if (kind == MERGE_DENSE)
+        return 1;
+    if (size > limit)
+        return 0;
+    if (kind == MERGE_LOWEST)
+        return bins[size - 1] > 0.0 || (hi == size - 1 && any_positive(bins, size));
+    return bins[0] > 0.0 || (lo == 0 && any_positive(bins, size));
+}
+
+/* Merge n pairs in order; targets holds each pair's target bins as
+ * (address, cell count).  An accepted pair adds its source window into the
+ * target's bins in place (the overlap, as _merge_dense slices it) and sets
+ * out[i] to the number of bins that went from zero to positive; a declined
+ * pair is left untouched with out[i] = -1.  The caller passes only pairs
+ * whose target holds weight and whose source is not empty, and updates the
+ * stores' counts.  Returns the number of accepted pairs. */
+int64_t repro_merge_windows(int64_t n, const int64_t *targets, const int64_t *pairs,
+                            const double *sources, int64_t *out)
+{
+    int64_t accepted = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *row = pairs + i * MW_COLS;
+        double *bins = (double *)(intptr_t)targets[2 * i];
+        int64_t size = targets[2 * i + 1];
+        const double *source = sources + row[MW_SOURCE_START];
+        int64_t source_size = row[MW_SOURCE_SIZE];
+        out[i] = -1;
+        /* The source's used cells, as min_key / max_key find them. */
+        int64_t first = 0, last = source_size - 1;
+        while (first < source_size && !(source[first] > 0.0))
+            first++;
+        if (first == source_size)
+            continue;
+        while (!(source[last] > 0.0))
+            last--;
+        /* Offsets beyond +-2**61 (no mapping makes them) could overflow below. */
+        if (row[MW_OFFSET] < -KEY_LIMIT || row[MW_OFFSET] > KEY_LIMIT
+            || row[MW_SOURCE_OFFSET] < -KEY_LIMIT || row[MW_SOURCE_OFFSET] > KEY_LIMIT)
+            continue;
+        int64_t start = row[MW_SOURCE_OFFSET] - row[MW_OFFSET];
+        if (!window_stays(bins, size, row[MW_KIND], row[MW_LIMIT], start + first, start + last))
+            continue;
+        int64_t low = start > 0 ? start : 0;
+        int64_t high = start + source_size < size ? start + source_size : size;
+        int64_t positive = 0;
+        for (int64_t j = low; j < high; j++) {
+            double cell = source[j - start];
+            positive += bins[j] == 0.0 && cell > 0.0;
+            bins[j] += cell;
+        }
+        out[i] = positive;
+        accepted++;
+    }
+    return accepted;
+}

@@ -75,6 +75,9 @@ class NumpyBackend:
     #: No columnar frame pass: frames take the per-sketch loop of
     #: :mod:`repro.serialization.frame`, the codec's oracle.
     columnar_frames = False
+    #: No bulk store merge either: every pair takes ``Store.merge``, the
+    #: oracle of :func:`repro.kernel.merge_windows`.
+    window_merges = False
 
     def split_keys(self, mapping, values: "np.ndarray") -> NumpySignSplit:
         """Sign-split a value batch and prepare per-sign key computation."""

@@ -262,13 +262,16 @@ class KeyMapping(ABC):
     # ------------------------------------------------------------------ #
 
     def __eq__(self, other: object) -> bool:
+        # Same-type operands first: every merge compares two mappings, and
+        # an isinstance check against this abstract class is slow.
+        if type(other) is type(self):
+            return (
+                self._relative_accuracy == other._relative_accuracy
+                and self._offset == other._offset
+            )
         if not isinstance(other, KeyMapping):
             return NotImplemented
-        return (
-            type(self) is type(other)
-            and self._relative_accuracy == other._relative_accuracy
-            and self._offset == other._offset
-        )
+        return False
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self._relative_accuracy, self._offset))

@@ -26,10 +26,12 @@ same answers as one registry fed every value.
 """
 
 from repro.registry.series import SeriesKey, normalize_tags
-from repro.registry.registry import SketchRegistry
+from repro.registry.registry import SketchRegistry, check_entries, merge_entries_into
 
 __all__ = [
     "SeriesKey",
     "SketchRegistry",
+    "check_entries",
+    "merge_entries_into",
     "normalize_tags",
 ]

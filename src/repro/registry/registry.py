@@ -21,7 +21,7 @@ of series in one payload.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -242,10 +242,27 @@ class SketchRegistry:
         self._data_version += 1
         self._ingest.merge_sketch(SeriesKey.of(series, tags), sketch, copy=copy)
 
+    def merge_entries(
+        self, entries: Iterable[Tuple[SeriesLike, BaseDDSketch]], copy: bool = True
+    ) -> int:
+        """Fold ``(series, sketch)`` entries into this registry in one bulk merge.
+
+        The result is :meth:`merge_series` for each entry in order, bit for
+        bit, but every entry is checked first: a repeated series, or a
+        sketch its stored series cannot merge
+        (:meth:`~repro.core.BaseDDSketch.check_mergeable`), raises before
+        anything changes.  A new series adopts its sketch (a copy with
+        ``copy=True``); every merge into an existing series runs through
+        one :meth:`~repro.core.BaseDDSketch.merge_checked_pairs` pass.
+        Returns the number of entries.
+        """
+        entries = list(entries)
+        merge_entries_into([(self, copy)], entries)
+        return len(entries)
+
     def merge(self, other: "SketchRegistry") -> None:
-        """Fold every series of ``other`` into this registry (per-series merge)."""
-        for key, sketch in other:
-            self.merge_series(key, sketch)
+        """Fold every series of ``other`` into this registry (one bulk merge)."""
+        self.merge_entries(other)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -356,15 +373,14 @@ class SketchRegistry:
 
         Returns the number of series merged.  Raises
         :class:`~repro.exceptions.DeserializationError` for malformed
-        payloads (the stored state is only modified for well-formed frames).
+        payloads and :class:`~repro.exceptions.UnequalSketchParametersError`
+        for a sketch a stored series cannot merge; either way the registry
+        is left unchanged.
         """
         from repro.serialization.frame import decode_frame
 
-        entries = decode_frame(payload)
-        for key, sketch in entries:
-            # The decoded sketch is owned by nobody else; adopt it directly.
-            self.merge_series(key, sketch, copy=False)
-        return len(entries)
+        # The decoded sketches are owned by nobody else; adopt them directly.
+        return self.merge_entries(decode_frame(payload), copy=False)
 
     @classmethod
     def from_frame(
@@ -382,3 +398,82 @@ class SketchRegistry:
             f"SketchRegistry(num_series={self.num_series}, "
             f"metrics={self.metrics()})"
         )
+
+
+def check_entries(
+    registries: Sequence[SketchRegistry], entries: Sequence[Tuple[SeriesLike, BaseDDSketch]]
+) -> None:
+    """Raise what merging ``entries`` into each registry would raise.
+
+    Changes nothing.  The errors are those of :func:`merge_entries_into`:
+    a repeated registry or series raises
+    :class:`~repro.exceptions.IllegalArgumentError`, and a sketch that a
+    registry's stored series cannot merge raises what
+    :meth:`~repro.core.BaseDDSketch.check_mergeable` raises.
+    """
+    _checked_targets(registries, [SeriesKey.of(key) for key, _ in entries], entries)
+
+
+def merge_entries_into(
+    destinations: Sequence[Tuple[SketchRegistry, bool]],
+    entries: Sequence[Tuple[SeriesLike, BaseDDSketch]],
+) -> None:
+    """Fold ``entries`` into every ``(registry, copy)`` destination in one bulk merge.
+
+    The result is, bit for bit::
+
+        for series, sketch in entries:
+            for registry, copy in destinations:
+                registry.merge_series(series, sketch, copy=copy)
+
+    except that :func:`check_entries` runs first, so an entry that cannot
+    merge leaves every registry unchanged.  New series adopt their sketch
+    (or a copy), and every merge into an existing series runs through one
+    :meth:`~repro.core.BaseDDSketch.merge_checked_pairs` pass.  A sketch
+    both stored and merged from (a registry merged into itself, say) sends
+    the entries through the loop above instead, which keeps every read
+    after the writes before it.
+    """
+    keys = [SeriesKey.of(key) for key, _ in entries]
+    found = _checked_targets([registry for registry, _ in destinations], keys, entries)
+    targets: List[BaseDDSketch] = []
+    sources: List[BaseDDSketch] = []
+    for stored in found:
+        for target, (_, sketch) in zip(stored, entries):
+            if target is not None:
+                targets.append(target)
+                sources.append(sketch)
+    written = {id(target) for target in targets}
+    if len(written) < len(targets) or any(id(sketch) in written for _, sketch in entries):
+        for key, (_, sketch) in zip(keys, entries):
+            for registry, copy in destinations:
+                registry._ingest.merge_sketch(key, sketch, copy=copy)
+    else:
+        for (registry, copy), stored in zip(destinations, found):
+            for key, (_, sketch), target in zip(keys, entries, stored):
+                if target is None:
+                    registry._ingest.merge_sketch(key, sketch, copy=copy)
+        BaseDDSketch.merge_checked_pairs(targets, sources)
+    for registry, _ in destinations:
+        registry._data_version += 1
+
+
+def _checked_targets(
+    registries: Sequence[SketchRegistry],
+    keys: List[SeriesKey],
+    entries: Sequence[Tuple[SeriesLike, BaseDDSketch]],
+) -> List[List[Optional[BaseDDSketch]]]:
+    """Each registry's stored sketch per entry (``None`` for a new series),
+    every existing one checked against its entry's sketch."""
+    if len({id(registry) for registry in registries}) < len(registries):
+        raise IllegalArgumentError("a bulk merge names one registry twice")
+    if len(set(keys)) < len(keys):
+        raise IllegalArgumentError("a bulk merge names one series twice")
+    found = []
+    for registry in registries:
+        stored = registry._ingest.sketches_of(keys)
+        for target, (_, sketch) in zip(stored, entries):
+            if target is not None:
+                target.check_mergeable(sketch)
+        found.append(stored)
+    return found

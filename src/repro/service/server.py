@@ -10,11 +10,12 @@ directory is configured — persists every accepted envelope to a
 crash-recoverable :class:`~repro.service.segment_log.SegmentLog` *before*
 applying and acknowledging it.  The accept path is therefore::
 
-    decode envelope + frame -> dedup -> log.append -> state.apply -> ACK
+    decode envelope + frame -> merge check -> dedup -> log.append -> state.apply -> ACK
 
 Decoding the frame is its validation, so only frames that decode reach the
 log, and ``state.apply`` folds in those decoded sketches: each accepted
-frame is decoded once.
+frame is decoded once.  The merge check refuses, before the log, a frame
+carrying a sketch its stored series cannot merge (another mapping, say).
 
 A frame is acknowledged only after it is durable, so a crash between append
 and ACK leaves the client unacknowledged: it retransmits, the server dedups,
@@ -63,6 +64,7 @@ from repro.exceptions import (
     IllegalArgumentError,
     ReproError,
     ServiceOverloadedError,
+    UnequalSketchParametersError,
 )
 from repro.service import protocol
 from repro.service.protocol import PushEnvelope, decode_push_envelope
@@ -77,6 +79,10 @@ class RecoveryReport:
     snapshot_applied: int = 0
     records_replayed: int = 0
     corrupt_records: int = 0
+    #: Intact records whose series the state could not merge (a push that
+    #: raced a conflicting one past the pre-log check); skipped, as the
+    #: live server refused them.
+    refused_records: int = 0
     quarantined: List[QuarantineEvent] = field(default_factory=list)
 
 
@@ -240,6 +246,8 @@ class AggregationServer:
         Intact records are applied in log order; records whose *payload*
         fails to decode despite a valid CRC (which disk corruption cannot
         produce, but a hostile log could) are counted as corrupt and
+        skipped, and records whose series the state cannot merge (which
+        ``apply`` refused when they were live) are counted as refused and
         skipped — recovery never raises on bad data and never loses intact
         records that follow it.
         """
@@ -269,6 +277,9 @@ class AggregationServer:
                 self.state.apply_envelope_bytes(record.payload)
             except DeserializationError:
                 report.corrupt_records += 1
+                continue
+            except UnequalSketchParametersError:
+                report.refused_records += 1
                 continue
             self._last_applied_sequence = record.sequence
             report.records_replayed += 1
@@ -537,9 +548,11 @@ class AggregationServer:
         frame is the validation, and it happens once per push: the entries
         go on to :meth:`ServiceState.apply`, which adopts them.  A frame
         whose dense stores would decode past the push bin budget (see
-        :func:`~repro.serialization.frame.decode_frame`), and an envelope
-        whose interval bucket a snapshot could not store, are rejected
-        here, before they reach the log.
+        :func:`~repro.serialization.frame.decode_frame`), an envelope whose
+        interval bucket a snapshot could not store, and a frame carrying a
+        sketch its stored series cannot merge
+        (:meth:`ServiceState.check_entries`) are rejected here, before they
+        reach the log.
         """
         from repro.serialization.frame import decode_frame
 
@@ -552,6 +565,7 @@ class AggregationServer:
             raise IllegalArgumentError(
                 f"envelope sequence must be >= 1, got {envelope.sequence!r}"
             )
+        self.state.check_entries(envelope, entries)
         self._bytes_received += len(payload)
         return envelope, entries
 

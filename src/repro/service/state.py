@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.ddsketch import BaseDDSketch
 from repro.exceptions import DeserializationError, IllegalArgumentError
-from repro.registry import SketchRegistry
+from repro.registry import SketchRegistry, check_entries, merge_entries_into
 from repro.registry.series import SeriesKey, TagsLike
 from repro.serialization.encoding import (
     VarintReader,
@@ -177,15 +177,19 @@ class ServiceState:
         (returns 0) — the exactly-once half of the delivery contract.
         Raises :class:`~repro.exceptions.DeserializationError` when the
         carried frame is corrupt or the envelope's interval bucket is out
-        of range (see :meth:`envelope_bucket`); nothing is mutated in that
-        case.
+        of range (see :meth:`envelope_bucket`), and what
+        :meth:`check_entries` raises when a series cannot merge its entry
+        (:class:`~repro.exceptions.UnequalSketchParametersError`); nothing
+        is mutated in either case, not even the dedup table.
 
         ``entries`` is the envelope's frame already decoded
         (``decode_frame(envelope.frame)``), as the server's validation
         produced it, so the frame is not decoded a second time.  The state
         adopts those sketches — a window bucket keeps them without copying —
         so they must reach exactly one ``apply`` and not be used after it.
-        Without ``entries`` the frame is decoded here.
+        Without ``entries`` the frame is decoded here.  The merged registry
+        and the window bucket take the entries in one bulk merge
+        (:func:`~repro.registry.merge_entries_into`).
         """
         from repro.serialization.frame import decode_frame
 
@@ -195,17 +199,37 @@ class ServiceState:
             return 0
         if entries is None:
             entries = decode_frame(envelope.frame)
+        window = self._window_target(bucket)
+        destinations = [(self.registry, True)]
+        if window is not None:
+            # The decoded sketches are exclusively owned: the window bucket
+            # adopts them, while the merged registry copies new series.
+            destinations.append((window, False))
+        merge_entries_into(destinations, entries)
         self._mark_applied(envelope.host, envelope.sequence)
-        window = self._window_for(bucket)
-        for key, sketch in entries:
+        if window is not None:
+            self._keep_window(bucket, window)
+        for _, sketch in entries:
             self.values_applied += sketch.count
-            self.registry.merge_series(key, sketch)
-            if window is not None:
-                # The decoded sketch is exclusively owned; the window bucket
-                # adopts it while the merged registry kept a copy above.
-                window.merge_series(key, sketch, copy=False)
         self.frames_applied += 1
         return len(entries)
+
+    def check_entries(
+        self, envelope: PushEnvelope, entries: List[Tuple[SeriesKey, BaseDDSketch]]
+    ) -> None:
+        """Raise what :meth:`apply` would raise for these entries; change nothing.
+
+        Every entry is checked against the merged registry and against the
+        envelope's retained window bucket, where one exists
+        (:func:`~repro.registry.check_entries`).  The server runs this
+        before it logs a push, so a push that cannot merge is refused with
+        nothing logged.
+        """
+        registries = [self.registry]
+        window = self._windows.get(self.envelope_bucket(envelope))
+        if window is not None:
+            registries.append(window)
+        check_entries(registries, entries)
 
     def apply_envelope_bytes(self, payload: bytes) -> int:
         """Decode a serialized envelope and apply it (the replay path)."""
@@ -230,25 +254,31 @@ class ServiceState:
     def _bucket_of(self, interval_start: float) -> int:
         return int(math.floor(interval_start / self._interval_length))
 
-    def _window_for(self, bucket: int) -> Optional[SketchRegistry]:
-        """The registry bucket an envelope lands in (``None`` when evicted)."""
+    def _window_target(self, bucket: int) -> Optional[SketchRegistry]:
+        """The registry bucket an envelope lands in, changing nothing.
+
+        ``None`` when windows are off or the bucket is older than the
+        retention horizon; a new, not yet retained registry when the bucket
+        holds nothing so far (:meth:`_keep_window` retains it).
+        """
         if self._retention_intervals == 0:
             return None
-        if self._max_bucket is None or bucket > self._max_bucket:
-            self._max_bucket = bucket
-            self._evict()
-        if bucket <= self._max_bucket - self._retention_intervals:
+        if self._max_bucket is not None and bucket <= self._max_bucket - self._retention_intervals:
             return None  # older than the retention horizon: merged-only
         window = self._windows.get(bucket)
         if window is None:
             window = SketchRegistry(sketch_factory=self._sketch_factory)
-            self._windows[bucket] = window
         return window
 
-    def _evict(self) -> None:
-        horizon = self._max_bucket - self._retention_intervals
-        for bucket in [b for b in self._windows if b <= horizon]:
-            del self._windows[bucket]
+    def _keep_window(self, bucket: int, window: SketchRegistry) -> None:
+        """Retain ``window`` as ``bucket``'s registry, evicting what falls
+        behind the retention horizon."""
+        if self._max_bucket is None or bucket > self._max_bucket:
+            self._max_bucket = bucket
+            horizon = bucket - self._retention_intervals
+            for old in [b for b in self._windows if b <= horizon]:
+                del self._windows[old]
+        self._windows[bucket] = window
 
     # ------------------------------------------------------------------ #
     # Queries

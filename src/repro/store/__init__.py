@@ -24,6 +24,9 @@ For high-cardinality workloads — many stores fed from one columnar batch —
 into a whole sequence of stores with a single combined ``bincount`` pass
 for the plain and tail-collapsing dense stores (falling back to per-group
 ``add_batch`` slices for the uniform-collapse and sparse store families).
+Its merge-side sibling, :func:`merge_store_pairs`, folds many source stores
+into their targets with one native pass (``Store.merge`` for the pairs it
+cannot take, and under the NumPy kernel backend).
 """
 
 from repro.store.base import Store, Bucket
@@ -34,7 +37,7 @@ from repro.store.collapsing import (
     CollapsingHighestDenseStore,
 )
 from repro.store.uniform import UniformCollapsingDenseStore
-from repro.store.grouped import GroupedScratch, add_grouped_batch
+from repro.store.grouped import GroupedScratch, add_grouped_batch, merge_store_pairs
 
 __all__ = [
     "Store",
@@ -46,4 +49,5 @@ __all__ = [
     "UniformCollapsingDenseStore",
     "GroupedScratch",
     "add_grouped_batch",
+    "merge_store_pairs",
 ]

@@ -28,7 +28,7 @@ store family's exact semantics while still being vectorized per group.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,10 @@ from repro.store.dense import DenseStore
 #: Store types the combined pass feeds through ``_add_binned_segment``
 #: (exact types: a subclass may change how a batch lands).
 SEGMENT_STORE_TYPES = (DenseStore, CollapsingLowestDenseStore, CollapsingHighestDenseStore)
+
+#: Kind code of each type in :data:`SEGMENT_STORE_TYPES` for the bulk merge
+#: pass (:func:`repro.kernel.merge_windows`).
+_MERGE_KINDS = {DenseStore: 0, CollapsingLowestDenseStore: 1, CollapsingHighestDenseStore: 2}
 
 #: Largest cell buffer (the sum of the per-group key spans, float64 cells)
 #: the combined-bincount fast path may allocate.  Anything past this cap
@@ -224,3 +228,64 @@ def _add_segments(
     targets = [stores[group] for group in present.tolist()]
     kernel.apply_segments(targets, cells, min_keys, row_ends, totals)
     return True
+
+
+def merge_store_pairs(targets: Sequence[Store], sources: Sequence[Store]) -> None:
+    """Fold ``sources[i]`` into ``targets[i]`` for every ``i``, in one bulk pass.
+
+    The result is ``targets[i].merge(sources[i])`` for each ``i`` in order,
+    bit for bit.  No store may be the target of two pairs, nor a target and
+    the source of another pair, so the pairs are independent.
+
+    Under a backend with :func:`repro.kernel.window_merges`, every pair of
+    two :data:`SEGMENT_STORE_TYPES` stores whose target holds weight goes
+    to one :func:`repro.kernel.merge_windows` call, which adds each source
+    window into its target's bins where ``Store.merge`` would leave the
+    target's window as it is.  The pairs it declines, and every other pair,
+    take ``Store.merge``: the NumPy backend sends them all there.
+    """
+    if not kernel.window_merges():
+        for target, source in zip(targets, sources):
+            target.merge(source)
+        return
+    kinds = _MERGE_KINDS
+    rows: List[int] = []
+    target_bins = []
+    windows = []
+    passed = []
+    others = []
+    start = 0
+    for target, source in zip(targets, sources):
+        kind = kinds.get(type(target))
+        if kind is None or type(source) not in kinds:
+            others.append((target, source))
+            continue
+        if source._count <= 0:
+            continue  # Store.merge returns at once
+        bins = target._bins
+        if target._count <= 0 or not bins.size:
+            # An emptied target re-anchors its window in Store.merge.
+            others.append((target, source))
+            continue
+        window = source._bins
+        rows += (
+            target._offset, kind, target._bin_limit if kind else 0,
+            source._offset, start, window.size,
+        )
+        target_bins.append(bins)
+        windows.append(window)
+        passed.append((target, source))
+        start += window.size
+    if passed:
+        # The source windows are copied into one buffer here, so a pair
+        # whose source is its own target reads the pre-merge cells.
+        table = np.array(rows, dtype=np.int64).reshape(len(passed), -1)
+        added = kernel.merge_windows(target_bins, table, np.concatenate(windows))
+        for (target, source), positive in zip(passed, added.tolist()):
+            if positive < 0:
+                target.merge(source)
+            else:
+                target._num_positive += positive
+                target._count += source._count
+    for target, source in others:
+        target.merge(source)

@@ -14,6 +14,7 @@ from repro import (
     FastDDSketch,
     LogUnboundedDenseDDSketch,
     SparseDDSketch,
+    UDDSketch,
 )
 from repro.exceptions import IllegalArgumentError, UnequalSketchParametersError
 from tests.conftest import STANDARD_QUANTILES
@@ -152,3 +153,58 @@ class TestMergeValidation:
             assert left.get_quantile_value(quantile) == pytest.approx(
                 reference.get_quantile_value(quantile)
             )
+
+
+def _udd(relative_accuracy, collapses, values=()):
+    """A UDDSketch(relative_accuracy, 64) holding ``values``, collapsed
+    ``collapses`` times (each collapse squares its gamma)."""
+    sketch = UDDSketch(relative_accuracy=relative_accuracy, bin_limit=64)
+    for value in values:
+        sketch.add(value)
+    sketch._collapse_to(collapses)
+    return sketch
+
+
+#: UDDSketch lineages by initial accuracy; 2a / (1 + a**2) is the accuracy
+#: 0.01 degrades to after one collapse, as the start of its own lineage.
+LINEAGES = [0.01, 0.02, 2 * 0.01 / (1 + 0.01**2)]
+
+
+def _merge_grid():
+    """UDDSketches of every lineage at several collapse counts, empty and
+    not, plus plain sketches sharing a lineage's mapping at some count."""
+    sketches = []
+    for accuracy in LINEAGES:
+        for collapses in (0, 1, 3, 5):
+            for values in ((), (0.5, 2.0, -3.0)):
+                sketches.append(_udd(accuracy, collapses, values))
+    for accuracy in LINEAGES:
+        sketches.append(DDSketch(relative_accuracy=accuracy))
+    sketches.append(DDSketch(mapping=_udd(0.01, 1).mapping))
+    for sketch in sketches[-4:]:
+        sketch.add(1.5)
+    return sketches
+
+
+class TestUDDSketchMergeability:
+    def test_one_lineage_is_mergeable_across_collapse_counts(self):
+        fine, coarse = _udd(0.01, 0), _udd(0.01, 5)
+        assert fine.mergeable_with(coarse)
+        assert coarse.mergeable_with(fine)
+        fine.merge(coarse)
+        assert fine.collapse_count == 5
+
+    def test_mergeable_with_is_true_exactly_when_merge_succeeds(self):
+        grid = _merge_grid()
+        for target in grid:
+            for source in grid:
+                predicted = target.mergeable_with(source)
+                attempt = target.copy()
+                try:
+                    attempt.merge(source)
+                    merged = True
+                except UnequalSketchParametersError:
+                    merged = False
+                    # A refused merge changes nothing, not even the mapping.
+                    assert attempt.mapping == target.mapping
+                assert predicted == merged, (target, source)

@@ -14,7 +14,11 @@ from repro import (
     UDDSketch,
 )
 from repro.core.ddsketch import BaseDDSketch
-from repro.exceptions import EmptySketchError, IllegalArgumentError
+from repro.exceptions import (
+    EmptySketchError,
+    IllegalArgumentError,
+    UnequalSketchParametersError,
+)
 from repro.store import (
     CollapsingHighestDenseStore,
     CollapsingLowestDenseStore,
@@ -590,3 +594,30 @@ class TestSketchRegistry:
         # The source registry's sketches are copied, not aliased.
         right.add("other", 4.0, tags={"x": "y"})
         assert left.get("other", {"x": "y"}).count == 1
+
+    def test_merge_frame_that_cannot_merge_changes_nothing(self):
+        """``a`` would merge and ``c`` is new, but ``b`` has another
+        accuracy: the frame is refused whole, before anything changes."""
+        target = SketchRegistry()
+        target.add("a", 1.0)
+        target.add("b", 2.0)
+        pushed = SketchRegistry()
+        for metric, accuracy in (("a", 0.01), ("b", 0.02), ("c", 0.01)):
+            sketch = DDSketch(relative_accuracy=accuracy)
+            sketch.add(3.0)
+            pushed.merge_series(metric, sketch, copy=False)
+        before, version = target.to_frame(), target.data_version
+        with pytest.raises(UnequalSketchParametersError):
+            target.merge_frame(pushed.to_frame())
+        assert target.to_frame() == before
+        assert target.data_version == version
+        assert "c" not in target
+
+    def test_merge_entries_refuses_a_repeated_series(self):
+        target = SketchRegistry()
+        target.add("a", 1.0)
+        before = target.to_frame()
+        entries = [(SeriesKey.of("b"), DDSketch()), (SeriesKey.of("b"), DDSketch())]
+        with pytest.raises(IllegalArgumentError, match="one series twice"):
+            target.merge_entries(entries)
+        assert target.to_frame() == before

@@ -14,6 +14,9 @@ The claims under test (ISSUE: crash-recoverable durability):
   irrelevant; the dedup table makes duplicates idempotent).
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -22,12 +25,16 @@ from _service_testkit import (
     make_envelope,
     make_frame,
     reference_state,
+    slow_write_factory,
     torn_write_factory,
 )
-from repro.exceptions import DeserializationError, ServiceError
+from repro import DDSketch
+from repro.exceptions import DeserializationError, ServiceError, UnequalSketchParametersError
+from repro.registry import SketchRegistry
 from repro.service import AggregationServer, SegmentLog, ServiceClient, serve_in_thread
 from repro.service.protocol import encode_push_envelope
 from repro.service.segment_log import _RECORD_HEADER
+from repro.service.state import ServiceState
 
 
 def _fill_log(directory, envelopes, **log_kwargs):
@@ -548,3 +555,120 @@ class TestPushLimits:
                     client.push_envelope(bad)
                 assert client.stats()["frames_applied"] == 1
         assert [record.payload for record in SegmentLog(tmp_path).replay()] == [good]
+
+
+def _series_frame(*series):
+    """One frame of ``(metric, relative accuracy, value)`` series."""
+    registry = SketchRegistry()
+    for metric, accuracy, value in series:
+        sketch = DDSketch(relative_accuracy=accuracy)
+        sketch.add(value)
+        registry.merge_series(metric, sketch, copy=False)
+    return registry.to_frame()
+
+
+#: ``a`` and ``b`` at the default accuracy, then a push whose ``b`` has
+#: another accuracy: its ``a`` would merge, its ``c`` is new, and the push
+#: as a whole cannot be applied.
+FIRST = _series_frame(("a", 0.01, 1.0), ("b", 0.01, 2.0))
+CONFLICTING = _series_frame(("a", 0.01, 3.0), ("b", 0.02, 4.0), ("c", 0.01, 5.0))
+
+
+class TestUnmergeablePush:
+    """A push carrying a sketch its stored series cannot merge is refused
+    whole, with nothing logged or applied, and never blocks a restart."""
+
+    def test_refused_before_the_log_with_nothing_changed(self, tmp_path, kernel_backend):
+        first = encode_push_envelope(FIRST, host="h1", sequence=1, interval_start=0.0)
+        with serve_in_thread(data_dir=tmp_path) as handle:
+            with ServiceClient(*handle.address, retries=0) as client:
+                client.push_envelope(first)
+                before = client.stats()
+                snapshot = handle.server.state.to_snapshot()
+                with pytest.raises(UnequalSketchParametersError):
+                    client.push_frame(CONFLICTING, host="h2", sequence=1, interval_start=0.0)
+                assert client.stats() == before
+                assert handle.server.state.to_snapshot() == snapshot
+        assert [record.payload for record in SegmentLog(tmp_path).replay()] == [first]
+        with serve_in_thread(data_dir=tmp_path) as handle:
+            assert handle.server.last_recovery.refused_records == 0
+            assert handle.server.state.to_snapshot() == snapshot
+            with ServiceClient(*handle.address, retries=0) as client:
+                # (h2, 1) was never applied, so a mergeable push under it is.
+                ack = client.push_frame(
+                    _series_frame(("a", 0.01, 3.0), ("c", 0.01, 5.0)),
+                    host="h2", sequence=1, interval_start=0.0,
+                )
+                assert ack["duplicate"] is False
+                assert client.stats()["total_count"] == 4.0
+
+    def test_apply_refuses_a_logged_push_and_recovery_skips_it(self, tmp_path, kernel_backend):
+        """A push that reached the log anyway (it raced a conflicting push
+        past the pre-log check) changes nothing when ``apply`` refuses it,
+        and a restart counts it and applies the records after it."""
+        payloads = [
+            encode_push_envelope(FIRST, host="h1", sequence=1, interval_start=0.0),
+            encode_push_envelope(CONFLICTING, host="h2", sequence=1, interval_start=0.0),
+            encode_push_envelope(
+                _series_frame(("a", 0.01, 6.0), ("d", 0.01, 7.0)),
+                host="h3", sequence=1, interval_start=1.0,
+            ),
+        ]
+        state = ServiceState()
+        state.apply_envelope_bytes(payloads[0])
+        snapshot = state.to_snapshot()
+        with pytest.raises(UnequalSketchParametersError):
+            state.apply_envelope_bytes(payloads[1])
+        assert state.to_snapshot() == snapshot
+        assert not state.is_duplicate("h2", 1)
+
+        _fill_log(tmp_path, payloads).close()
+        server = AggregationServer(data_dir=tmp_path)
+        report = server.recover()
+        assert (report.records_replayed, report.refused_records, report.corrupt_records) == (
+            2, 1, 0,
+        )
+        expected = reference_state([payloads[0], payloads[2]])
+        assert server.state.to_snapshot() == expected.to_snapshot()
+        server.log.close()
+
+    def test_a_push_racing_a_conflicting_one_is_refused_by_apply(self, tmp_path):
+        """Two pushes create one series with different accuracies at once:
+        both pass the pre-log check while the first is being logged, the
+        second is logged and refused by ``apply``, and a restart agrees."""
+        envelopes = [
+            encode_push_envelope(
+                _series_frame(("c", accuracy, 1.0)), host=host, sequence=1, interval_start=0.0
+            )
+            for host, accuracy in (("h1", 0.01), ("h2", 0.02))
+        ]
+        outcomes = {}
+
+        def push(envelope):
+            with ServiceClient(*handle.address, retries=0) as client:
+                try:
+                    client.push_envelope(envelope)
+                    outcomes[envelope] = "ok"
+                except UnequalSketchParametersError:
+                    outcomes[envelope] = "refused"
+
+        with serve_in_thread(
+            data_dir=tmp_path, log_file_factory=slow_write_factory(1.0)
+        ) as handle:
+            threads = [threading.Thread(target=push, args=(envelope,)) for envelope in envelopes]
+            threads[0].start()
+            time.sleep(0.1)  # the first push is in its slow append
+            threads[1].start()
+            for thread in threads:
+                thread.join()
+            snapshot = handle.server.state.to_snapshot()
+        assert sorted(outcomes.values()) == ["ok", "refused"]
+        applied = [envelope for envelope in envelopes if outcomes[envelope] == "ok"]
+        assert snapshot == reference_state(applied).to_snapshot()
+        # Both were logged, the applied one first (apply order is log order).
+        logged = [record.payload for record in SegmentLog(tmp_path).replay()]
+        assert logged == sorted(envelopes, key=lambda envelope: outcomes[envelope])
+        with serve_in_thread(data_dir=tmp_path) as handle:
+            report = handle.server.last_recovery
+            assert (report.records_replayed, report.refused_records) == (1, 1)
+            assert handle.server.state.to_snapshot() == snapshot
