@@ -697,7 +697,7 @@ class BaseDDSketch:
 
     @staticmethod
     def merge_checked_pairs(
-        targets: Sequence["BaseDDSketch"], sources: Sequence["BaseDDSketch"]
+        targets: Sequence["BaseDDSketch"], sources: Sequence[Any]
     ) -> None:
         """Fold ``sources[i]`` into ``targets[i]`` for every ``i``, in one bulk pass.
 
@@ -709,27 +709,53 @@ class BaseDDSketch:
         another.  A target whose class overrides :meth:`merge`
         (:class:`~repro.core.UDDSketch`) takes its own ``merge``; for the
         rest the scalars update here, in :meth:`merge`'s order.
+
+        A source is a sketch or, for a target that keeps this class's
+        :meth:`merge`, a decoded sketch's state: the tuple ``(zero_count,
+        count, sum, min, max, store, negative_store)``, whose stores are
+        sources as :func:`~repro.store.grouped.merge_store_pairs` takes
+        them or ``None`` for an empty one (every ``Store.merge`` returns at
+        once for an empty source), and whose ``min`` / ``max`` may be NaN
+        when empty (no comparison with NaN holds, as none with the empty
+        sentinels does).
         """
         from repro.store.grouped import merge_store_pairs
 
-        store_targets: List[Store] = []
-        store_sources: List[Store] = []
+        base_merge = BaseDDSketch.merge
+        store_targets: List[Any] = []
+        store_sources: List[Any] = []
+        add_target = store_targets.append
+        add_source = store_sources.append
         own_merges = []
         for target, source in zip(targets, sources):
-            if type(target).merge is not BaseDDSketch.merge:
+            if type(target).merge is not base_merge:
                 own_merges.append((target, source))
                 continue
-            if source._count <= 0:
-                continue
-            store_targets += (target._store, target._negative_store)
-            store_sources += (source._store, source._negative_store)
-            target._zero_count += source._zero_count
-            target._count += source._count
-            target._sum += source._sum
-            if source._min < target._min:
-                target._min = source._min
-            if source._max > target._max:
-                target._max = source._max
+            if type(source) is tuple:
+                zero_count, count, total, minimum, maximum, store, negative = source
+                if count <= 0:
+                    continue
+                if store is not None:
+                    add_target(target._store)
+                    add_source(store)
+                if negative is not None:
+                    add_target(target._negative_store)
+                    add_source(negative)
+            else:
+                count = source._count
+                if count <= 0:
+                    continue
+                zero_count, total = source._zero_count, source._sum
+                minimum, maximum = source._min, source._max
+                store_targets += (target._store, target._negative_store)
+                store_sources += (source._store, source._negative_store)
+            target._zero_count += zero_count
+            target._count += count
+            target._sum += total
+            if minimum < target._min:
+                target._min = minimum
+            if maximum > target._max:
+                target._max = maximum
         merge_store_pairs(store_targets, store_sources)
         for target, source in own_merges:
             target.merge(source)

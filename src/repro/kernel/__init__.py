@@ -65,6 +65,7 @@ __all__ = [
     "encode_proto_bins",
     "group_key_ranges",
     "merge_windows",
+    "move_windows",
     "native_available",
     "selection_from_keys",
     "set_backend",
@@ -315,8 +316,11 @@ def merge_windows(targets, pairs, sources):
     bins (non-empty, contiguous, writable ``float64`` arrays), in merge
     order, and ``pairs`` has one ``int64`` row per pair: the target's key
     offset, kind (0 plain dense, 1 collapsing lowest, 2 collapsing highest)
-    and bin limit, then the source window's key offset, first cell in
-    ``sources`` and size.  ``sources`` holds the source windows end to end.
+    and bin limit (unused for a plain dense store), then the source
+    window's key offset, buffer (an index into ``sources``), first cell in
+    that buffer and size.  ``sources`` is
+    a sequence of ``float64`` buffers holding the source windows; each
+    window is read in place when its pair is merged.
 
     A pair is accepted only when ``Store.merge`` would leave the target's
     window and collapse flag where they are: the source's used keys lie in
@@ -330,6 +334,28 @@ def merge_windows(targets, pairs, sources):
     Only for backends with :func:`window_merges`.
     """
     return _backend().merge_windows(targets, pairs, sources)
+
+
+def move_windows(targets, pairs, sources, moves, arena):
+    """``Store.merge`` for the pairs :func:`merge_windows` declines, in one pass.
+
+    ``targets``, ``pairs`` and ``sources`` are as for :func:`merge_windows`,
+    except that a plain dense store's pair row holds its chunk size where a
+    collapsing store's holds its bin limit.  For each pair whose target
+    window must move, the pass builds the target's new bins in
+    ``arena[start:start + cells]`` (``moves`` has one ``(start, cells)``
+    row per pair; ``arena`` is a writable ``float64`` array): the old bins
+    moved as the store's ``_extend_range`` moves them, whatever falls
+    outside folded onto the collapsing side, then the source window added
+    as ``_merge_dense`` adds it.  Returns an ``int64`` array with one row
+    per pair: the new window's first key and size (-1 for a pair the pass
+    leaves to ``Store.merge``, the targets untouched), its positive cells
+    (for a plain dense store, the cells the merge made positive) and
+    whether the store collapsed.  The caller installs each new window and
+    updates the stores' counts.  Only for backends with
+    :func:`window_merges`.
+    """
+    return _backend().move_windows(targets, pairs, sources, moves, arena)
 
 
 def encode_proto_bins(keys, counts) -> bytes:

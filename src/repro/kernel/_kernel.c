@@ -609,9 +609,11 @@ void repro_fill_frame_windows(int64_t nstores, int64_t *stores, const int64_t *k
 #define KEY_LIMIT ((int64_t)1 << 61)
 
 /* Pair columns: the target's key offset, kind and bin limit; the source
- * window's key offset, first cell in `sources` and size. */
+ * window's key offset, buffer (an index into `sources`), first cell in that
+ * buffer and size. */
 enum {
-    MW_OFFSET, MW_KIND, MW_LIMIT, MW_SOURCE_OFFSET, MW_SOURCE_START, MW_SOURCE_SIZE, MW_COLS
+    MW_OFFSET, MW_KIND, MW_LIMIT, MW_SOURCE_OFFSET, MW_SOURCE_BUFFER, MW_SOURCE_START,
+    MW_SOURCE_SIZE, MW_COLS
 };
 
 static int any_positive(const double *bins, int64_t size)
@@ -641,21 +643,24 @@ static int window_stays(const double *bins, int64_t size, int64_t kind, int64_t 
 }
 
 /* Merge n pairs in order; targets holds each pair's target bins as
- * (address, cell count).  An accepted pair adds its source window into the
- * target's bins in place (the overlap, as _merge_dense slices it) and sets
- * out[i] to the number of bins that went from zero to positive; a declined
- * pair is left untouched with out[i] = -1.  The caller passes only pairs
- * whose target holds weight and whose source is not empty, and updates the
- * stores' counts.  Returns the number of accepted pairs. */
+ * (address, cell count) and sources the address of each source buffer.  An
+ * accepted pair adds its source window into the target's bins in place (the
+ * overlap, as _merge_dense slices it) and sets out[i] to the number of bins
+ * that went from zero to positive; a declined pair is left untouched with
+ * out[i] = -1.  Each window is read when its pair is merged.  The caller
+ * passes only pairs whose target holds weight and whose source is not
+ * empty, and updates the stores' counts.  Returns the number of accepted
+ * pairs. */
 int64_t repro_merge_windows(int64_t n, const int64_t *targets, const int64_t *pairs,
-                            const double *sources, int64_t *out)
+                            const int64_t *sources, int64_t *out)
 {
     int64_t accepted = 0;
     for (int64_t i = 0; i < n; i++) {
         const int64_t *row = pairs + i * MW_COLS;
         double *bins = (double *)(intptr_t)targets[2 * i];
         int64_t size = targets[2 * i + 1];
-        const double *source = sources + row[MW_SOURCE_START];
+        const double *source =
+            (const double *)(intptr_t)sources[row[MW_SOURCE_BUFFER]] + row[MW_SOURCE_START];
         int64_t source_size = row[MW_SOURCE_SIZE];
         out[i] = -1;
         /* The source's used cells, as min_key / max_key find them. */
@@ -685,4 +690,162 @@ int64_t repro_merge_windows(int64_t n, const int64_t *targets, const int64_t *pa
         accepted++;
     }
     return accepted;
+}
+
+/* float(numpy.sum(a[:n])) of a contiguous slice. */
+static double slice_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/* Keys beyond +-2**50 (no mapping makes them) leave the window arithmetic
+ * below to Store.merge, as do chunk divisions Python would round apart. */
+#define MOVE_KEY_LIMIT ((int64_t)1 << 50)
+
+/* Move columns: each pair's first cell in `arena` and the cells it may use. */
+enum { MV_ARENA_START, MV_ARENA_CELLS, MV_COLS };
+
+/* Output columns: the moved window's first key and size (-1: left to
+ * Store.merge), its positive cells, and whether the store collapsed. */
+enum { MO_FIRST, MO_SIZE, MO_POSITIVE, MO_COLLAPSED, MO_COLS };
+
+static int64_t used_edge(const double *bins, int64_t size, int top)
+{
+    if (top) {
+        for (int64_t j = size - 1; j >= 0; j--)
+            if (bins[j] > 0.0)
+                return j;
+    } else {
+        for (int64_t j = 0; j < size; j++)
+            if (bins[j] > 0.0)
+                return j;
+    }
+    return -1;
+}
+
+/* Store.merge for pairs whose target window must move (the pairs
+ * repro_merge_windows declines), with pairs in its column layout and
+ * targets and sources as there.  Each pair's new window is built in
+ * arena[start:start + size]: the old bins moved as _extend_range and
+ * _move_window move them (a plain store grows by whole chunks, its pair
+ * row's limit column holding its chunk size; a collapsing store re-anchors
+ * on its used edge bin and folds what falls outside into its boundary
+ * bin), then the source window added as _merge_dense adds it, weight
+ * outside the window folded onto the edge bins.  out gets the window's
+ * first key and size, its positive cells and the collapsed flag, or size
+ * -1 for a pair left to Store.merge.  Returns the number of pairs moved. */
+int64_t repro_move_windows(int64_t n, const int64_t *targets, const int64_t *pairs,
+                           const int64_t *sources, const int64_t *moves, double *arena,
+                           int64_t *out)
+{
+    int64_t moved = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *row = pairs + i * MW_COLS;
+        const double *old = (const double *)(intptr_t)targets[2 * i];
+        int64_t old_size = targets[2 * i + 1];
+        const double *source =
+            (const double *)(intptr_t)sources[row[MW_SOURCE_BUFFER]] + row[MW_SOURCE_START];
+        int64_t source_size = row[MW_SOURCE_SIZE];
+        int64_t offset = row[MW_OFFSET], kind = row[MW_KIND], limit = row[MW_LIMIT];
+        int64_t source_offset = row[MW_SOURCE_OFFSET];
+        int64_t *result = out + i * MO_COLS;
+        result[MO_SIZE] = -1;
+        if (offset < -MOVE_KEY_LIMIT || offset > MOVE_KEY_LIMIT || source_offset < -MOVE_KEY_LIMIT
+            || source_offset > MOVE_KEY_LIMIT || old_size <= 0 || limit <= 0)
+            continue;
+        int64_t first = used_edge(source, source_size, 0);
+        if (first < 0)
+            continue;
+        int64_t min_key = source_offset + first;
+        int64_t max_key = source_offset + used_edge(source, source_size, 1);
+        int64_t window_first = offset, window_last = offset + old_size - 1;
+        int64_t new_first, new_last, collapsed = 0, recount = 1;
+        if (kind == MERGE_DENSE) {
+            /* _extend_below, then _extend_above, by whole chunks. */
+            new_first = window_first;
+            new_last = window_last;
+            if (min_key < new_first)
+                new_first -= (int64_t)ceil((double)(new_first - min_key) / (double)limit) * limit;
+            if (max_key > new_last)
+                new_last += (int64_t)ceil((double)(max_key - new_last) / (double)limit) * limit;
+            recount = 0;
+        } else if (kind == MERGE_LOWEST) {
+            int64_t top = used_edge(old, old_size, 1);
+            if (top < 0 || old_size > limit)
+                continue;
+            new_last = offset + top > max_key ? offset + top : max_key;
+            new_first = window_first < min_key ? window_first : min_key;
+            if (new_last - new_first + 1 > limit)
+                new_first = new_last - limit + 1;
+            collapsed = new_first > min_key;
+        } else if (kind == MERGE_HIGHEST) {
+            int64_t bottom = used_edge(old, old_size, 0);
+            if (bottom < 0 || old_size > limit)
+                continue;
+            new_first = offset + bottom < min_key ? offset + bottom : min_key;
+            new_last = window_last > max_key ? window_last : max_key;
+            if (new_last - new_first + 1 > limit)
+                new_last = new_first + limit - 1;
+            collapsed = new_last < max_key;
+        } else {
+            continue;
+        }
+        if (new_first == window_first && new_last == window_last)
+            continue;
+        int64_t size = new_last - new_first + 1;
+        if (size > moves[i * MV_COLS + MV_ARENA_CELLS])
+            continue;
+        double *bins = arena + moves[i * MV_COLS + MV_ARENA_START];
+        memset(bins, 0, (size_t)size * sizeof(double));
+        /* _move_window: the overlap moves, the rest folds onto the
+         * collapsing side (a plain store only grows, so nothing folds). */
+        int64_t start = offset - new_first;
+        int64_t low = start < 0 ? -start : 0;
+        int64_t high = old_size < size - start ? old_size : size - start;
+        double folded;
+        if (low < high) {
+            memcpy(bins + start + low, old + low, (size_t)(high - low) * sizeof(double));
+            folded = slice_sum(old, low) + slice_sum(old + high, old_size - high);
+        } else {
+            folded = slice_sum(old, old_size);
+        }
+        if (folded > 0.0) {
+            bins[kind == MERGE_HIGHEST ? size - 1 : 0] += folded;
+            collapsed = 1;
+        }
+        int64_t positive = 0;
+        if (recount)
+            for (int64_t j = 0; j < size; j++)
+                positive += bins[j] > 0.0;
+        /* _merge_dense into the moved window. */
+        start = source_offset - new_first;
+        low = start > 0 ? start : 0;
+        high = start + source_size < size ? start + source_size : size;
+        for (int64_t j = low; j < high; j++) {
+            double cell = source[j - start];
+            positive += bins[j] == 0.0 && cell > 0.0;
+            bins[j] += cell;
+        }
+        if (start < 0) {
+            double below = slice_sum(source, -start < source_size ? -start : source_size);
+            if (below > 0.0) {
+                positive += bins[0] == 0.0;
+                bins[0] += below;
+            }
+        }
+        if (start + source_size > size) {
+            int64_t from = size - start > 0 ? size - start : 0;
+            double above = slice_sum(source + from, source_size - from);
+            if (above > 0.0) {
+                positive += bins[size - 1] == 0.0;
+                bins[size - 1] += above;
+            }
+        }
+        result[MO_FIRST] = new_first;
+        result[MO_SIZE] = size;
+        result[MO_POSITIVE] = positive;
+        result[MO_COLLAPSED] = collapsed;
+        moved++;
+    }
+    return moved;
 }

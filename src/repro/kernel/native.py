@@ -28,7 +28,6 @@ import contextlib
 import ctypes
 import functools
 import hashlib
-import itertools
 import os
 import shutil
 import subprocess
@@ -57,7 +56,7 @@ _MAX_ENTRY_OVERHEAD = 192
 DECODED_STORE_COLUMNS = 10
 
 #: Columns of one bulk-merge pair row (``MW_COLS`` in ``_kernel.c``).
-MERGE_PAIR_COLUMNS = 6
+MERGE_PAIR_COLUMNS = 7
 
 _COMPILE_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
@@ -167,17 +166,56 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_fill_frame_windows.restype = None
     lib.repro_merge_windows.argtypes = [i64, p, p, p, p]
     lib.repro_merge_windows.restype = i64
+    lib.repro_move_windows.argtypes = [i64, p, p, p, p, p, p]
+    lib.repro_move_windows.restype = i64
 
 
 def _ptr(array: Optional["np.ndarray"]):
     return None if array is None else ctypes.c_void_p(array.ctypes.data)
 
 
-def _writable_window(bins: "np.ndarray") -> Tuple[int, int]:
-    """``(address, cell count)`` of a store's bins that native code may add into."""
-    if bins.dtype != np.float64:
-        raise ValueError(f"store bins must be float64, got {bins.dtype}")
-    return ctypes.addressof(ctypes.c_char.from_buffer(bins)), bins.size
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _checked_pairs(targets, pairs, sources):
+    """``(target windows, pairs, source addresses, source buffers)`` for a
+    bulk-merge pass, every slice the pass may touch checked; the buffers
+    must stay referenced while the pass runs."""
+    count = len(targets)
+    pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+    if pairs.shape != (count, MERGE_PAIR_COLUMNS):
+        raise ValueError(f"expected {count} pair rows of {MERGE_PAIR_COLUMNS} columns")
+    buffers = [np.ascontiguousarray(source, dtype=np.float64) for source in sources]
+    if any(buffer.ndim != 1 for buffer in buffers):
+        raise ValueError("source buffers must be one-dimensional")
+    # The last three columns: each source window's buffer, first cell and size.
+    named = pairs[:, -3]
+    if count and ((named < 0) | (named >= len(buffers))).any():
+        raise ValueError("a source window names no source buffer")
+    starts = pairs[:, -2]
+    ends = starts + pairs[:, -1]
+    lengths = np.array([buffer.size for buffer in buffers], dtype=np.int64)
+    if count and ((starts < 0) | (ends < starts) | (ends > lengths[named])).any():
+        raise ValueError("a source window lies outside its source buffer")
+    windows = _writable_windows(targets)
+    addresses = np.array([buffer.ctypes.data for buffer in buffers], dtype=np.int64)
+    return windows, pairs, addresses, buffers
+
+
+def _writable_windows(targets: Sequence["np.ndarray"]) -> "np.ndarray":
+    """``(address, cell count)`` rows of store bins that native code may add into.
+
+    ``ctypes.c_char.from_buffer`` refuses a read-only or non-contiguous
+    buffer, and the dtype is checked here.
+    """
+    for dtype in {bins.dtype for bins in targets}:
+        if dtype != _FLOAT64:
+            raise ValueError(f"store bins must be float64, got {dtype}")
+    addressof = ctypes.addressof
+    from_buffer = ctypes.c_char.from_buffer
+    addresses = [addressof(from_buffer(bins)) for bins in targets]
+    sizes = [bins.size for bins in targets]
+    return np.array(addresses + sizes, dtype=np.int64).reshape(2, -1).T.copy()
 
 
 class NativeSignSplit(SignSplit):
@@ -455,34 +493,60 @@ class NativeBackend:
         )
 
     def merge_windows(
-        self, targets: Sequence["np.ndarray"], pairs: "np.ndarray", sources: "np.ndarray"
+        self,
+        targets: Sequence["np.ndarray"],
+        pairs: "np.ndarray",
+        sources: Sequence["np.ndarray"],
     ) -> "np.ndarray":
         """Merge store pairs in one C pass; see :func:`repro.kernel.merge_windows`.
 
         The pass writes into each target through its address and reads each
-        source window from ``sources``, so both are checked here: every
-        target must be a non-empty ``float64`` array that the buffer
-        protocol exports as contiguous and writable (reading the address
-        that way takes ~0.4 µs a target on a 2-vCPU host, against ~1.4 for
-        ``ndarray.ctypes.data``), and every source slice must lie inside
-        ``sources``.
+        source window from its buffer in ``sources``, so both are checked
+        here: every target must be a non-empty ``float64`` array that the
+        buffer protocol exports as contiguous and writable (reading the
+        address that way takes ~0.4 µs a target on a 2-vCPU host, against
+        ~1.4 for ``ndarray.ctypes.data``), every source buffer is read as a
+        contiguous ``float64`` array, and every source slice must lie inside
+        the buffer it names.
         """
-        count = len(targets)
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
-        sources = np.ascontiguousarray(sources, dtype=np.float64)
-        if pairs.shape != (count, MERGE_PAIR_COLUMNS):
-            raise ValueError(f"expected {count} pair rows of {MERGE_PAIR_COLUMNS} columns")
-        # The last two columns: each source window's first cell and size.
-        starts = pairs[:, -2]
-        ends = starts + pairs[:, -1]
-        if count and ((starts < 0) | (ends < starts) | (ends > sources.size)).any():
-            raise ValueError("a source window lies outside the source buffer")
-        windows = np.fromiter(
-            itertools.chain.from_iterable(map(_writable_window, targets)),
-            dtype=np.int64, count=2 * count,
+        windows, pairs, addresses, buffers = _checked_pairs(targets, pairs, sources)
+        out = np.empty(len(targets), dtype=np.int64)
+        self._lib.repro_merge_windows(
+            len(targets), _ptr(windows), _ptr(pairs), _ptr(addresses), _ptr(out)
         )
-        out = np.empty(count, dtype=np.int64)
-        self._lib.repro_merge_windows(count, _ptr(windows), _ptr(pairs), _ptr(sources), _ptr(out))
+        return out
+
+    def move_windows(
+        self,
+        targets: Sequence["np.ndarray"],
+        pairs: "np.ndarray",
+        sources: Sequence["np.ndarray"],
+        moves: "np.ndarray",
+        arena: "np.ndarray",
+    ) -> "np.ndarray":
+        """Move-and-merge store pairs in one C pass; see :func:`repro.kernel.move_windows`.
+
+        ``targets``, ``pairs`` and ``sources`` are checked as
+        :meth:`merge_windows` checks them, and every pair's arena cells
+        (``moves``) must lie inside ``arena``, a contiguous writable
+        ``float64`` array.
+        """
+        windows, pairs, addresses, buffers = _checked_pairs(targets, pairs, sources)
+        count = len(targets)
+        moves = np.ascontiguousarray(moves, dtype=np.int64)
+        if moves.shape != (count, 2):
+            raise ValueError(f"expected {count} move rows of 2 columns")
+        if arena.dtype != _FLOAT64 or arena.ndim != 1 or not arena.flags.c_contiguous:
+            raise ValueError("the arena must be a contiguous one-dimensional float64 array")
+        ends = moves[:, 0] + moves[:, 1]
+        if count and ((moves < 0).any() or (ends > arena.size).any()):
+            raise ValueError("a move's cells lie outside the arena")
+        arena_address = ctypes.addressof(ctypes.c_char.from_buffer(arena)) if arena.size else 0
+        out = np.empty((count, 4), dtype=np.int64)
+        self._lib.repro_move_windows(
+            count, _ptr(windows), _ptr(pairs), _ptr(addresses), _ptr(moves),
+            ctypes.c_void_p(arena_address), _ptr(out),
+        )
         return out
 
     def pairwise_sum(self, values: "np.ndarray") -> float:
@@ -627,9 +691,11 @@ def _merge_self_test(backend: "NativeBackend") -> None:
     """A few store pairs through the bulk merge against ``Store.merge``.
 
     One call mixes accepted and declined pairs of the three dense families:
-    windows that fit, an unused top or bottom bin, a window that must grow
-    and a collapse, with fractional weights.  Every target must end in the
-    state a per-pair ``merge`` leaves.
+    windows that fit, an unused top or bottom bin, windows that must grow
+    (down or up by chunks, or re-anchored) and collapses with and without
+    folding, with fractional weights.  Half the sources are read in place
+    as windows of a second buffer.  Every target must end in the state a
+    per-pair ``merge`` leaves.
     """
     from repro.store import (
         CollapsingHighestDenseStore,
@@ -651,19 +717,34 @@ def _merge_self_test(backend: "NativeBackend") -> None:
     highest = functools.partial(CollapsingHighestDenseStore, 8, chunk_size=8)
     pairs = [
         (dense, [1, 4, 6], [2, 3]),  # fits
-        (dense, [1, 4], [30]),  # grows
+        (dense, [1, 4], [30]),  # grows up
+        (dense, [10], [-20, 11]),  # grows down
         (lowest, [2], [3]),  # unused top bin: the window shrinks
         (lowest, [2], [3, 5]),  # the source fills the unused top bin
         (lowest, [2, 5, 9], [-6, 4]),  # collapses
+        (lowest, [2, 5, 9], [12]),  # moves up, folding the target's low bins
+        (lowest, [5], [-20, 10]),  # moves up, folding only the source's low key
         (highest, [2], [1]),  # unused bottom bin: the window shrinks
         (highest, [2], [-2, 1]),  # the source fills the unused bottom bin
         (highest, [-3, 0, 2], [-3, 1]),  # fits
+        (highest, [0, 3, 7], [-3]),  # moves down, folding the target's high bins
     ]
     targets = [build(factory, keys) for factory, keys, _ in pairs]
     expected = [build(factory, keys) for factory, keys, _ in pairs]
-    sources = [build(factory, keys) for factory, _, keys in pairs]
+    # Each source is a plain dense store: any dense family merges as its window.
+    sources = [build(dense, keys) for _, _, keys in pairs]
+    # Odd pairs read their source as a window of one shared buffer.
+    cells = np.concatenate([source._bins for source in sources[1::2]])
+    starts = np.cumsum([0] + [source._bins.size for source in sources[1::2]])
+    windows = [
+        source if index % 2 == 0 else (
+            cells, int(starts[index // 2]), source._bins.size, source._offset,
+            source._count, lambda store: store.copy(), source,
+        )
+        for index, source in enumerate(sources)
+    ]
     with _serving(backend):
-        merge_store_pairs(targets, sources)
+        merge_store_pairs(targets, windows)
     for target, source in zip(expected, sources):
         target.merge(source)
     if not all(_same_store(got, want) for got, want in zip(targets, expected)):

@@ -76,7 +76,8 @@ class NumpyBackend:
     #: :mod:`repro.serialization.frame`, the codec's oracle.
     columnar_frames = False
     #: No bulk store merge either: every pair takes ``Store.merge``, the
-    #: oracle of :func:`repro.kernel.merge_windows`.
+    #: oracle of :func:`repro.kernel.merge_windows` and
+    #: :func:`repro.kernel.move_windows`.
     window_merges = False
 
     def split_keys(self, mapping, values: "np.ndarray") -> NumpySignSplit:

@@ -21,7 +21,9 @@ of series in one payload.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -29,6 +31,9 @@ from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.core.grouped import GroupedIngest
 from repro.exceptions import EmptySketchError, IllegalArgumentError
 from repro.registry.series import SeriesKey, SeriesLike, TagsLike
+
+if TYPE_CHECKING:
+    from repro.serialization.frame import DecodedFrame
 
 
 class SketchRegistry:
@@ -261,8 +266,12 @@ class SketchRegistry:
         return len(entries)
 
     def merge(self, other: "SketchRegistry") -> None:
-        """Fold every series of ``other`` into this registry (one bulk merge)."""
-        self.merge_entries(other)
+        """Fold every series of ``other`` into this registry (one bulk merge).
+
+        Takes ``other``'s series as stored, unsorted: each series merges on
+        its own, so the order changes no answer.
+        """
+        self.merge_entries(other._ingest)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -377,10 +386,12 @@ class SketchRegistry:
         for a sketch a stored series cannot merge; either way the registry
         is left unchanged.
         """
-        from repro.serialization.frame import decode_frame
+        from repro.serialization.frame import read_frame
 
         # The decoded sketches are owned by nobody else; adopt them directly.
-        return self.merge_entries(decode_frame(payload), copy=False)
+        frame = read_frame(payload)
+        merge_entries_into([(self, False)], frame)
+        return len(frame)
 
     @classmethod
     def from_frame(
@@ -400,27 +411,31 @@ class SketchRegistry:
         )
 
 
-def check_entries(
-    registries: Sequence[SketchRegistry], entries: Sequence[Tuple[SeriesLike, BaseDDSketch]]
-) -> None:
+#: What a bulk merge takes: a decoded frame or ``(series, sketch)`` pairs.
+Entries = Union["DecodedFrame", Iterable[Tuple[SeriesLike, BaseDDSketch]]]
+
+
+def check_entries(registries: Sequence[SketchRegistry], entries: "Entries") -> None:
     """Raise what merging ``entries`` into each registry would raise.
 
-    Changes nothing.  The errors are those of :func:`merge_entries_into`:
-    a repeated registry or series raises
+    Changes nothing.  ``entries`` is a
+    :class:`~repro.serialization.frame.DecodedFrame` or ``(series, sketch)``
+    pairs.  The errors are those of :func:`merge_entries_into`: a repeated
+    registry or series raises
     :class:`~repro.exceptions.IllegalArgumentError`, and a sketch that a
     registry's stored series cannot merge raises what
     :meth:`~repro.core.BaseDDSketch.check_mergeable` raises.
     """
-    _checked_targets(registries, [SeriesKey.of(key) for key, _ in entries], entries)
+    _checked_targets(registries, _frame_of(entries))
 
 
 def merge_entries_into(
-    destinations: Sequence[Tuple[SketchRegistry, bool]],
-    entries: Sequence[Tuple[SeriesLike, BaseDDSketch]],
+    destinations: Sequence[Tuple[SketchRegistry, bool]], entries: "Entries"
 ) -> None:
     """Fold ``entries`` into every ``(registry, copy)`` destination in one bulk merge.
 
-    The result is, bit for bit::
+    ``entries`` is a :class:`~repro.serialization.frame.DecodedFrame` or
+    ``(series, sketch)`` pairs.  The result is, bit for bit::
 
         for series, sketch in entries:
             for registry, copy in destinations:
@@ -429,51 +444,58 @@ def merge_entries_into(
     except that :func:`check_entries` runs first, so an entry that cannot
     merge leaves every registry unchanged.  New series adopt their sketch
     (or a copy), and every merge into an existing series runs through one
-    :meth:`~repro.core.BaseDDSketch.merge_checked_pairs` pass.  A sketch
-    both stored and merged from (a registry merged into itself, say) sends
-    the entries through the loop above instead, which keeps every read
-    after the writes before it.
+    :meth:`~repro.serialization.frame.DecodedFrame.merge_into` pass, which
+    builds no sketch for a decoded entry whose stores are dense windows.  A
+    sketch both stored and merged from (a registry merged into itself,
+    say) sends the entries through the loop above instead, which keeps
+    every read after the writes before it.
     """
-    keys = [SeriesKey.of(key) for key, _ in entries]
-    found = _checked_targets([registry for registry, _ in destinations], keys, entries)
+    frame = _frame_of(entries)
+    found = _checked_targets([registry for registry, _ in destinations], frame)
     targets: List[BaseDDSketch] = []
-    sources: List[BaseDDSketch] = []
+    indices: List[int] = []
     for stored in found:
-        for target, (_, sketch) in zip(stored, entries):
+        for index, target in enumerate(stored):
             if target is not None:
                 targets.append(target)
-                sources.append(sketch)
+                indices.append(index)
+    keys = frame.keys
     written = {id(target) for target in targets}
-    if len(written) < len(targets) or any(id(sketch) in written for _, sketch in entries):
-        for key, (_, sketch) in zip(keys, entries):
+    if len(written) < len(targets) or (
+        not frame.decoded and any(id(sketch) in written for _, sketch in frame)
+    ):
+        for key, sketch in frame:
             for registry, copy in destinations:
                 registry._ingest.merge_sketch(key, sketch, copy=copy)
     else:
         for (registry, copy), stored in zip(destinations, found):
-            for key, (_, sketch), target in zip(keys, entries, stored):
+            for index, target in enumerate(stored):
                 if target is None:
-                    registry._ingest.merge_sketch(key, sketch, copy=copy)
-        BaseDDSketch.merge_checked_pairs(targets, sources)
+                    registry._ingest.merge_sketch(keys[index], frame.sketch(index), copy=copy)
+        frame.merge_into(targets, indices)
     for registry, _ in destinations:
         registry._data_version += 1
 
 
+def _frame_of(entries: Entries) -> "DecodedFrame":
+    from repro.serialization.frame import DecodedFrame
+
+    return DecodedFrame.of(entries)
+
+
 def _checked_targets(
-    registries: Sequence[SketchRegistry],
-    keys: List[SeriesKey],
-    entries: Sequence[Tuple[SeriesLike, BaseDDSketch]],
+    registries: Sequence[SketchRegistry], frame: "DecodedFrame"
 ) -> List[List[Optional[BaseDDSketch]]]:
     """Each registry's stored sketch per entry (``None`` for a new series),
     every existing one checked against its entry's sketch."""
     if len({id(registry) for registry in registries}) < len(registries):
         raise IllegalArgumentError("a bulk merge names one registry twice")
-    if len(set(keys)) < len(keys):
+    keys = frame.keys
+    if not frame.decoded and len(set(keys)) < len(keys):
         raise IllegalArgumentError("a bulk merge names one series twice")
     found = []
     for registry in registries:
         stored = registry._ingest.sketches_of(keys)
-        for target, (_, sketch) in zip(stored, entries):
-            if target is not None:
-                target.check_mergeable(sketch)
+        frame.check_targets(stored)
         found.append(stored)
     return found

@@ -70,6 +70,11 @@ class SeriesKey:
     registries and frames enumerate series deterministically.  Use
     :meth:`of` to build keys from loose inputs (bare metric strings,
     ``(metric, tags)`` pairs, tag mappings).
+
+    Keys compare equal, and hash, by their frame bytes (:attr:`wire_bytes`):
+    the encoding of a metric and its normalized tags is one-to-one, so two
+    keys have equal bytes exactly when their ``(metric, tags)`` are equal,
+    and a bytes object hashes once per process and caches the result.
     """
 
     metric: str
@@ -89,6 +94,14 @@ class SeriesKey:
             parts.append(_wire_string(key, "tag key"))
             parts.append(_wire_string(value, "tag value"))
         object.__setattr__(self, "_wire", b"".join(parts))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._wire == other._wire
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._wire)
 
     def sort_key(self) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
         """``(metric, tags)``: sorting by it orders keys as ``<`` does, faster."""

@@ -36,8 +36,10 @@ from repro.serialization.json_codec import (
 )
 from repro.serialization.binary_codec import encode_sketch, decode_sketch
 from repro.serialization.frame import (
+    DecodedFrame,
     encode_frame,
     decode_frame,
+    read_frame,
     frame_to_dict,
     frame_from_dict,
     compress_frame,
@@ -69,6 +71,8 @@ __all__ = [
     "decode_sketch",
     "encode_frame",
     "decode_frame",
+    "read_frame",
+    "DecodedFrame",
     "frame_to_dict",
     "frame_from_dict",
     "compress_frame",

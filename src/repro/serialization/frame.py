@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,6 +125,15 @@ _DECODED_WINDOW = {code: _STORE_CODES[code]._decoded for code in _WINDOW_CODES}
 # parsing is a function of the bytes alone, so a hit is what parsing gives.
 _interned_keys: Dict[bytes, SeriesKey] = {}
 _interned_bytes = 0
+
+#: Most mappings the decoder remembers; past it the table starts over.
+MAPPING_INTERN_LIMIT = 256
+
+# (mapping code, accuracy, offset bit pattern) -> mapping.  Mappings are
+# immutable, so every decoded sketch of one mapping shares one object, across
+# frames too: a series stored from one frame then holds the very mapping
+# object the next frame's entry carries, and a merge check finds it at once.
+_interned_mappings: Dict[Tuple[int, float, int], Any] = {}
 
 #: Minimum wire size of one frame entry: metric (>= 2 bytes), tag count,
 #: sketch length, and the smallest well-formed version-2 sketch payload
@@ -527,13 +536,28 @@ def decode_frame(
 ) -> List[Tuple[SeriesKey, Any]]:
     """Decode a (plain or compressed) frame into ``(series_key, sketch)`` pairs.
 
+    ``list(read_frame(...))``: :func:`read_frame` with every sketch built.
+    The arguments and errors are :func:`read_frame`'s, and every call
+    returns new sketches that no one else holds.
+    """
+    return list(read_frame(payload, sketch_cls, max_decompressed_bytes, bin_budget))
+
+
+def read_frame(
+    payload: bytes,
+    sketch_cls: Any = None,
+    max_decompressed_bytes: Optional[int] = None,
+    bin_budget: bool = False,
+) -> "DecodedFrame":
+    """Decode a (plain or compressed) frame into a :class:`DecodedFrame`.
+
     Dispatches on the leading magic: a ``b"DZ"`` compressed envelope is
     unwrapped through the bomb-guarded :func:`decompress_frame` first
     (``max_decompressed_bytes`` tightens or relaxes the default guard), a
-    plain ``b"DD"`` frame decodes directly.  ``sketch_cls`` is forwarded to
-    :func:`~repro.serialization.binary_codec.decode_sketch` for every entry
-    (by default, payloads carrying uniform-collapse stores auto-upgrade to
-    :class:`~repro.core.UDDSketch`).
+    plain ``b"DD"`` frame decodes directly.  ``sketch_cls`` is the class
+    :func:`~repro.serialization.binary_codec.decode_sketch` would give every
+    entry (by default, payloads carrying uniform-collapse stores
+    auto-upgrade to :class:`~repro.core.UDDSketch`).
 
     With ``bin_budget=True`` the frame's dense stores may decode to at most
     :data:`MAX_DECOMPRESSED_FRAME_BYTES` of float64 bins in total, the
@@ -545,13 +569,13 @@ def decode_frame(
     :func:`split_for_push`.
 
     With the native kernel, one :func:`repro.kernel.decode_frame_columns`
-    call parses a chunk of :data:`FRAME_CHUNK_SERIES` entries, and the
-    sketches are built from its columns: series keys interned by their raw
-    bytes, one mapping object per distinct mapping, and each store holding
-    its own bins in exactly the window a per-sketch decode gives.  Any
-    input that pass declines is decoded by the per-sketch loop instead,
-    which raises the errors below.  Every call returns new sketches that no
-    one else holds.
+    call parses a chunk of :data:`FRAME_CHUNK_SERIES` entries: series keys
+    are interned by their raw bytes and one mapping object serves each
+    distinct mapping, and the frame keeps the columns, from which it
+    builds each sketch when first asked for.  Any input that pass declines
+    is decoded by the per-sketch loop instead, which raises the errors
+    below and builds every sketch at once.  Either way the whole frame is
+    validated here.
 
     Raises
     ------
@@ -580,10 +604,235 @@ def decode_frame(
         raise DeserializationError("payload does not start with the DDSketch magic bytes")
     limit = MAX_DECOMPRESSED_FRAME_BYTES if bin_budget else None
     if kernel.columnar_frames():
-        entries = _decode_columns(payload, sketch_cls, limit, kernel.decode_frame_columns)
-        if entries is not None:
+        frame = _decode_columns(payload, sketch_cls, limit, kernel.decode_frame_columns)
+        if frame is not None:
+            return frame
+    entries = _decode_entries(payload, sketch_cls, None if limit is None else _BinBudget(limit))
+    return DecodedFrame.of(entries, decoded=True)
+
+
+# Columns of a decoded store row (FrameColumns.stores) that locate its window.
+_LOW, _SIZE, _FIRST_CELL = 5, 6, 9
+
+_BASE_MERGE = BaseDDSketch.merge
+
+
+class DecodedFrame:
+    """A frame's series entries: every key at once, each sketch when first needed.
+
+    :func:`read_frame` returns one.  Iterating it yields ``(series_key,
+    sketch)`` pairs in frame order, building each sketch (``list(frame)``
+    is what :func:`decode_frame` returns), and :meth:`sketch` builds one.
+    A sketch is built once; it is a new object no one else holds, whose
+    stores hold their own bins.  A bulk merge may adopt the sketches it
+    builds, so a frame goes into one bulk merge.
+
+    Under the native backend the frame keeps each chunk's decoded columns
+    (:class:`~repro.kernel.native.FrameColumns`), and a bulk merge
+    (:func:`~repro.registry.merge_entries_into`) folds an entry into a
+    series already stored without building it: :meth:`check_targets`
+    compares the frame's mapping objects, and :meth:`merge_into` reads each
+    dense store's window in place from its chunk's ``cells``.  Those cells
+    are only read: no stored store ever adopts them.
+
+    Entries that never were a frame take the same shape through :meth:`of`,
+    every sketch already built.
+    """
+
+    __slots__ = ("keys", "decoded", "_sketches", "_chunks", "_mappings", "_classes", "_states")
+
+    def __init__(self) -> None:
+        #: Series keys in frame order.
+        self.keys: List[SeriesKey] = []
+        #: Whether the decoder made this frame: then its keys are distinct
+        #: and no one else holds its sketches.
+        self.decoded = True
+        self._sketches: List[Any] = []
+        # Per chunk: its columns and the builder of its stores.
+        self._chunks: List[Tuple[Any, "_StoreBuilder"]] = []
+        # Per entry: its mapping and sketch class, or None when every
+        # sketch is built already.
+        self._mappings: Optional[List[Any]] = []
+        self._classes: List[Any] = []
+        # Per entry: its state as merge_checked_pairs takes it, or False
+        # when a store is not a dense window; None until a merge asks.
+        self._states: Optional[List[Any]] = None
+
+    @classmethod
+    def of(cls, entries: Iterable[Tuple[Any, Any]], decoded: bool = False) -> "DecodedFrame":
+        """``entries`` as a frame: itself when it is one, else its
+        ``(series, sketch)`` pairs, keys normalized and sketches as given.
+
+        ``decoded=True`` is for the decoder's own entries (distinct keys,
+        sketches no one else holds).
+        """
+        if isinstance(entries, DecodedFrame):
             return entries
-    return _decode_entries(payload, sketch_cls, None if limit is None else _BinBudget(limit))
+        pairs = list(entries)
+        frame = cls()
+        frame.keys = [SeriesKey.of(key) for key, _ in pairs]
+        frame.decoded = decoded
+        frame._sketches = [sketch for _, sketch in pairs]
+        frame._mappings = None
+        return frame
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Tuple[SeriesKey, Any]]:
+        """``(series_key, sketch)`` pairs in frame order, every sketch built."""
+        if self._mappings is not None:
+            self._build_all()
+        return zip(self.keys, self._sketches)
+
+    def sketch(self, index: int) -> Any:
+        """Entry ``index``'s sketch, built on first use."""
+        sketch = self._sketches[index]
+        if sketch is None:
+            sketch = self._sketches[index] = self._build(index)
+        return sketch
+
+    def counts(self) -> List[float]:
+        """Each entry's sketch count, in frame order (no sketch is built)."""
+        if self._mappings is None:
+            return [sketch.count for sketch in self._sketches]
+        counts: List[float] = []
+        for columns, _ in self._chunks:
+            counts += columns.floats[4::8]
+        return counts
+
+    def check_targets(self, targets: Sequence[Any]) -> None:
+        """Raise what ``targets[i].check_mergeable(self.sketch(i))`` raises
+        for the first ``i`` that does; ``None`` targets are skipped.
+
+        A target whose class keeps :class:`~repro.core.BaseDDSketch`'s check
+        and ``mergeable_with`` is compared with the entry's mapping object,
+        building nothing; the rest, and a mapping that differs (to raise
+        the merge's own error), build the entry.
+        """
+        if self._mappings is None:
+            for target, sketch in zip(targets, self._sketches):
+                if target is not None:
+                    target.check_mergeable(sketch)
+            return
+        by_mapping: Dict[Any, bool] = {}
+        for index, (target, mapping) in enumerate(zip(targets, self._mappings)):
+            if target is None:
+                continue
+            cls = type(target)
+            plain = by_mapping.get(cls)
+            if plain is None:
+                plain = by_mapping[cls] = (
+                    cls.check_mergeable is BaseDDSketch.check_mergeable
+                    and cls.mergeable_with is BaseDDSketch.mergeable_with
+                )
+            if plain and (target._mapping is mapping or target._mapping == mapping):
+                continue
+            target.check_mergeable(self.sketch(index))
+
+    def merge_into(self, targets: Sequence[Any], indices: Sequence[int]) -> None:
+        """Fold entry ``indices[i]`` into ``targets[i]`` for every ``i``, in one bulk pass.
+
+        Bit for bit ``BaseDDSketch.merge_checked_pairs(targets,
+        [self.sketch(i) for i in indices])``, under its conditions: every
+        pair checked, no target twice.  An entry whose two stores are dense
+        windows goes into a target that keeps
+        :meth:`~repro.core.BaseDDSketch.merge` as its decoded state, with
+        its windows read in place; every other pair builds its entry.
+        """
+        if self._mappings is None:
+            sources = [self._sketches[index] for index in indices]
+        else:
+            if self._states is None and targets:
+                self._states = [
+                    state for columns, builder in self._chunks
+                    for state in _decoded_states(columns, builder.store_at)
+                ]
+            states = self._states
+            sketch = self.sketch
+            sources = [
+                (type(target).merge is _BASE_MERGE and states[index]) or sketch(index)
+                for target, index in zip(targets, indices)
+            ]
+        BaseDDSketch.merge_checked_pairs(targets, sources)
+
+    def _build(self, index: int) -> Any:
+        """Entry ``index``'s sketch from its columns, in its per-sketch decode state."""
+        chunk, row = divmod(index, FRAME_CHUNK_SERIES)
+        columns, builder = self._chunks[chunk]
+        return _decoded_sketch(
+            self._classes[index], self._mappings[index],
+            builder.store_at(2 * row), builder.store_at(2 * row + 1),
+            columns.floats[8 * row : 8 * row + 8], columns.ints[4 * row + 3],
+        )
+
+    def _build_all(self) -> None:
+        """Build every sketch not built yet: :meth:`_build` over whole chunks."""
+        sketches = self._sketches
+        width = DECODED_STORE_COLUMNS
+        for chunk, (columns, builder) in enumerate(self._chunks):
+            first = chunk * FRAME_CHUNK_SERIES
+            end = first + len(columns.totals) // 2
+            build = builder.build
+            # zip recycles its result tuples, so the loop allocates nothing
+            # per row; `rows` and `totals` appear twice because each entry
+            # takes two stores, positive first.
+            rows = zip(*[iter(columns.stores)] * width)
+            totals = iter(columns.totals)
+            for index, cls, mapping, collapses, summary, positive, negative, \
+                    positive_total, negative_total in zip(
+                        range(first, end), self._classes[first:end], self._mappings[first:end],
+                        columns.ints[3::4], zip(*[iter(columns.floats)] * 8),
+                        rows, rows, totals, totals,
+                    ):
+                if sketches[index] is None:
+                    sketches[index] = _decoded_sketch(
+                        cls, mapping, build(positive, positive_total),
+                        build(negative, negative_total), summary, collapses,
+                    )
+
+
+def _decoded_sketch(cls, mapping, store, negative_store, summary, collapses: int) -> Any:
+    """A sketch of class ``cls`` in its per-sketch decode state; ``summary``
+    is the entry's eight header floats (``FrameColumns.floats``)."""
+    _, _, initial, zero_count, count, total, minimum, maximum = summary
+    sketch = cls._decoded(mapping, store, negative_store, zero_count, count, total, minimum, maximum)
+    if type(store) is UniformCollapsingDenseStore:
+        sketch._collapse_count = collapses
+        sketch._initial_relative_accuracy = initial
+        sketch._bin_limit = store.bin_limit
+    return sketch
+
+
+def _decoded_states(columns, store_at: Callable[[int], Any]) -> List[Any]:
+    """Each entry of a chunk as :meth:`~repro.core.BaseDDSketch.merge_checked_pairs`
+    takes a decoded sketch, or ``False`` when a store is not a dense window.
+
+    A store is ``None`` when empty, else a merge source window over the
+    chunk's ``cells`` (:func:`~repro.store.grouped.merge_store_pairs`) that
+    ``store_at`` builds.
+    """
+    cells = columns.cells
+    stores = columns.stores
+    width = DECODED_STORE_COLUMNS
+    windows = [
+        (cells, first, size, low, total, store_at, index) if total > 0.0 else None
+        for index, (first, size, low, total) in enumerate(zip(
+            stores[_FIRST_CELL::width], stores[_SIZE::width], stores[_LOW::width], columns.totals
+        ))
+    ]
+    codes = stores[::width]
+    floats = columns.floats
+    return [
+        (zero_count, count, total, minimum, maximum, positive, negative)
+        if positive_code in _WINDOW_CODES and negative_code in _WINDOW_CODES
+        else False
+        for zero_count, count, total, minimum, maximum, positive, negative, positive_code,
+        negative_code in zip(
+            floats[3::8], floats[4::8], floats[5::8], floats[6::8], floats[7::8],
+            windows[0::2], windows[1::2], codes[0::2], codes[1::2],
+        )
+    ]
 
 
 def _decode_entries(
@@ -591,7 +840,7 @@ def _decode_entries(
 ) -> List[Tuple[SeriesKey, Any]]:
     """The per-sketch decode loop: the oracle for the columnar decoder.
 
-    Every error message of :func:`decode_frame` comes from here.
+    Every error message of :func:`read_frame` comes from here.
     """
     reader = VarintReader(payload[2:])
     entries: List[Tuple[SeriesKey, Any]] = []
@@ -646,7 +895,7 @@ class _Declined(Exception):
 
 def _decode_columns(
     payload: bytes, sketch_cls: Any, limit: Optional[int], decode_columns: Callable[..., Any]
-) -> Optional[List[Tuple[SeriesKey, Any]]]:
+) -> Optional[DecodedFrame]:
     """Decode a plain frame through ``decode_columns`` (the native pass), or ``None``.
 
     ``None`` sends the frame to :func:`_decode_entries`: malformed input,
@@ -661,32 +910,30 @@ def _decode_columns(
     if version != _FRAME_VERSION or num_series > (len(payload) - position) // _MIN_ENTRY_BYTES:
         return None
     budget = np.array([limit is not None, (limit or 0) // 8], dtype=np.int64)
-    builder = _EntryBuilder(payload, sketch_cls)
+    reader = _EntryReader(payload, sketch_cls)
     while num_series:
         count = min(num_series, FRAME_CHUNK_SERIES)
         columns = decode_columns(payload, position, count, budget, CHUNK_SIZE, DEFAULT_BIN_LIMIT)
         if columns is None:
             return None
         try:
-            builder.add(columns)
+            reader.add(columns)
         except _Declined:
             return None
         position = columns.end
         num_series -= count
-    return builder.entries if position == len(payload) else None
+    return reader.frame if position == len(payload) else None
 
 
-class _EntryBuilder:
-    """Builds decoded entries from native frame columns, chunk by chunk."""
+class _EntryReader:
+    """Reads a frame's entries from native frame columns, chunk by chunk:
+    each entry's key, mapping and sketch class (its sketch is built later)."""
 
     def __init__(self, payload: bytes, sketch_cls: Any) -> None:
         self.payload = payload
         self.sketch_cls = BaseDDSketch if sketch_cls is None else sketch_cls
-        self.entries: List[Tuple[SeriesKey, Any]] = []
+        self.frame = DecodedFrame()
         self.seen: set = set()
-        # Mappings are immutable, so the frame's sketches share one object
-        # per (code, accuracy, offset bit pattern).
-        self.mappings: Dict[Tuple[int, float, int], Any] = {}
         # Sketch class per number of uniform-collapse stores, checked once.
         self.classes: Dict[int, Any] = {}
 
@@ -694,73 +941,59 @@ class _EntryBuilder:
         """Append one chunk's entries; raise :class:`_Declined` on any doubt."""
         payload = self.payload
         seen = self.seen
-        entries = self.entries
-        append = entries.append
-        mappings = self.mappings
-        build_store = _StoreBuilder(columns).build
+        frame = self.frame
+        keys = frame.keys
+        add_key = keys.append
+        add_mapping = frame._mappings.append
+        add_class = frame._classes.append
+        classes = self.classes
         mapping_id = mapping = None
-        # Rows of the flat columns.  zip recycles its result tuple, so the
-        # loop allocates nothing per row; `rows` and `totals` appear twice
-        # because each entry takes two stores, positive first.
-        rows = zip(*[iter(columns.stores)] * DECODED_STORE_COLUMNS)
-        totals = iter(columns.totals)
+        ints = columns.ints
+        floats = columns.floats
+        # Each entry's positive store code, then its negative store code.
+        codes = columns.stores[::DECODED_STORE_COLUMNS]
         for (
-            (key_start, key_end, mapping_code, collapses),
-            (accuracy, offset, initial, zero_count, count, total, minimum, maximum),
-            offset_bits,
-            positive_row,
-            negative_row,
-            positive_total,
-            negative_total,
+            key_start, key_end, mapping_code, accuracy, offset, offset_bits, positive, negative
         ) in zip(
-            zip(*[iter(columns.ints)] * 4),
-            zip(*[iter(columns.floats)] * 8),
-            columns.offset_bits,
-            rows,
-            rows,
-            totals,
-            totals,
+            ints[0::4], ints[1::4], ints[2::4], floats[0::8], floats[1::8],
+            columns.offset_bits, codes[0::2], codes[1::2],
         ):
             raw = payload[key_start:key_end]
             key = _interned_keys.get(raw)
             if key is None:
                 key = _intern_key(raw)
             seen.add(key)
+            add_key(key)
             if mapping_id != (mapping_code, accuracy, offset_bits):
                 mapping_id = (mapping_code, accuracy, offset_bits)
-                mapping = mappings.get(mapping_id)
+                mapping = _interned_mappings.get(mapping_id)
                 if mapping is None:
-                    mapping = mappings[mapping_id] = _mapping(mapping_code, accuracy, offset)
-            uniform = (positive_row[0] == _UNIFORM_CODE) + (negative_row[0] == _UNIFORM_CODE)
-            cls = self._sketch_class(uniform)
+                    mapping = _intern_mapping(mapping_id, offset)
+            add_mapping(mapping)
+            uniform = (positive == _UNIFORM_CODE) + (negative == _UNIFORM_CODE)
+            cls = classes.get(uniform)
+            if cls is None:
+                cls = self._sketch_class(uniform)
             if uniform and offset != 0.0:
                 raise _Declined
-            store = build_store(positive_row, positive_total)
-            sketch = cls._decoded(
-                mapping, store, build_store(negative_row, negative_total),
-                zero_count, count, total, minimum, maximum,
-            )
-            if uniform:
-                sketch._collapse_count = collapses
-                sketch._initial_relative_accuracy = initial
-                sketch._bin_limit = store.bin_limit
-            append((key, sketch))
-        if len(seen) != len(entries):
+            add_class(cls)
+        if len(seen) != len(keys):
             raise _Declined  # a duplicate series
+        added = len(ints) // 4
+        frame._sketches += [None] * added
+        frame._chunks.append((columns, _StoreBuilder(columns)))
 
     def _sketch_class(self, uniform: int) -> Any:
         """The decoded class for ``uniform`` uniform-collapse stores (as
         :func:`~repro.serialization.binary_codec.decode_sketch` picks it)."""
-        cls = self.classes.get(uniform)
-        if cls is None:
-            cls = self.sketch_cls
-            if cls is BaseDDSketch and uniform:
-                cls = UDDSketch
-            if uniform and not issubclass(cls, UDDSketch):
-                raise _Declined
-            if issubclass(cls, UDDSketch) and uniform != 2:
-                raise _Declined
-            self.classes[uniform] = cls
+        cls = self.sketch_cls
+        if cls is BaseDDSketch and uniform:
+            cls = UDDSketch
+        if uniform and not issubclass(cls, UDDSketch):
+            raise _Declined
+        if issubclass(cls, UDDSketch) and uniform != 2:
+            raise _Declined
+        self.classes[uniform] = cls
         return cls
 
 
@@ -771,6 +1004,14 @@ class _StoreBuilder:
         self.cells = columns.cells
         self.keys = columns.keys
         self.counts = columns.counts
+        self.stores = columns.stores
+        self.totals = columns.totals
+
+    def store_at(self, index: int):
+        """Store ``index`` of the chunk (each entry's positive store first),
+        holding a copy of its window."""
+        first = index * DECODED_STORE_COLUMNS
+        return self.build(self.stores[first : first + DECODED_STORE_COLUMNS], self.totals[index])
 
     def build(self, row: List[int], total: float):
         """The store of one column row; its count total is ``total``."""
@@ -792,12 +1033,17 @@ class _StoreBuilder:
         return store
 
 
-def _mapping(code: int, accuracy: float, offset: float):
-    """The key mapping a sketch header declares, or :class:`_Declined`."""
+def _intern_mapping(mapping_id: Tuple[int, float, int], offset: float):
+    """The key mapping a sketch header declares, remembered; or :class:`_Declined`."""
+    code, accuracy, _ = mapping_id
     try:
-        return _MAPPING_CODES[code](accuracy, offset=offset)
+        mapping = _MAPPING_CODES[code](accuracy, offset=offset)
     except ReproError:
         raise _Declined from None
+    if len(_interned_mappings) >= MAPPING_INTERN_LIMIT:
+        _interned_mappings.clear()
+    _interned_mappings[mapping_id] = mapping
+    return mapping
 
 
 def _intern_key(raw: bytes) -> SeriesKey:

@@ -222,13 +222,14 @@ def encode_push_envelope(
 def decode_push_envelope(payload: bytes, validate_frame: bool = False) -> PushEnvelope:
     """Decode a push envelope; optionally validate the embedded frame too.
 
-    With ``validate_frame=True`` the embedded frame-v3 payload is fully
-    decoded and the result discarded, so that a well-formed envelope is
-    also known to carry a well-formed frame.  A caller that goes on to
-    apply the frame should not validate here: decode it once with
-    ``decode_frame(envelope.frame)`` and hand those entries to
-    :meth:`~repro.service.state.ServiceState.apply`.  The server does so,
-    before persisting, so the segment log only ever stores frames that
+    With ``validate_frame=True`` the embedded frame-v3 payload is decoded
+    (:func:`~repro.serialization.frame.read_frame`, which validates every
+    entry without building its sketch) and the result discarded, so that a
+    well-formed envelope is also known to carry a well-formed frame.  A
+    caller that goes on to apply the frame should not validate here:
+    decode it once with ``read_frame(envelope.frame)`` and hand that frame
+    to :meth:`~repro.service.state.ServiceState.apply`.  The server does
+    so, before persisting, so the segment log only ever stores frames that
     decode and each accepted frame is decoded once.
 
     Raises
@@ -270,9 +271,9 @@ def decode_push_envelope(payload: bytes, validate_frame: bool = False) -> PushEn
     if not reader.exhausted:
         raise DeserializationError(f"{reader.remaining} trailing bytes after the envelope")
     if validate_frame:
-        from repro.serialization.frame import decode_frame
+        from repro.serialization.frame import read_frame
 
-        decode_frame(frame)
+        read_frame(frame)
     return PushEnvelope(host=host, sequence=sequence, interval_start=interval_start, frame=frame)
 
 

@@ -56,7 +56,7 @@ import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import (
     DeserializationError,
@@ -70,6 +70,9 @@ from repro.service import protocol
 from repro.service.protocol import PushEnvelope, decode_push_envelope
 from repro.service.segment_log import QuarantineEvent, SegmentLog
 from repro.service.state import ServiceState
+
+if TYPE_CHECKING:
+    from repro.serialization.frame import DecodedFrame
 
 
 @dataclass
@@ -541,24 +544,25 @@ class AggregationServer:
     # Push path
     # ------------------------------------------------------------------ #
 
-    def _decode_push(self, payload: bytes) -> Tuple[PushEnvelope, list]:
+    def _decode_push(self, payload: bytes) -> Tuple[PushEnvelope, "DecodedFrame"]:
         """Decode and validate one push payload, counting its bytes.
 
-        Returns the envelope and its decoded frame entries.  Decoding the
-        frame is the validation, and it happens once per push: the entries
-        go on to :meth:`ServiceState.apply`, which adopts them.  A frame
+        Returns the envelope and its decoded frame.  Decoding the frame is
+        the validation, and it happens once per push: the frame goes on to
+        :meth:`ServiceState.apply`, which folds it in, building sketches
+        only for the series it does not hold yet.  A frame
         whose dense stores would decode past the push bin budget (see
-        :func:`~repro.serialization.frame.decode_frame`), an envelope whose
+        :func:`~repro.serialization.frame.read_frame`), an envelope whose
         interval bucket a snapshot could not store, and a frame carrying a
         sketch its stored series cannot merge
         (:meth:`ServiceState.check_entries`) are rejected here, before they
         reach the log.
         """
-        from repro.serialization.frame import decode_frame
+        from repro.serialization.frame import read_frame
 
         envelope = decode_push_envelope(payload)
         self.state.envelope_bucket(envelope)
-        entries = decode_frame(envelope.frame, bin_budget=True)
+        entries = read_frame(envelope.frame, bin_budget=True)
         if envelope.sequence < 1:
             # Sequences are 1-based (the dedup watermark's zero state means
             # "nothing applied"); reject loudly rather than dedup silently.
@@ -579,7 +583,7 @@ class AggregationServer:
             "series": 0,
         }
 
-    def _apply_decoded(self, envelope: PushEnvelope, entries: list) -> Dict[str, Any]:
+    def _apply_decoded(self, envelope: PushEnvelope, entries: "DecodedFrame") -> Dict[str, Any]:
         """Fold one decoded (and already persisted) envelope into state."""
         series = self.state.apply(envelope, entries)
         self._frames_since_snapshot += 1

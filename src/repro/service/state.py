@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.ddsketch import BaseDDSketch
 from repro.exceptions import DeserializationError, IllegalArgumentError
 from repro.registry import SketchRegistry, check_entries, merge_entries_into
-from repro.registry.series import SeriesKey, TagsLike
+from repro.registry.registry import Entries
+from repro.registry.series import TagsLike
 from repro.serialization.encoding import (
     VarintReader,
     encode_varint,
@@ -166,11 +167,7 @@ class ServiceState:
                 del self._seen_ahead[host]
         self._seen_watermark[host] = watermark
 
-    def apply(
-        self,
-        envelope: PushEnvelope,
-        entries: Optional[List[Tuple[SeriesKey, BaseDDSketch]]] = None,
-    ) -> int:
+    def apply(self, envelope: PushEnvelope, entries: Optional[Entries] = None) -> int:
         """Fold one decoded envelope into the state; returns series merged.
 
         A duplicate ``(host, sequence)`` identity is counted and ignored
@@ -182,41 +179,41 @@ class ServiceState:
         (:class:`~repro.exceptions.UnequalSketchParametersError`); nothing
         is mutated in either case, not even the dedup table.
 
-        ``entries`` is the envelope's frame already decoded
-        (``decode_frame(envelope.frame)``), as the server's validation
-        produced it, so the frame is not decoded a second time.  The state
-        adopts those sketches — a window bucket keeps them without copying —
-        so they must reach exactly one ``apply`` and not be used after it.
-        Without ``entries`` the frame is decoded here.  The merged registry
-        and the window bucket take the entries in one bulk merge
-        (:func:`~repro.registry.merge_entries_into`).
+        ``entries`` is the envelope's frame already decoded, as the
+        server's validation produced it
+        (:func:`~repro.serialization.frame.read_frame`, a
+        :class:`~repro.serialization.frame.DecodedFrame`), so the frame is
+        not decoded a second time; ``(series, sketch)`` pairs are taken as
+        well.  The state adopts those sketches — a window bucket keeps them
+        without copying — so they must reach exactly one ``apply`` and not
+        be used after it.  Without ``entries`` the frame is decoded here.
+        The merged registry and the window bucket take the entries in one
+        bulk merge (:func:`~repro.registry.merge_entries_into`), which
+        builds no sketch for a decoded entry of a series both already hold.
         """
-        from repro.serialization.frame import decode_frame
+        from repro.serialization.frame import DecodedFrame, read_frame
 
         bucket = self.envelope_bucket(envelope)
         if self.is_duplicate(envelope.host, envelope.sequence):
             self.duplicates_rejected += 1
             return 0
-        if entries is None:
-            entries = decode_frame(envelope.frame)
+        frame = read_frame(envelope.frame) if entries is None else DecodedFrame.of(entries)
         window = self._window_target(bucket)
         destinations = [(self.registry, True)]
         if window is not None:
             # The decoded sketches are exclusively owned: the window bucket
             # adopts them, while the merged registry copies new series.
             destinations.append((window, False))
-        merge_entries_into(destinations, entries)
+        merge_entries_into(destinations, frame)
         self._mark_applied(envelope.host, envelope.sequence)
         if window is not None:
             self._keep_window(bucket, window)
-        for _, sketch in entries:
-            self.values_applied += sketch.count
+        for count in frame.counts():
+            self.values_applied += count
         self.frames_applied += 1
-        return len(entries)
+        return len(frame)
 
-    def check_entries(
-        self, envelope: PushEnvelope, entries: List[Tuple[SeriesKey, BaseDDSketch]]
-    ) -> None:
+    def check_entries(self, envelope: PushEnvelope, entries: Entries) -> None:
         """Raise what :meth:`apply` would raise for these entries; change nothing.
 
         Every entry is checked against the merged registry and against the

@@ -25,8 +25,9 @@ into a whole sequence of stores with a single combined ``bincount`` pass
 for the plain and tail-collapsing dense stores (falling back to per-group
 ``add_batch`` slices for the uniform-collapse and sparse store families).
 Its merge-side sibling, :func:`merge_store_pairs`, folds many source stores
-into their targets with one native pass (``Store.merge`` for the pairs it
-cannot take, and under the NumPy kernel backend).
+into their targets with one native pass, and a second for the targets whose
+window must move (``Store.merge`` for the pairs neither takes, and under the
+NumPy kernel backend).
 """
 
 from repro.store.base import Store, Bucket

@@ -28,7 +28,7 @@ store family's exact semantics while still being vectorized per group.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,62 +230,163 @@ def _add_segments(
     return True
 
 
-def merge_store_pairs(targets: Sequence[Store], sources: Sequence[Store]) -> None:
+def merge_store_pairs(targets: Sequence[Store], sources: Sequence[Any]) -> None:
     """Fold ``sources[i]`` into ``targets[i]`` for every ``i``, in one bulk pass.
 
     The result is ``targets[i].merge(sources[i])`` for each ``i`` in order,
     bit for bit.  No store may be the target of two pairs, nor a target and
     the source of another pair, so the pairs are independent.
 
+    A source is a :class:`~repro.store.Store`, or a *window*: a tuple
+    ``(cells, start, size, offset, count, build, tag)`` standing for a
+    :data:`SEGMENT_STORE_TYPES` store whose bins are
+    ``cells[start:start + size]`` from key ``offset`` and whose count is
+    ``count``, where ``build(tag)`` returns that store holding a copy of
+    its window.  A window's cells are only ever read, in place; a pair
+    that takes ``Store.merge`` merges the built store instead.
+
     Under a backend with :func:`repro.kernel.window_merges`, every pair of
     two :data:`SEGMENT_STORE_TYPES` stores whose target holds weight goes
     to one :func:`repro.kernel.merge_windows` call, which adds each source
     window into its target's bins where ``Store.merge`` would leave the
-    target's window as it is.  The pairs it declines, and every other pair,
-    take ``Store.merge``: the NumPy backend sends them all there.
+    target's window as it is.  The pairs it declines, whose target window
+    must grow or move, go to one :func:`repro.kernel.move_windows` call,
+    which builds each moved window as ``Store.merge`` does.  What that pass
+    leaves, and every other pair, takes ``Store.merge``: the NumPy backend
+    sends every pair there.  The windows of :class:`~repro.store.Store`
+    sources are copied into one buffer for the calls (one copy costs less
+    than reading one more buffer's address), so a pair whose source is its
+    own target reads the pre-merge cells.
     """
     if not kernel.window_merges():
         for target, source in zip(targets, sources):
-            target.merge(source)
+            target.merge(_built(source))
         return
     kinds = _MERGE_KINDS
     rows: List[int] = []
     target_bins = []
-    windows = []
+    buffers: List[Optional["np.ndarray"]] = []
+    copies = []
+    copy_buffer = -1
+    copied = 0
     passed = []
     others = []
-    start = 0
+    last = None
+    buffer = -1
     for target, source in zip(targets, sources):
         kind = kinds.get(type(target))
-        if kind is None or type(source) not in kinds:
-            others.append((target, source))
-            continue
-        if source._count <= 0:
-            continue  # Store.merge returns at once
-        bins = target._bins
-        if target._count <= 0 or not bins.size:
-            # An emptied target re-anchors its window in Store.merge.
-            others.append((target, source))
-            continue
-        window = source._bins
-        rows += (
-            target._offset, kind, target._bin_limit if kind else 0,
-            source._offset, start, window.size,
-        )
+        if source.__class__ is tuple:
+            cells, start, size, offset, count, _, _ = source
+            if count <= 0:
+                continue  # every Store.merge returns at once for an empty source
+            if kind is None:
+                others.append((target, source))
+                continue
+            bins = target._bins
+            if target._count <= 0 or not bins.size:
+                # An emptied target re-anchors its window in Store.merge.
+                others.append((target, source))
+                continue
+            if cells is not last:
+                last = cells
+                buffer = len(buffers)
+                buffers.append(cells)
+            rows += (
+                target._offset, kind, target._bin_limit if kind else target._chunk_size,
+                offset, buffer, start, size,
+            )
+        else:
+            if kind is None or type(source) not in kinds:
+                others.append((target, source))
+                continue
+            count = source._count
+            if count <= 0:
+                continue  # Store.merge returns at once
+            bins = target._bins
+            if target._count <= 0 or not bins.size:
+                others.append((target, source))
+                continue
+            window = source._bins
+            if copy_buffer < 0:
+                copy_buffer = len(buffers)
+                buffers.append(None)  # the copies, concatenated below
+                last = None
+            rows += (
+                target._offset, kind, target._bin_limit if kind else target._chunk_size,
+                source._offset, copy_buffer, copied, window.size,
+            )
+            copies.append(window)
+            copied += window.size
         target_bins.append(bins)
-        windows.append(window)
-        passed.append((target, source))
-        start += window.size
+        passed.append((target, source, count))
     if passed:
-        # The source windows are copied into one buffer here, so a pair
-        # whose source is its own target reads the pre-merge cells.
+        if copies:
+            buffers[copy_buffer] = np.concatenate(copies)
         table = np.array(rows, dtype=np.int64).reshape(len(passed), -1)
-        added = kernel.merge_windows(target_bins, table, np.concatenate(windows))
-        for (target, source), positive in zip(passed, added.tolist()):
+        added = kernel.merge_windows(target_bins, table, buffers).tolist()
+        declined = []
+        for index, ((target, source, count), positive) in enumerate(zip(passed, added)):
             if positive < 0:
-                target.merge(source)
+                declined.append(index)
             else:
                 target._num_positive += positive
-                target._count += source._count
+                target._count += count
+        if declined:
+            _move_declined(
+                [passed[index] for index in declined],
+                table[declined],
+                [target_bins[index] for index in declined],
+                buffers,
+            )
     for target, source in others:
-        target.merge(source)
+        target.merge(_built(source))
+
+
+#: Most cells :func:`_move_declined`'s arena holds (32 MiB of float64): the
+#: pairs that could need more take ``Store.merge``.
+MAX_MOVED_CELLS = 1 << 22
+
+
+def _move_declined(passed, table: "np.ndarray", target_bins, buffers) -> None:
+    """The pairs :func:`repro.kernel.merge_windows` declined, through one
+    :func:`repro.kernel.move_windows` pass; the pairs it leaves take
+    ``Store.merge``.
+
+    Each pair gets arena cells enough for any window its merge can move to:
+    the union of the two windows, capped at a collapsing store's bin limit
+    and widened by two chunks for a plain one.  Pairs past
+    :data:`MAX_MOVED_CELLS` cells in all get none and take ``Store.merge``.
+    """
+    offsets, kinds, limits, source_offsets, _, _, source_sizes = table.T
+    sizes = np.array([bins.size for bins in target_bins], dtype=np.int64)
+    span = np.maximum(offsets + sizes, source_offsets + source_sizes) - np.minimum(
+        offsets, source_offsets
+    )
+    cells = np.where(kinds == 0, span + 2 * limits, np.minimum(span, limits))
+    cells[(cells > MAX_MOVED_CELLS) | (span > MAX_MOVED_CELLS)] = 0
+    cells[np.cumsum(cells) > MAX_MOVED_CELLS] = 0
+    starts = np.cumsum(cells) - cells
+    arena = np.empty(int(cells.sum()))
+    moved = kernel.move_windows(
+        target_bins, table, buffers, np.stack([starts, cells], axis=1), arena
+    )
+    for (target, source, count), (first, size, positive, collapsed), start, kind in zip(
+        passed, moved.tolist(), starts.tolist(), kinds.tolist()
+    ):
+        if size < 0:
+            target.merge(_built(source))
+            continue
+        target._bins = arena[start : start + size].copy()
+        target._offset = first
+        if kind:
+            target._num_positive = positive
+            if collapsed:
+                target._is_collapsed = True
+        else:
+            target._num_positive += positive
+        target._count += count
+
+
+def _built(source) -> Store:
+    """A merge source as a :class:`~repro.store.Store` (a window is built)."""
+    return source[5](source[6]) if type(source) is tuple else source

@@ -75,14 +75,18 @@ def mixed_sign_stream(rng: random.Random):
 
 @pytest.fixture(params=["numpy", "native"])
 def kernel_backend(request):
-    """Run a test once per ingest-kernel backend (native skips when unavailable)."""
+    """Run a test once per ingest-kernel backend.
+
+    The native case skips on a host that cannot build the kernel and fails
+    when the kernel was built but failed its self-test
+    (:func:`_kernel_testkit.require_native_kernel`).
+    """
     from repro import kernel
-    from repro.kernel.native import availability
+
+    from _kernel_testkit import require_native_kernel
 
     if request.param == "native":
-        available, reason = availability()
-        if not available:
-            pytest.skip(f"native kernel backend unavailable: {reason}")
+        require_native_kernel()
     before = kernel.active_backend()
     kernel.set_backend(request.param)
     try:

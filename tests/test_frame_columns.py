@@ -41,7 +41,6 @@ from repro import (
 )
 from repro.core import BaseDDSketch
 from repro.exceptions import ReproError
-from repro.kernel.native import availability
 from repro.registry import SeriesKey
 from repro.serialization.encoding import encode_float, encode_varint, encode_zigzag
 from repro.serialization.frame import (
@@ -53,14 +52,17 @@ from repro.serialization.frame import (
 from repro.service.protocol import encode_push_envelope
 from repro.service.state import ServiceState
 
+from _kernel_testkit import require_native_kernel
 from test_codec_fuzz import _FRAME, _PAYLOAD, _ZFRAME, _envelope
 from test_frame_codec import build_frame
 
-_AVAILABLE, _REASON = availability()
 
-pytestmark = pytest.mark.skipif(
-    not _AVAILABLE, reason=f"native kernel backend unavailable: {_REASON}"
-)
+@pytest.fixture(autouse=True)
+def _native_kernel():
+    """Every test here needs the native kernel: skip without one, fail on a
+    kernel that failed its self-test."""
+    require_native_kernel()
+
 
 FAMILIES = {
     "dense": lambda: LogUnboundedDenseDDSketch(0.02),

@@ -24,18 +24,20 @@ from repro import (
     UDDSketch,
     kernel,
 )
-from repro.kernel.native import availability
 from repro.mapping import (
     LinearlyInterpolatedMapping,
     QuadraticallyInterpolatedMapping,
 )
 from repro.registry import SketchRegistry
 
-_AVAILABLE, _REASON = availability()
+from _kernel_testkit import require_native_kernel
 
-pytestmark = pytest.mark.skipif(
-    not _AVAILABLE, reason=f"native kernel backend unavailable: {_REASON}"
-)
+
+@pytest.fixture(autouse=True)
+def _native_kernel():
+    """Every test here needs the native kernel: skip without one, fail on a
+    kernel that failed its self-test."""
+    require_native_kernel()
 
 
 SKETCH_FACTORIES = {

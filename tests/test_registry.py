@@ -216,6 +216,50 @@ class TestSeriesKeyWireLimits:
         assert decoded == [key]
         assert decoded[0].wire_bytes == key.wire_bytes
 
+    @given(
+        metrics=st.lists(
+            st.sampled_from(["m", "mé", "m\u2603", "\U0001f600"]) | st.text(min_size=1, max_size=4),
+            min_size=2,
+            max_size=2,
+        ),
+        tags=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["a", "b", "é"]) | st.text(min_size=1, max_size=3),
+                    st.sampled_from(["", "x", "\u00df"]) | st.text(max_size=3),
+                ),
+                max_size=3,
+                unique_by=lambda pair: pair[0],
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        as_mapping=st.lists(st.booleans(), min_size=2, max_size=2),
+        reverse=st.lists(st.booleans(), min_size=2, max_size=2),
+    )
+    def test_keys_are_equal_exactly_when_their_frame_bytes_are(
+        self, metrics, tags, as_mapping, reverse
+    ):
+        """Keys compare and hash by their frame bytes: built from unicode
+        metrics and tags given unsorted or as a mapping, two keys are equal
+        exactly when their bytes are, and equal keys hash alike."""
+        keys = []
+        for metric, pairs, mapping, backwards in zip(metrics, tags, as_mapping, reverse):
+            pairs = pairs[::-1] if backwards else pairs
+            try:
+                keys.append(SeriesKey(metric, dict(pairs) if mapping else pairs))
+            except IllegalArgumentError:
+                return  # a lone surrogate: no frame can carry it
+        first, second = keys
+        assert (first == second) == (first.wire_bytes == second.wire_bytes)
+        assert (first == second) == ((first.metric, first.tags) == (second.metric, second.tags))
+        if first == second:
+            assert hash(first) == hash(second)
+            assert len({first, second}) == 1
+        assert (first < second) == ((first.metric, first.tags) < (second.metric, second.tags))
+        assert first == SeriesKey(first.metric, first.tags[::-1])
+        assert first != (first.metric, first.tags)
+
 
 def _counting_bin_grouped(monkeypatch):
     """Record the ``num_cells`` of every combined binning pass."""

@@ -388,17 +388,18 @@ class TestDeliveryFaults:
 
 
 def _count_frame_decodes(monkeypatch):
-    """Record the payload of every ``decode_frame`` call."""
+    """Record the payload of every frame decode (``read_frame``, which
+    ``decode_frame`` calls too)."""
     import repro.serialization.frame as frame_codec
 
     calls = []
-    original = frame_codec.decode_frame
+    original = frame_codec.read_frame
 
-    def decode_frame(payload, *args, **kwargs):
+    def read_frame(payload, *args, **kwargs):
         calls.append(bytes(payload))
         return original(payload, *args, **kwargs)
 
-    monkeypatch.setattr(frame_codec, "decode_frame", decode_frame)
+    monkeypatch.setattr(frame_codec, "read_frame", read_frame)
     return calls
 
 

@@ -260,3 +260,108 @@ class TestIntervalBucketRange:
         assert (report.records_replayed, report.corrupt_records) == (1, 1)
         assert server.state.to_snapshot() == reference_state([good]).to_snapshot()
         server.log.close()
+
+
+class TestProductionSizeFrames:
+    """Exactly-once, conservation and bit-exact replay at production frame sizes.
+
+    Two hosts push 5,000-series frames (five native decode chunks, the
+    last one partial) through a live server with a data dir: each round
+    retransmits a push, which comes back as a duplicate, the second round
+    opens a new window bucket, and the server restarts before the third.
+    """
+
+    SERIES = 5_000
+    HOSTS = ("prod-a", "prod-b")
+
+    @pytest.fixture
+    def native_kernel(self):
+        """The columnar decode these frame sizes exercise is the native one."""
+        from repro import kernel
+
+        from _kernel_testkit import require_native_kernel
+
+        require_native_kernel()
+        before = kernel.active_backend()
+        kernel.set_backend("native")
+        try:
+            yield
+        finally:
+            kernel.set_backend(before)
+
+    def _rounds(self):
+        """Per round, per host: the push's frame, host, sequence, bucket,
+        series count and values recorded."""
+        from repro.serialization.frame import FRAME_CHUNK_SERIES
+
+        assert 4 * FRAME_CHUNK_SERIES < self.SERIES < 5 * FRAME_CHUNK_SERIES
+        series = [
+            ("prod.latency", {"endpoint": f"/e{index:04d}", "region": f"r{index % 8}"})
+            for index in range(self.SERIES)
+        ]
+        rng = np.random.default_rng(2026)
+        rounds = []
+        for round_index, bucket in enumerate((0, 1, 1)):
+            pushes = []
+            for host in self.HOSTS:
+                # Each series gets 0-3 values, so some series are absent
+                # from a frame and new in a window bucket later.
+                groups = np.repeat(np.arange(self.SERIES), rng.integers(0, 4, self.SERIES))
+                registry = SketchRegistry()
+                registry.ingest_grouped(series, groups, rng.lognormal(0.0, 1.5, groups.size))
+                pushes.append(
+                    (registry.to_frame(), host, round_index + 1, float(bucket),
+                     registry.num_series, int(groups.size))
+                )
+            rounds.append(pushes)
+        return rounds
+
+    def test_pushes_apply_once_conserve_values_and_replay_bit_exactly(
+        self, tmp_path, native_kernel
+    ):
+        from repro.service import ServiceClient, serve_in_thread
+
+        rounds = self._rounds()
+        applied = []
+        recorded = 0
+        for phase in (rounds[:2], rounds[2:]):
+            retransmits = 0
+            with serve_in_thread(data_dir=tmp_path) as handle:
+                with ServiceClient(*handle.address) as client:
+                    for pushes in phase:
+                        for frame, host, sequence, start, series, values in pushes:
+                            ack = client.push_frame(
+                                frame, host=host, sequence=sequence, interval_start=start
+                            )
+                            assert ack["duplicate"] is False
+                            assert ack["series"] == series
+                            applied.append(
+                                encode_push_envelope(
+                                    frame, host=host, sequence=sequence, interval_start=start
+                                )
+                            )
+                            recorded += values
+                        # Retransmit the round's first push: acknowledged, not applied.
+                        frame, host, sequence, start, _, _ = pushes[0]
+                        ack = client.push_frame(
+                            frame, host=host, sequence=sequence, interval_start=start
+                        )
+                        assert ack["duplicate"] is True
+                        retransmits += 1
+                    stats = client.stats()
+            assert stats["frames_applied"] == len(applied)
+            assert stats["total_count"] == float(recorded)
+            assert stats["duplicates_rejected"] == retransmits  # since the restart
+
+        reference = reference_state(applied)
+        restarted = AggregationServer(data_dir=tmp_path)
+        restarted.recover()
+        state = restarted.state
+        assert state.frames_applied == len(applied)
+        assert state.total_count() == float(recorded) == reference.total_count()
+        assert state.window_buckets() == reference.window_buckets() == [0, 1]
+        assert state.to_frame() == reference.to_frame()
+        for bucket in reference.window_buckets():
+            assert state._windows[bucket].to_frame() == reference._windows[bucket].to_frame()
+        assert state.to_snapshot() == reference.to_snapshot()
+        restarted.log.close()

@@ -39,7 +39,6 @@ from repro import (
     kernel,
 )
 from repro.core import BaseDDSketch
-from repro.kernel.native import availability
 from repro.registry import SketchRegistry
 from repro.store import (
     CollapsingHighestDenseStore,
@@ -49,6 +48,8 @@ from repro.store import (
     UniformCollapsingDenseStore,
     merge_store_pairs,
 )
+
+from _kernel_testkit import require_native_kernel
 
 BIN_LIMIT = 16
 
@@ -204,11 +205,7 @@ def backend(name):
     disagrees with its NumPy oracle.
     """
     if name == "native":
-        available, reason = availability()
-        if not available:
-            if reason.startswith("self-test"):
-                pytest.fail(f"native kernel failed its self-test: {reason}")
-            pytest.skip(f"native kernel backend unavailable: {reason}")
+        require_native_kernel()
     before = kernel.active_backend()
     kernel.set_backend(name)
     try:
@@ -436,24 +433,94 @@ def test_one_call_mixes_accepted_and_declined_pairs():
     assert results == [2, -1, 2, -1]
 
 
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_moves_past_the_arena_cap_take_store_merge(backend_name, monkeypatch):
+    """Declined pairs whose windows would pass the move arena's cap, alone
+    or added up, take ``Store.merge``; the rest move in the native pass."""
+    from repro.store import grouped
+
+    monkeypatch.setattr(grouped, "MAX_MOVED_CELLS", 20)
+    pairs = [
+        (lambda: _lowest([2, 5]), lambda: _lowest([9])),  # 8 cells: moves
+        (lambda: DenseStore(chunk_size=4), lambda: DenseStore(chunk_size=4)),
+        (lambda: _highest([-4, 0, 3]), lambda: _highest([-9])),  # 8 cells: moves
+        (lambda: _lowest([2, 5]), lambda: _lowest([11])),  # 8 more: past the cap
+    ]
+    moved = []
+    move_windows = kernel.move_windows
+
+    def recording_move_windows(*args):
+        out = move_windows(*args)
+        moved.extend(size for _, size, _, _ in out.tolist())
+        return out
+
+    monkeypatch.setattr(kernel, "move_windows", recording_move_windows)
+    with backend(backend_name), kernel_results() as results:
+        targets = [target() for target, _ in pairs]
+        expected = [target() for target, _ in pairs]
+        sources = [source() for _, source in pairs]
+        # A plain store far from its source: its window alone passes the cap.
+        for store in (targets[1], expected[1]):
+            store.add(0, 1.5)
+        sources[1].add(60, 2.5)
+        merge_store_pairs(targets, sources)
+        for target, source in zip(expected, sources):
+            target.merge(source)
+    assert [store_state(store) for store in targets] == [store_state(store) for store in expected]
+    if backend_name == "native":
+        assert results == [-1, -1, -1, -1]
+        assert moved == [8, -1, 8, -1]
+
+
 def test_merge_windows_checks_what_it_writes_and_reads():
     """The native pass writes through addresses, so the wrapper refuses a
-    target it cannot safely write and a source slice outside its buffer."""
+    target it cannot safely write, a source window naming no buffer and a
+    source slice outside its buffer."""
     with backend("native"):
-        row = np.array([[0, 0, 0, 0, 0, 2]], dtype=np.int64)
-        sources = np.array([1.0, 2.0])
+        # Pair columns: target offset, kind, limit; source offset, buffer, start, size.
+        row = np.array([[0, 0, 0, 0, 1, 0, 2]], dtype=np.int64)
+        sources = [np.array([9.0]), np.array([1.0, 2.0])]
         read_only = np.zeros(4)
         read_only.flags.writeable = False
         for bad in (np.zeros(4, dtype=np.float32), np.zeros(8)[::2], read_only, np.zeros(0)):
             with pytest.raises((TypeError, ValueError)):
                 kernel.merge_windows([bad], row, sources)
-        for start, size in ((1, 2), (-1, 1), (0, -1)):
-            outside = np.array([[0, 0, 0, 0, start, size]], dtype=np.int64)
+        for buffer in (-1, 2):
+            unnamed = np.array([[0, 0, 0, 0, buffer, 0, 1]], dtype=np.int64)
+            with pytest.raises(ValueError, match="names no source buffer"):
+                kernel.merge_windows([np.zeros(4)], unnamed, sources)
+        for buffer, start, size in ((1, 1, 2), (1, -1, 1), (1, 0, -1), (0, 0, 2)):
+            outside = np.array([[0, 0, 0, 0, buffer, start, size]], dtype=np.int64)
             with pytest.raises(ValueError, match="outside"):
                 kernel.merge_windows([np.zeros(4)], outside, sources)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            kernel.merge_windows([np.zeros(4)], row, [np.zeros(1), np.zeros((1, 2))])
         target = np.zeros(4)
         assert kernel.merge_windows([target], row, sources).tolist() == [2]
         assert target.tolist() == [1.0, 2.0, 0.0, 0.0]
+
+
+def test_move_windows_checks_its_arena():
+    """The move pass writes into the arena through its address, so the
+    wrapper refuses an arena or a move row it cannot safely write."""
+    with backend("native"):
+        target = np.zeros(4)
+        target[1] = 1.0
+        # A plain store of chunk 4 at key 0, and a source window at key 6.
+        row = np.array([[0, 0, 4, 6, 0, 0, 2]], dtype=np.int64)
+        sources = [np.array([1.0, 2.0])]
+        arena = np.zeros(16)
+        for moves in (np.array([[0, 17]]), np.array([[-1, 4]]), np.array([[0, 4], [4, 4]])):
+            with pytest.raises(ValueError):
+                kernel.move_windows([target], row, sources, moves, arena)
+        for bad in (np.zeros(16, dtype=np.float32), np.zeros(32)[::2], np.zeros((4, 4))):
+            with pytest.raises(ValueError, match="arena"):
+                kernel.move_windows([target], row, sources, np.array([[0, 8]]), bad)
+        moved = kernel.move_windows([target], row, sources, np.array([[0, 8]]), arena)
+        # The window grows up by one chunk: keys 0-7, the source at 6 and 7.
+        assert moved.tolist() == [[0, 8, 2, 0]]
+        assert arena[:8].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0]
+        assert target.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 SKETCH_FAMILIES = {

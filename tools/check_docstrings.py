@@ -26,12 +26,14 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Audited by default: the high-cardinality registry package (series keys,
-#: registry), the grouped ingestion facade, the service tier, the benchmark
-#: artifact schema, the query engine, the ingest kernel and the wire codecs.
+#: registry), the grouped ingestion facade and its store-level primitives,
+#: the service tier, the benchmark artifact schema, the query engine, the
+#: ingest kernel and the wire codecs.
 DEFAULT_TARGETS = [
     REPO_ROOT / "src" / "repro" / "registry",
     REPO_ROOT / "src" / "repro" / "serialization",
     REPO_ROOT / "src" / "repro" / "core" / "grouped.py",
+    REPO_ROOT / "src" / "repro" / "store" / "grouped.py",
     REPO_ROOT / "src" / "repro" / "service",
     REPO_ROOT / "src" / "repro" / "evaluation" / "artifacts.py",
     REPO_ROOT / "src" / "repro" / "query",
