@@ -17,14 +17,14 @@ extensions discussed in Section 2.2:
 * exact tracking of count, sum, min and max,
 * weighted insertion and deletion,
 * merging of sketches that share the same mapping (fully mergeable), and
-* serialization to/from plain dictionaries (see :mod:`repro.serialization`
-  for compact binary encodings).
+* serialization to and from the compact binary format
+  (:mod:`repro.serialization`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,11 +32,9 @@ from repro import kernel
 from repro.exceptions import (
     EmptySketchError,
     IllegalArgumentError,
-    ReproError,
     UnequalSketchParametersError,
 )
 from repro.mapping import KeyMapping, LogarithmicMapping
-from repro.mapping.base import mapping_registry
 from repro.store import CollapsingLowestDenseStore, CollapsingHighestDenseStore, Store
 
 #: Default number of buckets for the bounded default sketch; matches the
@@ -786,10 +784,12 @@ class BaseDDSketch:
     ) -> "BaseDDSketch":
         """A sketch of class ``cls`` holding exactly the given decoded state.
 
-        The frame decoder's constructor: no validation, and ``minimum`` /
-        ``maximum`` may be NaN for an empty sketch (stored as the empty
-        sentinels).  A :class:`~repro.core.UDDSketch` still needs its
-        collapse lineage set by the caller.
+        The decoders' constructor (through
+        :func:`repro.serialization.binary_codec._decoded_sketch`): no
+        validation, and ``minimum`` / ``maximum`` may be NaN for an empty
+        sketch (stored as the empty sentinels).  A
+        :class:`~repro.core.UDDSketch` still needs its collapse lineage set
+        by the caller.
         """
         sketch = cls.__new__(cls)
         # Attribute by attribute, in __init__'s order, so the instance keeps
@@ -823,96 +823,6 @@ class BaseDDSketch:
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Return a JSON-friendly representation of the full sketch state."""
-        return {
-            "mapping": self._mapping.to_dict(),
-            "store": self._store.to_dict(),
-            "negative_store": self._negative_store.to_dict(),
-            "zero_count": self._zero_count,
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min if self._count > 0 else None,
-            "max": self._max if self._count > 0 else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "BaseDDSketch":
-        """Rebuild a sketch from :meth:`to_dict` output.
-
-        Raises :class:`~repro.exceptions.DeserializationError` for any
-        malformed payload (missing sections, wrong types, non-finite
-        summaries) instead of leaking ``KeyError``/``TypeError`` from the
-        parsing internals.
-        """
-        from repro.exceptions import DeserializationError
-        from repro.serialization.json_codec import store_from_dict
-
-        from repro.core.uddsketch import UDDSketch
-        from repro.store import UniformCollapsingDenseStore
-
-        try:
-            mapping_payload = payload["mapping"]
-            if not isinstance(mapping_payload, dict):
-                raise DeserializationError("the 'mapping' section must be an object")
-            mapping = KeyMapping.from_dict(mapping_payload)
-            store = store_from_dict(payload["store"])
-            negative_store = store_from_dict(payload["negative_store"])
-            uniform_stores = sum(
-                isinstance(s, UniformCollapsingDenseStore)
-                for s in (store, negative_store)
-            )
-            # Uniform-collapse stores fold their keys on overflow, which is
-            # only sound when the owning sketch re-squares gamma in step —
-            # i.e. when it is a UDDSketch with *both* stores uniform; and a
-            # UDDSketch cannot drive the collapse bookkeeping of any other
-            # store family.
-            if uniform_stores and not issubclass(cls, UDDSketch):
-                raise DeserializationError(
-                    "payload carries uniform-collapse stores; decode it as a "
-                    "UDDSketch (or let the default class auto-upgrade)"
-                )
-            if issubclass(cls, UDDSketch) and uniform_stores != 2:
-                raise DeserializationError(
-                    "a UDDSketch payload requires two uniform-collapse stores, "
-                    f"got {type(store).__name__}/{type(negative_store).__name__}"
-                )
-            zero_count = float(payload.get("zero_count", 0.0))
-            count = float(
-                payload.get("count", store.count + negative_store.count + zero_count)
-            )
-            total = float(payload.get("sum", 0.0))
-            if not math.isfinite(zero_count) or zero_count < 0.0:
-                raise DeserializationError(f"invalid zero count {zero_count!r}")
-            if not math.isfinite(count) or count < 0.0:
-                raise DeserializationError(f"invalid total count {count!r}")
-            if not math.isfinite(total):
-                raise DeserializationError(f"invalid sum {total!r}")
-            minimum = payload.get("min")
-            maximum = payload.get("max")
-            minimum = float("inf") if minimum is None else float(minimum)
-            maximum = float("-inf") if maximum is None else float(maximum)
-        except DeserializationError:
-            raise
-        except ReproError as error:
-            raise DeserializationError(f"malformed sketch payload: {error}") from error
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as error:
-            raise DeserializationError(f"malformed sketch payload: {error}") from error
-
-        sketch = cls.__new__(cls)
-        BaseDDSketch.__init__(
-            sketch,
-            mapping=mapping,
-            store=store,
-            negative_store=negative_store,
-            zero_count=zero_count,
-        )
-        sketch._count = count
-        sketch._sum = total
-        sketch._min = minimum
-        sketch._max = maximum
-        return sketch
 
     def to_bytes(self) -> bytes:
         """Serialize to the compact binary format (see :mod:`repro.serialization`)."""

@@ -24,7 +24,7 @@ coarser input's guarantee.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.core.ddsketch import BaseDDSketch, DEFAULT_RELATIVE_ACCURACY
 from repro.exceptions import IllegalArgumentError
@@ -241,49 +241,6 @@ class UDDSketch(BaseDDSketch):
         new._collapse_count = self._collapse_count
         new._initial_relative_accuracy = self._initial_relative_accuracy
         return new
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = super().to_dict()
-        payload["initial_relative_accuracy"] = self.initial_relative_accuracy
-        payload["collapse_count"] = self._collapse_count
-        payload["bin_limit"] = self._bin_limit
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "UDDSketch":
-        from repro.exceptions import DeserializationError
-
-        sketch = super().from_dict(payload)  # validates the store pairing
-        assert isinstance(sketch, UDDSketch)
-        if sketch._mapping.offset != 0.0:
-            raise DeserializationError(
-                f"a UDDSketch mapping must have offset 0, got {sketch._mapping.offset!r}"
-            )
-        try:
-            collapse_count = int(payload.get("collapse_count", 0))
-            initial = payload.get("initial_relative_accuracy")
-            initial_accuracy = (
-                float(initial) if initial is not None else sketch._mapping.relative_accuracy
-            )
-            bin_limit = int(payload.get("bin_limit", sketch._store.bin_limit))
-        except (TypeError, ValueError) as error:
-            raise DeserializationError(f"malformed sketch payload: {error}") from error
-        if not 0 <= collapse_count <= MAX_COLLAPSE_COUNT:
-            raise DeserializationError(
-                f"collapse count {collapse_count} outside [0, {MAX_COLLAPSE_COUNT}]"
-            )
-        if not 0.0 < initial_accuracy < 1.0:
-            raise DeserializationError(
-                f"initial relative accuracy {initial_accuracy!r} is not in (0, 1)"
-            )
-        sketch._collapse_count = collapse_count
-        sketch._initial_relative_accuracy = initial_accuracy
-        sketch._bin_limit = bin_limit
-        return sketch
 
     # ------------------------------------------------------------------ #
     # Representation

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Type
 
 import numpy as np
 
@@ -281,50 +280,3 @@ class KeyMapping(ABC):
             f"{type(self).__name__}(relative_accuracy={self._relative_accuracy!r}, "
             f"offset={self._offset!r})"
         )
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Return a JSON-friendly description of this mapping."""
-        return {
-            "type": type(self).__name__,
-            "relative_accuracy": self._relative_accuracy,
-            "offset": self._offset,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "KeyMapping":
-        """Rebuild a mapping from :meth:`to_dict` output.
-
-        The ``type`` field selects the concrete subclass; it must name a class
-        registered in :func:`mapping_registry`.
-        """
-        registry = mapping_registry()
-        type_name = payload.get("type")
-        if type_name not in registry:
-            raise IllegalArgumentError(f"unknown mapping type {type_name!r}")
-        mapping_cls = registry[type_name]
-        return mapping_cls(
-            relative_accuracy=payload["relative_accuracy"],
-            offset=payload.get("offset", 0.0),
-        )
-
-
-def mapping_registry() -> Dict[str, Type[KeyMapping]]:
-    """Return the registry of concrete mapping classes keyed by class name."""
-    # Imported lazily to avoid a circular import at module load time.
-    from repro.mapping.logarithmic import LogarithmicMapping
-    from repro.mapping.interpolated import (
-        CubicallyInterpolatedMapping,
-        LinearlyInterpolatedMapping,
-        QuadraticallyInterpolatedMapping,
-    )
-
-    return {
-        "LogarithmicMapping": LogarithmicMapping,
-        "LinearlyInterpolatedMapping": LinearlyInterpolatedMapping,
-        "QuadraticallyInterpolatedMapping": QuadraticallyInterpolatedMapping,
-        "CubicallyInterpolatedMapping": CubicallyInterpolatedMapping,
-    }

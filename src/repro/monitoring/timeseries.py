@@ -175,8 +175,16 @@ class SketchTimeSeries:
         ``start_of(index) <= timestamp < start_of(index + 1)`` in float
         arithmetic — which also makes ``_index_for(_start_of(i)) == i``, the
         round-trip the old ``round(start / L)`` lookup path violated.
+        Raises :class:`~repro.exceptions.IllegalArgumentError` for a
+        timestamp without one: infinite, NaN, or too large for its quotient
+        to be finite.
         """
-        index = math.floor(timestamp / self._interval_length)
+        try:
+            index = math.floor(timestamp / self._interval_length)
+        except (OverflowError, ValueError):
+            raise IllegalArgumentError(
+                f"timestamp {timestamp!r} has no interval index; it must be finite"
+            ) from None
         while (index + 1) * self._interval_length <= timestamp:
             index += 1
         while index * self._interval_length > timestamp:
@@ -186,9 +194,6 @@ class SketchTimeSeries:
     def _start_of(self, index: int) -> float:
         """Float interval start derived from the canonical integer index."""
         return index * self._interval_length
-
-    def _bucket_start(self, timestamp: float) -> float:
-        return self._start_of(self._index_for(timestamp))
 
     def _bucket_for(self, timestamp: float) -> BaseDDSketch:
         """The interval sketch containing ``timestamp`` (created on demand)."""
@@ -315,6 +320,11 @@ class SketchTimeSeries:
         self, start: Optional[float], end: Optional[float]
     ) -> List[int]:
         """Sorted stored interval indices whose start lies in ``[start, end)``."""
+        for bound in (start, end):
+            if bound is not None and not math.isfinite(bound):
+                raise IllegalArgumentError(
+                    f"window bounds must be finite, got [{start!r}, {end!r})"
+                )
         lo = None if start is None else self._index_for(start)
         return [
             index

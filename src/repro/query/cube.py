@@ -18,7 +18,7 @@ the naive merge always cover the same series population.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.ddsketch import BaseDDSketch
 from repro.exceptions import IllegalArgumentError
@@ -163,14 +163,6 @@ class RollupCube:
             return None
         cell_key = (metric, tuple(sorted(tag_filter)))
         return self._cells[dimension].get(cell_key)
-
-    def cells_for_metric(self, metric: str, dimension: Dimension) -> List[SketchTimeSeries]:
-        """Every cell of one dimension belonging to ``metric``."""
-        return [
-            cell
-            for (cell_metric, _), cell in self._cells.get(dimension, {}).items()
-            if cell_metric == metric
-        ]
 
     def size_in_bytes(self) -> int:
         """Modelled memory footprint of every cell."""

@@ -24,6 +24,7 @@ interactive query shapes of the paper's motivating dashboard scenario:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -368,10 +369,14 @@ class QueryEngine:
 
         The bounds pass costs one scalar-summary sweep per series; only
         series whose bounds straddle ``threshold`` pay a real merge+scan.
+        A ``threshold`` that is not finite raises
+        :class:`~repro.exceptions.IllegalArgumentError`.
         """
         if not 0 <= quantile <= 1:
             raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
         threshold = float(threshold)
+        if not math.isfinite(threshold):
+            raise IllegalArgumentError(f"threshold must be finite, got {threshold!r}")
         self._check_window(start, end)
         self._check_version()
         normalized = normalize_tags(tag_filter)

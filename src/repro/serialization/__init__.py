@@ -2,14 +2,11 @@
 
 Mergeability is only useful in a distributed system if sketches can travel:
 workers serialize their per-interval sketches and ship them to an aggregator
-which deserializes and merges them (Figure 1 of the paper).  Two codecs are
-provided:
-
-* :mod:`repro.serialization.json_codec` — a human-readable dictionary/JSON
-  representation, convenient for debugging and interoperability tests.
-* :mod:`repro.serialization.binary_codec` — a compact binary format using
-  variable-length integers and delta-encoded bucket keys, representative of
-  what a production agent would put on the wire.
+which deserializes and merges them (Figure 1 of the paper).
+:mod:`repro.serialization.binary_codec` is the per-sketch wire format: a
+compact binary payload using variable-length integers and delta-encoded
+bucket keys, representative of what a production agent would put on the
+wire.  It alone decides which class a decoded sketch takes.
 
 High-cardinality agents batch all of their tagged series into one
 length-prefixed multi-sketch **frame** (format version 3,
@@ -29,19 +26,12 @@ from repro.serialization.encoding import (
     decode_float,
     VarintReader,
 )
-from repro.serialization.json_codec import (
-    sketch_to_json,
-    sketch_from_json,
-    store_from_dict,
-)
 from repro.serialization.binary_codec import encode_sketch, decode_sketch
 from repro.serialization.frame import (
     DecodedFrame,
     encode_frame,
     decode_frame,
     read_frame,
-    frame_to_dict,
-    frame_from_dict,
     compress_frame,
     decompress_frame,
     frame_compression,
@@ -64,17 +54,12 @@ __all__ = [
     "encode_float",
     "decode_float",
     "VarintReader",
-    "sketch_to_json",
-    "sketch_from_json",
-    "store_from_dict",
     "encode_sketch",
     "decode_sketch",
     "encode_frame",
     "decode_frame",
     "read_frame",
     "DecodedFrame",
-    "frame_to_dict",
-    "frame_from_dict",
     "compress_frame",
     "decompress_frame",
     "frame_compression",

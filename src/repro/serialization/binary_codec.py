@@ -11,12 +11,12 @@ distribution fits in a few kilobytes.
 Format (all multi-byte integers are varints unless noted)::
 
     magic        2 bytes   b"DD"
-    version      varint    currently 2
+    version      varint    2
     mapping type varint    index into _MAPPING_CODES
     rel accuracy float64   the *current* accuracy (defines the current gamma)
     offset       float64
-    collapses    varint    uniform collapse count (0 for non-UDDSketch), v2+
-    initial acc  float64   accuracy before any uniform collapse, v2+
+    collapses    varint    uniform collapse count (0 for non-UDDSketch)
+    initial acc  float64   accuracy before any uniform collapse
     zero count   float64
     count        float64
     sum          float64
@@ -30,21 +30,27 @@ Format (all multi-byte integers are varints unless noted)::
     store type   varint    (negative store; same layout as the positive one)
     ...
 
-Version 1 payloads (no sketch/store collapse fields) are still decoded.
-Decoding is fuzz-hardened: any malformed payload — truncated, bit-flipped,
-or adversarial (e.g. a bucket count or key span implying an absurd
-allocation) — raises :class:`~repro.exceptions.DeserializationError` rather
-than an ``IndexError``/``MemoryError`` from the decoding internals.
+Any other version is refused.  Decoding is fuzz-hardened: any malformed
+payload — truncated, bit-flipped, or adversarial (e.g. a bucket count or key
+span implying an absurd allocation) — raises
+:class:`~repro.exceptions.DeserializationError` rather than an
+``IndexError``/``MemoryError`` from the decoding internals.
+
+Every decoder of sketch state — this one, the frame decoder and the proto
+decoder — turns decoded fields into a sketch through :func:`_sketch_class`
+(which class) and :func:`_decoded_sketch` (the object).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Type
 
 import numpy as np
 
 from repro import kernel
+from repro.core.ddsketch import BaseDDSketch
+from repro.core.uddsketch import MAX_COLLAPSE_COUNT, UDDSketch
 from repro.exceptions import DeserializationError, ReproError
 from repro.mapping import (
     CubicallyInterpolatedMapping,
@@ -70,8 +76,6 @@ from repro.store.grouped import SEGMENT_STORE_TYPES
 
 _MAGIC = b"DD"
 _VERSION = 2
-#: Versions this decoder accepts; version 1 simply lacks the collapse fields.
-_SUPPORTED_VERSIONS = (1, 2)
 
 #: Largest key span a decoded dense store may cover.  A genuine sketch at the
 #: finest supported accuracy (alpha = 1e-4) over the full positive float range
@@ -82,10 +86,6 @@ _MAX_DECODED_KEY_SPAN = 1 << 23
 #: Minimum wire size of one encoded bucket: a 1-byte delta plus an 8-byte
 #: count.  Used to reject bucket counts that cannot fit in the payload.
 _MIN_BUCKET_BYTES = 9
-
-#: Sanity cap on deserialized collapse counts; see
-#: :data:`repro.core.uddsketch.MAX_COLLAPSE_COUNT` for the rationale.
-_MAX_COLLAPSE_COUNT = 64
 
 _MAPPING_CODES: List[Type[KeyMapping]] = [
     LogarithmicMapping,
@@ -158,20 +158,18 @@ def _encode_store(store: Store) -> bytes:
     return bytes(out)
 
 
-def _decode_store(
-    reader: VarintReader, version: int, budget: Optional[_BinBudget] = None
-) -> Store:
+def _decode_store(reader: VarintReader, budget: Optional[_BinBudget] = None) -> Store:
     store_code = reader.read_varint()
     if store_code >= len(_STORE_CODES):
         raise DeserializationError(f"unknown store code {store_code}")
     store_cls = _STORE_CODES[store_code]
     bin_limit = reader.read_varint()
     collapse_count = 0
-    if store_cls is UniformCollapsingDenseStore and version >= 2:
+    if store_cls is UniformCollapsingDenseStore:
         collapse_count = reader.read_varint()
-        if collapse_count > _MAX_COLLAPSE_COUNT:
+        if collapse_count > MAX_COLLAPSE_COUNT:
             raise DeserializationError(
-                f"collapse count {collapse_count} outside [0, {_MAX_COLLAPSE_COUNT}]"
+                f"collapse count {collapse_count} outside [0, {MAX_COLLAPSE_COUNT}]"
             )
     kwargs: Dict[str, Any] = {}
     if store_cls in (CollapsingLowestDenseStore, CollapsingHighestDenseStore):
@@ -269,17 +267,12 @@ def _decode_sketch(
     payload: bytes, sketch_cls: Any = None, budget: Optional[_BinBudget] = None
 ) -> Any:
     """:func:`decode_sketch`, charging its dense stores to a frame's ``budget``."""
-    from repro.core.ddsketch import BaseDDSketch
-    from repro.core.uddsketch import UDDSketch
-
-    if sketch_cls is None:
-        sketch_cls = BaseDDSketch
     if payload[:2] != _MAGIC:
         raise DeserializationError("payload does not start with the DDSketch magic bytes")
     reader = VarintReader(payload[2:])
     try:
         version = reader.read_varint()
-        if version not in _SUPPORTED_VERSIONS:
+        if version != _VERSION:
             raise DeserializationError(f"unsupported format version {version}")
         mapping_code = reader.read_varint()
         if mapping_code >= len(_MAPPING_CODES):
@@ -287,19 +280,16 @@ def _decode_sketch(
         relative_accuracy = reader.read_float()
         offset = reader.read_float()
         mapping = _MAPPING_CODES[mapping_code](relative_accuracy, offset=offset)
-        collapse_count = 0
-        initial_accuracy = relative_accuracy
-        if version >= 2:
-            collapse_count = reader.read_varint()
-            if collapse_count > _MAX_COLLAPSE_COUNT:
-                raise DeserializationError(
-                    f"collapse count {collapse_count} outside [0, {_MAX_COLLAPSE_COUNT}]"
-                )
-            initial_accuracy = reader.read_float()
-            if not (0.0 < initial_accuracy < 1.0):
-                raise DeserializationError(
-                    f"initial relative accuracy {initial_accuracy!r} is not in (0, 1)"
-                )
+        collapse_count = reader.read_varint()
+        if collapse_count > MAX_COLLAPSE_COUNT:
+            raise DeserializationError(
+                f"collapse count {collapse_count} outside [0, {MAX_COLLAPSE_COUNT}]"
+            )
+        initial_accuracy = reader.read_float()
+        if not (0.0 < initial_accuracy < 1.0):
+            raise DeserializationError(
+                f"initial relative accuracy {initial_accuracy!r} is not in (0, 1)"
+            )
         zero_count = reader.read_float()
         count = reader.read_float()
         total = reader.read_float()
@@ -311,8 +301,8 @@ def _decode_sketch(
             raise DeserializationError(f"invalid total count {count!r}")
         if not math.isfinite(total):
             raise DeserializationError(f"invalid sum {total!r}")
-        store = _decode_store(reader, version, budget)
-        negative_store = _decode_store(reader, version, budget)
+        store = _decode_store(reader, budget)
+        negative_store = _decode_store(reader, budget)
         if not reader.exhausted:
             raise DeserializationError(
                 f"{len(payload) - 2 - reader.offset} trailing bytes after the sketch"
@@ -324,16 +314,37 @@ def _decode_sketch(
         # accuracy or a non-finite bucket weight) means the payload is bad.
         raise DeserializationError(f"malformed sketch payload: {error}") from error
 
-    uniform_stores = sum(
-        isinstance(s, UniformCollapsingDenseStore) for s in (store, negative_store)
+    cls = _sketch_class(sketch_cls, type(store), type(negative_store), offset)
+    return _decoded_sketch(
+        cls, mapping, store, negative_store, zero_count, count, total, minimum, maximum,
+        collapse_count, initial_accuracy,
     )
-    if sketch_cls is BaseDDSketch and uniform_stores:
-        # The generic base class was requested for a payload carrying
-        # uniform-collapse state: upgrade so the adaptive-alpha merge
-        # semantics survive the wire.  Explicit subclasses are honored —
-        # but the class/store pairing must be sound either way (see the
-        # matching guard in BaseDDSketch.from_dict).
-        sketch_cls = UDDSketch
+
+
+def _sketch_class(sketch_cls: Any, store_type: type, negative_type: type, offset: float) -> Any:
+    """The class a decoded sketch takes, for every decoder of sketch state.
+
+    ``sketch_cls`` is the class the caller asked for (``None`` for the
+    default :class:`~repro.core.BaseDDSketch`); the stores are the decoded
+    positive and negative store types and ``offset`` the mapping's.  The
+    default class becomes :class:`~repro.core.UDDSketch` when a store is
+    uniform-collapsing, so the adaptive-accuracy merge semantics survive the
+    wire; an explicit class is kept.  Either way the pairing must be sound:
+    uniform-collapse stores fold their keys on overflow, which only a
+    UDDSketch re-squaring its gamma in step over *both* stores can follow,
+    and the fold matches the squared gamma only for an unshifted mapping.
+
+    Raises
+    ------
+    DeserializationError
+        For uniform-collapse stores under a class that is not a UDDSketch,
+        or a UDDSketch without two such stores or with a non-zero offset.
+    """
+    uniform_stores = (store_type is UniformCollapsingDenseStore) + (
+        negative_type is UniformCollapsingDenseStore
+    )
+    if sketch_cls is None or sketch_cls is BaseDDSketch:
+        sketch_cls = UDDSketch if uniform_stores else BaseDDSketch
     if uniform_stores and not issubclass(sketch_cls, UDDSketch):
         raise DeserializationError(
             "payload carries uniform-collapse stores; decode it as a UDDSketch "
@@ -343,33 +354,32 @@ def _decode_sketch(
         if uniform_stores != 2:
             raise DeserializationError(
                 "a UDDSketch payload requires two uniform-collapse stores, got "
-                f"{type(store).__name__}/{type(negative_store).__name__}"
+                f"{store_type.__name__}/{negative_type.__name__}"
             )
         if offset != 0.0:
             raise DeserializationError(
                 f"a UDDSketch mapping must have offset 0, got {offset!r}"
             )
-    sketch = sketch_cls.__new__(sketch_cls)
-    BaseDDSketch.__init__(
-        sketch,
-        mapping=mapping,
-        store=store,
-        negative_store=negative_store,
-        zero_count=zero_count,
+    return sketch_cls
+
+
+def _decoded_sketch(
+    cls: Any, mapping: KeyMapping, store: Store, negative_store: Store,
+    zero_count: float, count: float, total: float, minimum: float, maximum: float,
+    collapse_count: int, initial_accuracy: float,
+) -> Any:
+    """A sketch of class ``cls`` (from :func:`_sketch_class`) holding exactly
+    the decoded state; ``minimum``/``maximum`` may be NaN for an empty sketch.
+
+    A UDDSketch also takes its collapse lineage: the collapse count, the
+    accuracy before the first collapse, and its stores' bin limit.
+    """
+    sketch = cls._decoded(
+        mapping, store, negative_store, zero_count, count, total, minimum, maximum
     )
-    sketch._count = count
-    sketch._sum = total
-    sketch._min = float("inf") if math.isnan(minimum) else minimum
-    sketch._max = float("-inf") if math.isnan(maximum) else maximum
-    if isinstance(sketch, UDDSketch):
+    if type(store) is UniformCollapsingDenseStore:
+        # _sketch_class pairs uniform stores with a UDDSketch and nothing else.
         sketch._collapse_count = collapse_count
         sketch._initial_relative_accuracy = initial_accuracy
-        if isinstance(store, UniformCollapsingDenseStore):
-            sketch._bin_limit = store.bin_limit
+        sketch._bin_limit = store.bin_limit
     return sketch
-
-
-def _round_trip_size(sketch: Any) -> Tuple[int, int]:
-    """Return (encoded size in bytes, number of buckets); used by benchmarks."""
-    encoded = encode_sketch(sketch)
-    return len(encoded), sketch.num_buckets

@@ -1,7 +1,7 @@
 """Multi-sketch wire frame (format version 3): one payload, many series.
 
 The per-sketch binary format (:mod:`repro.serialization.binary_codec`,
-versions 1–2) matches the paper's one-payload-per-metric flush.  A
+version 2) matches the paper's one-payload-per-metric flush.  A
 high-cardinality agent instead tracks thousands of ``(metric, tags)`` series
 per flush interval; shipping one payload per series would drown the backend
 in per-payload overhead.  The frame format batches them: a small header
@@ -27,9 +27,7 @@ Like the per-sketch codec, decoding is fuzz-hardened: truncated, bit-flipped,
 or adversarial frames (absurd series/tag counts or lengths, duplicate
 series, trailing bytes, embedded-sketch corruption) raise
 :class:`~repro.exceptions.DeserializationError` — never an ``IndexError`` or
-``MemoryError`` from the internals.  A JSON-object twin
-(:func:`frame_to_dict` / :func:`frame_from_dict`) round-trips the same
-content readably.
+``MemoryError`` from the internals.
 
 **Compression.**  At 10k series per frame the wire size is the scaling cost
 of the service tier, and a frame full of delta-varint keys and float64
@@ -67,7 +65,6 @@ import numpy as np
 
 from repro import kernel
 from repro.core.ddsketch import DEFAULT_BIN_LIMIT, BaseDDSketch
-from repro.core.uddsketch import UDDSketch
 from repro.exceptions import DeserializationError, IllegalArgumentError, ReproError
 from repro.kernel.native import DECODED_STORE_COLUMNS
 from repro.registry.series import MAX_STRING_BYTES, SeriesKey
@@ -80,6 +77,8 @@ from repro.serialization.binary_codec import (
     _WINDOW_CODES,
     _BinBudget,
     _decode_sketch,
+    _decoded_sketch,
+    _sketch_class,
     encode_sketch,
 )
 from repro.serialization.encoding import VarintReader, decode_varint, encode_varint
@@ -760,10 +759,13 @@ class DecodedFrame:
         """Entry ``index``'s sketch from its columns, in its per-sketch decode state."""
         chunk, row = divmod(index, FRAME_CHUNK_SERIES)
         columns, builder = self._chunks[chunk]
+        _, _, initial, zero_count, count, total, minimum, maximum = columns.floats[
+            8 * row : 8 * row + 8
+        ]
         return _decoded_sketch(
             self._classes[index], self._mappings[index],
             builder.store_at(2 * row), builder.store_at(2 * row + 1),
-            columns.floats[8 * row : 8 * row + 8], columns.ints[4 * row + 3],
+            zero_count, count, total, minimum, maximum, columns.ints[4 * row + 3], initial,
         )
 
     def _build_all(self) -> None:
@@ -786,22 +788,12 @@ class DecodedFrame:
                         rows, rows, totals, totals,
                     ):
                 if sketches[index] is None:
+                    _, _, initial, zero_count, count, total, minimum, maximum = summary
                     sketches[index] = _decoded_sketch(
                         cls, mapping, build(positive, positive_total),
-                        build(negative, negative_total), summary, collapses,
+                        build(negative, negative_total), zero_count, count, total,
+                        minimum, maximum, collapses, initial,
                     )
-
-
-def _decoded_sketch(cls, mapping, store, negative_store, summary, collapses: int) -> Any:
-    """A sketch of class ``cls`` in its per-sketch decode state; ``summary``
-    is the entry's eight header floats (``FrameColumns.floats``)."""
-    _, _, initial, zero_count, count, total, minimum, maximum = summary
-    sketch = cls._decoded(mapping, store, negative_store, zero_count, count, total, minimum, maximum)
-    if type(store) is UniformCollapsingDenseStore:
-        sketch._collapse_count = collapses
-        sketch._initial_relative_accuracy = initial
-        sketch._bin_limit = store.bin_limit
-    return sketch
 
 
 def _decoded_states(columns, store_at: Callable[[int], Any]) -> List[Any]:
@@ -900,7 +892,7 @@ def _decode_columns(
 
     ``None`` sends the frame to :func:`_decode_entries`: malformed input,
     which that loop rejects with its exact message, or well-formed input
-    outside the native pass (version-1 sketches, non-positive counts).
+    outside the native pass (non-positive counts, say).
     """
     try:
         version, position = decode_varint(payload, 2)
@@ -931,11 +923,12 @@ class _EntryReader:
 
     def __init__(self, payload: bytes, sketch_cls: Any) -> None:
         self.payload = payload
-        self.sketch_cls = BaseDDSketch if sketch_cls is None else sketch_cls
+        self.sketch_cls = sketch_cls
         self.frame = DecodedFrame()
         self.seen: set = set()
-        # Sketch class per number of uniform-collapse stores, checked once.
-        self.classes: Dict[int, Any] = {}
+        # Sketch class per mapping and number of uniform-collapse stores,
+        # decided once per frame.
+        self.classes: Dict[Tuple[int, float, int], Dict[int, Any]] = {}
 
     def add(self, columns) -> None:
         """Append one chunk's entries; raise :class:`_Declined` on any doubt."""
@@ -946,8 +939,7 @@ class _EntryReader:
         add_key = keys.append
         add_mapping = frame._mappings.append
         add_class = frame._classes.append
-        classes = self.classes
-        mapping_id = mapping = None
+        mapping_id = mapping = classes = None
         ints = columns.ints
         floats = columns.floats
         # Each entry's positive store code, then its negative store code.
@@ -969,13 +961,12 @@ class _EntryReader:
                 mapping = _interned_mappings.get(mapping_id)
                 if mapping is None:
                     mapping = _intern_mapping(mapping_id, offset)
+                classes = self.classes.setdefault(mapping_id, {})
             add_mapping(mapping)
             uniform = (positive == _UNIFORM_CODE) + (negative == _UNIFORM_CODE)
             cls = classes.get(uniform)
             if cls is None:
-                cls = self._sketch_class(uniform)
-            if uniform and offset != 0.0:
-                raise _Declined
+                cls = classes[uniform] = self._sketch_class(positive, negative, offset)
             add_class(cls)
         if len(seen) != len(keys):
             raise _Declined  # a duplicate series
@@ -983,18 +974,16 @@ class _EntryReader:
         frame._sketches += [None] * added
         frame._chunks.append((columns, _StoreBuilder(columns)))
 
-    def _sketch_class(self, uniform: int) -> Any:
-        """The decoded class for ``uniform`` uniform-collapse stores (as
-        :func:`~repro.serialization.binary_codec.decode_sketch` picks it)."""
-        cls = self.sketch_cls
-        if cls is BaseDDSketch and uniform:
-            cls = UDDSketch
-        if uniform and not issubclass(cls, UDDSketch):
-            raise _Declined
-        if issubclass(cls, UDDSketch) and uniform != 2:
-            raise _Declined
-        self.classes[uniform] = cls
-        return cls
+    def _sketch_class(self, positive: int, negative: int, offset: float) -> Any:
+        """The class :func:`~repro.serialization.binary_codec.decode_sketch`
+        gives an entry with these store codes and mapping offset; or
+        :class:`_Declined` where it raises."""
+        try:
+            return _sketch_class(
+                self.sketch_cls, _STORE_CODES[positive], _STORE_CODES[negative], offset
+            )
+        except DeserializationError:
+            raise _Declined from None
 
 
 class _StoreBuilder:
@@ -1068,68 +1057,3 @@ def _intern_key(raw: bytes) -> SeriesKey:
     _interned_keys[raw] = key
     _interned_bytes += size
     return key
-
-
-def frame_to_dict(entries: Iterable[Tuple[SeriesKey, Any]]) -> Dict[str, Any]:
-    """JSON-friendly twin of :func:`encode_frame`."""
-    series = []
-    for key, sketch in entries:
-        key = SeriesKey.of(key)
-        series.append(
-            {
-                "metric": key.metric,
-                "tags": {tag_key: tag_value for tag_key, tag_value in key.tags},
-                "sketch": sketch.to_dict(),
-            }
-        )
-    return {"version": _FRAME_VERSION, "series": series}
-
-
-def frame_from_dict(payload: Dict[str, Any]) -> List[Tuple[SeriesKey, Any]]:
-    """Rebuild ``(series_key, sketch)`` pairs from :func:`frame_to_dict` output.
-
-    Applies the same auto-upgrade rule as the binary path: a series whose
-    positive store carries uniform-collapse state decodes to
-    :class:`~repro.core.UDDSketch`.
-    """
-    if not isinstance(payload, dict):
-        raise DeserializationError("expected a JSON object at the top level")
-    if payload.get("version") != _FRAME_VERSION:
-        raise DeserializationError(
-            f"unsupported frame version {payload.get('version')!r}"
-        )
-    series = payload.get("series")
-    if not isinstance(series, list):
-        raise DeserializationError("the 'series' section must be an array")
-    entries: List[Tuple[SeriesKey, Any]] = []
-    seen: set = set()
-    for entry in series:
-        try:
-            if not isinstance(entry, dict):
-                raise DeserializationError("every series entry must be an object")
-            tags = entry.get("tags", {})
-            if not isinstance(tags, dict):
-                raise DeserializationError("the 'tags' section must be an object")
-            key = SeriesKey(entry["metric"], tuple(tags.items()))
-            sketch_payload = entry["sketch"]
-            if not isinstance(sketch_payload, dict):
-                raise DeserializationError("the 'sketch' section must be an object")
-            store_payload = sketch_payload.get("store")
-            sketch_cls = BaseDDSketch
-            if (
-                isinstance(store_payload, dict)
-                and store_payload.get("type") == "UniformCollapsingDenseStore"
-            ):
-                sketch_cls = UDDSketch
-            sketch = sketch_cls.from_dict(sketch_payload)
-        except DeserializationError:
-            raise
-        except ReproError as error:
-            raise DeserializationError(f"malformed frame payload: {error}") from error
-        except (KeyError, TypeError, ValueError, AttributeError) as error:
-            raise DeserializationError(f"malformed frame payload: {error}") from error
-        if key in seen:
-            raise DeserializationError(f"duplicate series {key} in frame")
-        seen.add(key)
-        entries.append((key, sketch))
-    return entries

@@ -76,6 +76,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Type, Union
 import numpy as np
 
 from repro import kernel
+from repro.core.uddsketch import MAX_COLLAPSE_COUNT
 from repro.exceptions import DeserializationError, IllegalArgumentError, ReproError
 from repro.mapping import (
     CubicallyInterpolatedMapping,
@@ -85,9 +86,10 @@ from repro.mapping import (
     QuadraticallyInterpolatedMapping,
 )
 from repro.serialization.binary_codec import (
-    _MAX_COLLAPSE_COUNT,
     _MAX_DECODED_KEY_SPAN,
     _STORE_CODES,
+    _decoded_sketch,
+    _sketch_class,
 )
 from repro.serialization.encoding import decode_varint, encode_varint
 from repro.store import SparseStore, Store, UniformCollapsingDenseStore
@@ -418,10 +420,10 @@ def _parse_store(data: bytes, what: str) -> _StoreParse:
             parse.collapse_count = _expect_varint(
                 wire, value, f"{what} collapse-count extension"
             )
-            if parse.collapse_count > _MAX_COLLAPSE_COUNT:
+            if parse.collapse_count > MAX_COLLAPSE_COUNT:
                 raise DeserializationError(
                     f"collapse count {parse.collapse_count} outside "
-                    f"[0, {_MAX_COLLAPSE_COUNT}] in {what}"
+                    f"[0, {MAX_COLLAPSE_COUNT}] in {what}"
                 )
         # Unknown fields are skipped, as protobuf requires.
     return parse
@@ -570,16 +572,11 @@ def sketch_from_proto(payload: bytes, sketch_cls: Any = None) -> Any:
         bin limits implying giant allocations, or inconsistent
         mapping/collapse declarations.
     """
-    from repro.core.ddsketch import BaseDDSketch
-    from repro.core.uddsketch import UDDSketch
-
     if not isinstance(payload, (bytes, bytearray, memoryview)):
         raise DeserializationError(
             f"proto payload must be bytes, got {type(payload).__name__}"
         )
     payload = bytes(payload)
-    if sketch_cls is None:
-        sketch_cls = BaseDDSketch
     try:
         mapping_bytes: Optional[bytes] = None
         positive_bytes = b""
@@ -607,9 +604,9 @@ def sketch_from_proto(payload: bytes, sketch_cls: Any = None) -> Any:
                 ext[field] = _expect_double(wire, value, f"DDSketch extension {field}")
             elif field == _F_EXT_COLLAPSES:
                 collapse_count = _expect_varint(wire, value, "DDSketch collapse extension")
-                if collapse_count > _MAX_COLLAPSE_COUNT:
+                if collapse_count > MAX_COLLAPSE_COUNT:
                     raise DeserializationError(
-                        f"collapse count {collapse_count} outside [0, {_MAX_COLLAPSE_COUNT}]"
+                        f"collapse count {collapse_count} outside [0, {MAX_COLLAPSE_COUNT}]"
                     )
             # Unknown fields are skipped, as protobuf requires.
         if mapping_bytes is None:
@@ -652,41 +649,8 @@ def sketch_from_proto(payload: bytes, sketch_cls: Any = None) -> Any:
         # accuracy or a non-finite bucket weight) means the payload is bad.
         raise DeserializationError(f"malformed proto payload: {error}") from error
 
-    uniform_stores = sum(
-        isinstance(s, UniformCollapsingDenseStore) for s in (store, negative_store)
+    cls = _sketch_class(sketch_cls, type(store), type(negative_store), mapping.offset)
+    return _decoded_sketch(
+        cls, mapping, store, negative_store, zero_count, count, total, minimum, maximum,
+        collapse_count, initial_accuracy,
     )
-    if sketch_cls is BaseDDSketch and uniform_stores:
-        sketch_cls = UDDSketch
-    if uniform_stores and not issubclass(sketch_cls, UDDSketch):
-        raise DeserializationError(
-            "payload carries uniform-collapse stores; decode it as a UDDSketch "
-            "(or let the default class auto-upgrade)"
-        )
-    if issubclass(sketch_cls, UDDSketch):
-        if uniform_stores != 2:
-            raise DeserializationError(
-                "a UDDSketch payload requires two uniform-collapse stores, got "
-                f"{type(store).__name__}/{type(negative_store).__name__}"
-            )
-        if mapping.offset != 0.0:
-            raise DeserializationError(
-                f"a UDDSketch mapping must have offset 0, got {mapping.offset!r}"
-            )
-    sketch = sketch_cls.__new__(sketch_cls)
-    BaseDDSketch.__init__(
-        sketch,
-        mapping=mapping,
-        store=store,
-        negative_store=negative_store,
-        zero_count=zero_count,
-    )
-    sketch._count = count
-    sketch._sum = total
-    sketch._min = minimum
-    sketch._max = maximum
-    if isinstance(sketch, UDDSketch):
-        sketch._collapse_count = collapse_count
-        sketch._initial_relative_accuracy = initial_accuracy
-        if isinstance(store, UniformCollapsingDenseStore):
-            sketch._bin_limit = store.bin_limit
-    return sketch

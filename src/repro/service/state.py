@@ -308,7 +308,9 @@ class ServiceState:
         bounds, the retained interval buckets intersecting
         ``[window_start, window_end)`` are merged on read.  Raises
         :class:`~repro.exceptions.EmptySketchError` when nothing matches —
-        never ``KeyError`` (the repository-wide unknown-series contract).
+        never ``KeyError`` (the repository-wide unknown-series contract) —
+        and :class:`~repro.exceptions.IllegalArgumentError` for a window
+        bound that is not finite.
         """
         source = self._windowed_registry(window_start, window_end)
         return source.quantiles(metric, quantiles, tags=tags, tag_filter=tag_filter)
@@ -328,7 +330,8 @@ class ServiceState:
         Runs a :class:`~repro.query.QueryEngine` sketch-bound threshold
         query (see :meth:`~repro.query.QueryEngine.threshold_query`) over
         the merged state or, with window bounds, over the retained interval
-        buckets intersecting ``[window_start, window_end)``.
+        buckets intersecting ``[window_start, window_end)``.  Window bounds
+        and ``threshold`` must be finite.
         """
         from repro.query import QueryEngine
 
@@ -343,6 +346,9 @@ class ServiceState:
     ) -> SketchRegistry:
         if window_start is None and window_end is None:
             return self.registry
+        for name, bound in (("window_start", window_start), ("window_end", window_end)):
+            if bound is not None and not math.isfinite(bound):
+                raise IllegalArgumentError(f"{name} must be finite, got {bound!r}")
         merged = SketchRegistry(sketch_factory=self._sketch_factory)
         low = self._bucket_of(window_start) if window_start is not None else None
         for bucket in self.window_buckets():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
@@ -264,13 +263,6 @@ class Store(ABC):
         """
         return 64 + 8 * max(self.num_buckets, 0)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Return a JSON-friendly description of this store's contents."""
-        return {
-            "type": type(self).__name__,
-            "bins": {str(bucket.key): bucket.count for bucket in self},
-        }
-
     def key_counts(self) -> Dict[int, float]:
         """Return the store contents as a plain ``{key: count}`` dictionary."""
         return {bucket.key: bucket.count for bucket in self}
@@ -317,29 +309,3 @@ class Store(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(count={self.count!r}, num_buckets={self.num_buckets})"
-
-
-def python_object_size(store: Store) -> int:
-    """Best-effort size of the actual Python objects backing a store.
-
-    Useful for sanity checks; benchmark comparisons use
-    :meth:`Store.size_in_bytes` instead so results are not dominated by
-    CPython object overhead.
-    """
-    seen = set()
-    total = 0
-    stack = [store]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        total += sys.getsizeof(obj)
-        if isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set)):
-            stack.extend(obj)
-        elif hasattr(obj, "__dict__"):
-            stack.extend(obj.__dict__.values())
-    return total

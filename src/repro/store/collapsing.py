@@ -14,8 +14,6 @@ to values far below zero.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 import numpy as np
 
 from repro.exceptions import IllegalArgumentError
@@ -83,12 +81,6 @@ class _BoundedDenseStore(DenseStore):
     def clear(self) -> None:
         super().clear()
         self._is_collapsed = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = super().to_dict()
-        payload["bin_limit"] = self._bin_limit
-        payload["is_collapsed"] = self._is_collapsed
-        return payload
 
     def size_in_bytes(self) -> int:
         return 64 + 8 * min(int(self._bins.size), self._bin_limit)

@@ -19,7 +19,7 @@ instead of a Python-level scan over the buckets.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -421,11 +421,6 @@ class DenseStore(Store):
         # what a flat array-of-doubles implementation would use.
         return 64 + 8 * int(self._bins.size)
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload = super().to_dict()
-        payload["chunk_size"] = self._chunk_size
-        return payload
-
     # ------------------------------------------------------------------ #
     # Internal index management
     # ------------------------------------------------------------------ #
@@ -480,9 +475,3 @@ class DenseStore(Store):
         missing = key - (self._offset + self._bins.size) + 1
         grow_by = int(math.ceil(missing / self._chunk_size)) * self._chunk_size
         self._bins = np.concatenate([self._bins, np.zeros(grow_by, dtype=np.float64)])
-
-    def _key_range_hint(self) -> Optional[range]:
-        """Range of keys currently covered by the allocation (for testing)."""
-        if self._bins.size == 0:
-            return None
-        return range(self._offset, self._offset + self._bins.size)

@@ -13,7 +13,7 @@ number of buckets.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -236,6 +236,3 @@ class SparseStore(Store):
         # Model: each entry needs a key and a counter (8 bytes each) plus the
         # hash-table load-factor overhead, approximated at 1.5x.
         return 64 + int(24 * len(self._bins))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return super().to_dict()

@@ -25,7 +25,7 @@ spaces aligned.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -196,9 +196,3 @@ class UniformCollapsingDenseStore(DenseStore):
 
     def size_in_bytes(self) -> int:
         return 64 + 8 * min(int(self._bins.size), self._bin_limit)
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = super().to_dict()
-        payload["bin_limit"] = self._bin_limit
-        payload["collapse_count"] = self._collapse_count
-        return payload

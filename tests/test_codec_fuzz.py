@@ -3,13 +3,13 @@
 Two complementary contracts are enforced:
 
 * **No payload crashes the decoders.**  Random bytes, truncated payloads,
-  bit-flipped payloads, and structurally-corrupted JSON must either decode
-  (a flip can land in a don't-care bit) or raise an error from
+  bit-flipped payloads, and payloads with one corrupted field must either
+  decode (a flip can land in a don't-care bit) or raise an error from
   :mod:`repro.exceptions` — never an ``IndexError``, ``struct.error``,
   ``KeyError``, or a ``MemoryError`` from an adversarial allocation size.
 * **Every valid sketch round-trips bit-exactly.**  ``encode(decode(p)) == p``
-  for the binary codec and ``to_json(from_json(s)) == s`` for the JSON codec,
-  across every sketch variant including collapsed UDDSketches.
+  for the binary codec, across every sketch variant including collapsed
+  UDDSketches.
 
 The same contracts cover the DataDog-proto interop decoder
 (:mod:`repro.serialization.interop`) and the compressed frame-v3 envelope
@@ -21,7 +21,6 @@ either direction is rejected.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -37,7 +36,9 @@ from repro import (
     UDDSketch,
 )
 from repro.exceptions import DeserializationError, ReproError
-from repro.serialization.json_codec import sketch_from_json, sketch_to_json, store_from_dict
+from repro.registry import SeriesKey
+from repro.serialization import decode_sketch, read_frame
+from repro.serialization.encoding import encode_float, encode_varint, encode_zigzag
 
 VARIANTS = {
     "default": lambda: DDSketch(relative_accuracy=0.02),
@@ -70,6 +71,36 @@ def _reference_payload() -> bytes:
 
 
 _PAYLOAD = _reference_payload()
+
+
+def _sketch_payload(
+    store_code=2, pairs=((10, 1.0), (20, 1.0)), version=2, mapping_code=0,
+    accuracy=0.02, offset=0.0, collapses=0, initial=0.02, bin_limit=0,
+    negative_code=3, summary=(0.0, 2.0, 3.0, 1.0, 2.0), store_collapses=0,
+):
+    """A hand-built sketch payload; every field can be made malformed.
+
+    ``version=1`` writes the layout of the retired version 1, which has
+    no collapse fields.
+    """
+
+    def store(code, buckets):
+        out = encode_varint(code) + encode_varint(bin_limit)
+        if code == 4 and version >= 2:
+            out += encode_varint(store_collapses)
+        out += encode_varint(len(buckets))
+        previous = 0
+        for key, count in buckets:
+            out += encode_zigzag(key - previous) + encode_float(count)
+            previous = key
+        return out
+
+    out = b"DD" + encode_varint(version) + encode_varint(mapping_code)
+    out += encode_float(accuracy) + encode_float(offset)
+    if version >= 2:
+        out += encode_varint(collapses) + encode_float(initial)
+    out += b"".join(encode_float(value) for value in summary)
+    return out + store(store_code, pairs) + store(negative_code, ())
 
 
 class TestBinaryFuzz:
@@ -177,97 +208,46 @@ class TestBinaryFuzz:
             DDSketch.from_bytes(_PAYLOAD)
 
 
-class TestJsonFuzz:
+class TestCorruptFields:
+    """One corrupted field of an otherwise valid payload is always refused."""
+
     @pytest.mark.parametrize(
-        "payload",
+        "fields, message",
         [
-            "not json at all",
-            "[]",
-            "42",
-            "{}",
-            '{"mapping": 5}',
-            '{"mapping": {"type": "NoSuchMapping"}}',
-            '{"mapping": {"type": "LogarithmicMapping"}}',
-            '{"mapping": {"type": "LogarithmicMapping", "relative_accuracy": 7}}',
+            ({"mapping_code": 9}, "unknown mapping code"),
+            ({"accuracy": 7.0}, "malformed sketch payload"),
+            ({"summary": (0.0, float("nan"), 3.0, 1.0, 2.0)}, "invalid total count"),
+            ({"summary": (0.0, -5.0, 3.0, 1.0, 2.0)}, "invalid total count"),
+            ({"summary": (float("inf"), 2.0, 3.0, 1.0, 2.0)}, "invalid zero count"),
+            ({"summary": (0.0, 2.0, float("nan"), 1.0, 2.0)}, "invalid sum"),
+            ({"pairs": ((10, -1.0),)}, "finite and non-negative"),
+            ({"pairs": ((10, float("nan")),)}, "finite and non-negative"),
+            ({"store_code": 7}, "unknown store code"),
+            ({"store_code": 4, "negative_code": 4, "store_collapses": 65}, "collapse count"),
+            (
+                dict(store_code=4, negative_code=4, bin_limit=4, pairs=((0, 1.0), (90, 1.0))),
+                "bin limit",
+            ),
         ],
     )
-    def test_malformed_json_raises(self, payload: str) -> None:
-        with pytest.raises(ReproError):
-            sketch_from_json(payload)
+    def test_corrupt_field_is_rejected(self, fields, message) -> None:
+        with pytest.raises(DeserializationError, match=message):
+            decode_sketch(_sketch_payload(**fields))
 
-    def test_structural_corruptions_raise(self) -> None:
-        """Field-level corruptions of a valid payload must all be rejected."""
-        base = json.loads(sketch_to_json(_build("default", [1.0, 2.0, 3.0])))
-        corruptions = [
-            {"count": float("nan")},
-            {"count": -5.0},
-            {"zero_count": float("inf")},
-            {"sum": float("nan")},
-            {"store": {"type": "DenseStore", "bins": {"abc": 1.0}}},
-            {"store": {"type": "DenseStore", "bins": {"0": -1.0}}},
-            {"store": {"type": "DenseStore", "bins": {"0": float("nan")}}},
-            {"store": {"type": "DenseStore", "bins": {"0": 1.0, "99999999": 1.0}}},
-            {"store": {"type": "WeirdStore", "bins": {}}},
-            {"store": []},
-            {"negative_store": None},
-        ]
-        for overrides in corruptions:
-            corrupted = dict(base, **overrides)
-            with pytest.raises(ReproError):
-                sketch_from_json(json.dumps(corrupted))
-
-    def test_store_from_dict_rejects_giant_span(self) -> None:
-        with pytest.raises(DeserializationError):
-            store_from_dict({"type": "DenseStore", "bins": {"0": 1.0, str(1 << 40): 1.0}})
-
-    def test_store_from_dict_rejects_huge_collapse_count(self) -> None:
-        with pytest.raises(DeserializationError, match="collapse count"):
-            store_from_dict(
-                {
-                    "type": "UniformCollapsingDenseStore",
-                    "bin_limit": 64,
-                    "collapse_count": 2**60,
-                    "bins": {"0": 1.0},
-                }
-            )
-
-    def test_store_from_dict_rejects_span_exceeding_declared_limit(self) -> None:
-        """Buckets wider than the declared bin limit contradict the payload:
-        silently re-folding them would desynchronize the owning sketch."""
-        with pytest.raises(DeserializationError, match="bin limit"):
-            store_from_dict(
-                {
-                    "type": "UniformCollapsingDenseStore",
-                    "bin_limit": 4,
-                    "collapse_count": 0,
-                    "bins": {str(key): 1.0 for key in range(0, 100, 10)},
-                }
-            )
-
-    def test_mismatched_sketch_class_rejected_for_json(self) -> None:
-        from repro import DDSketch, UDDSketch
-
-        plain = sketch_to_json(_build("default", [1.0, 2.0]))
-        with pytest.raises(DeserializationError):
-            sketch_from_json(plain, sketch_cls=UDDSketch)
-        uniform = sketch_to_json(_build("uniform", [1.0, 2.0]))
-        with pytest.raises(DeserializationError):
-            sketch_from_json(uniform, sketch_cls=DDSketch)
-
-    @given(
-        mutation=st.dictionaries(
-            st.sampled_from(["mapping", "store", "negative_store", "count", "sum", "min", "max"]),
-            st.one_of(st.none(), st.integers(), st.text(max_size=5), st.lists(st.integers(), max_size=2)),
-            min_size=1,
-        )
+    @pytest.mark.parametrize(
+        "fields", [{}, {"store_code": 4, "negative_code": 4}], ids=["plain", "uniform"]
     )
-    def test_random_field_mutations_never_crash(self, mutation: dict) -> None:
-        base = json.loads(sketch_to_json(_build("sparse", [0.5, 1.5, -2.0])))
-        corrupted = dict(base, **mutation)
-        try:
-            sketch_from_json(json.dumps(corrupted))
-        except ReproError:
-            pass
+    def test_version_1_is_refused_alike(self, kernel_backend, fields) -> None:
+        """Version 1 is retired: refused alone and inside a frame, with one
+        message, under both kernel backends."""
+        payload = _sketch_payload(version=1, **fields)
+        frame = (
+            b"DD" + encode_varint(3) + encode_varint(1)
+            + SeriesKey("m").wire_bytes + encode_varint(len(payload)) + payload
+        )
+        for decode in (lambda: decode_sketch(payload), lambda: read_frame(frame)):
+            with pytest.raises(DeserializationError, match="^unsupported format version 1$"):
+                decode()
 
 
 class TestRoundTrips:
@@ -283,30 +263,16 @@ class TestRoundTrips:
         assert decoded.count == sketch.count
         assert decoded.get_quantiles((0.0, 0.5, 1.0)) == sketch.get_quantiles((0.0, 0.5, 1.0))
 
-    @given(
-        variant=st.sampled_from(sorted(VARIANTS)),
-        values=st.lists(_values, max_size=60),
-    )
-    def test_json_round_trip_is_bit_exact(self, variant: str, values: list) -> None:
-        sketch = _build(variant, values)
-        payload = sketch_to_json(sketch)
-        decoded = sketch_from_json(payload)
-        assert sketch_to_json(decoded) == payload
-        assert decoded.count == sketch.count
-
     def test_collapsed_uddsketch_round_trips_with_lineage(self) -> None:
         sketch = _build("uniform", list(np.logspace(-3.0, 4.0, 400)))
         assert sketch.collapse_count > 0
-        for decoded in (
-            BaseDDSketch.from_bytes(sketch.to_bytes()),
-            sketch_from_json(sketch_to_json(sketch)),
-        ):
-            assert isinstance(decoded, UDDSketch)
-            assert decoded.collapse_count == sketch.collapse_count
-            assert decoded.initial_relative_accuracy == sketch.initial_relative_accuracy
-            assert decoded.relative_accuracy == sketch.relative_accuracy
-            assert decoded.store.collapse_count == sketch.store.collapse_count
-            assert not math.isnan(decoded.sum)
+        decoded = BaseDDSketch.from_bytes(sketch.to_bytes())
+        assert isinstance(decoded, UDDSketch)
+        assert decoded.collapse_count == sketch.collapse_count
+        assert decoded.initial_relative_accuracy == sketch.initial_relative_accuracy
+        assert decoded.relative_accuracy == sketch.relative_accuracy
+        assert decoded.store.collapse_count == sketch.store.collapse_count
+        assert not math.isnan(decoded.sum)
 
 
 # --------------------------------------------------------------------- #
@@ -475,7 +441,6 @@ from repro.serialization.frame import (  # noqa: E402
     encode_frame,
     zstd_available,
 )
-from repro.serialization.encoding import encode_varint  # noqa: E402
 
 
 def _reference_frame() -> bytes:

@@ -132,10 +132,12 @@ class TestSerializationProperty:
 
     @given(values=streams)
     @settings(max_examples=100, deadline=None)
-    def test_dict_round_trip_preserves_queries(self, values):
+    def test_wide_range_round_trip_preserves_queries(self, values):
+        # Twelve decades past the 1e-6 floor may exceed the 2048-bucket
+        # default, so some of these sketches have collapsed their low tail.
         sketch = DDSketch()
         sketch.add_all(values)
-        restored = DDSketch.from_dict(sketch.to_dict())
+        restored = DDSketch.from_bytes(sketch.to_bytes())
         for quantile in (0.0, 0.5, 1.0):
             assert restored.get_quantile_value(quantile) == pytest.approx(
                 sketch.get_quantile_value(quantile)

@@ -2,10 +2,10 @@
 
 Mirrors the hardening contract of the per-sketch codec
 (``tests/test_codec_fuzz.py``): every well-formed frame round-trips
-bit-exactly through the binary and the dictionary form, and every malformed
-input — truncated, bit-flipped, or structurally adversarial — decodes to
-``DeserializationError`` (a ``repro`` exception), never to an
-``IndexError``/``MemoryError``/``UnicodeDecodeError`` escaping the internals.
+bit-exactly, and every malformed input — truncated, bit-flipped, or
+structurally adversarial — decodes to ``DeserializationError`` (a ``repro``
+exception), never to an ``IndexError``/``MemoryError``/``UnicodeDecodeError``
+escaping the internals.
 """
 
 import numpy as np
@@ -14,12 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import DDSketch, SeriesKey, SketchRegistry, UDDSketch
 from repro.exceptions import DeserializationError, ReproError
-from repro.serialization import (
-    decode_frame,
-    encode_frame,
-    frame_from_dict,
-    frame_to_dict,
-)
+from repro.serialization import decode_frame, encode_frame
 from repro.serialization.encoding import encode_varint
 
 
@@ -50,26 +45,16 @@ class TestFrameRoundTrip:
         # Re-encoding the decoded entries reproduces the identical frame.
         assert encode_frame(entries) == frame
 
-    def test_dict_round_trip(self):
-        registry = build_frame(seed=1)
-        entries = frame_from_dict(frame_to_dict(registry))
-        assert [key for key, _ in entries] == registry.series_keys()
-        for key, sketch in entries:
-            assert sketch.count == registry.get(key).count
-
     def test_uniform_collapse_series_auto_upgrade(self):
         registry = build_frame(
             seed=2, factory=lambda: UDDSketch(relative_accuracy=0.01, bin_limit=64)
         )
-        binary_entries = decode_frame(registry.to_frame())
-        dict_entries = frame_from_dict(frame_to_dict(registry))
-        assert all(type(sketch) is UDDSketch for _, sketch in binary_entries)
-        assert all(type(sketch) is UDDSketch for _, sketch in dict_entries)
+        entries = decode_frame(registry.to_frame())
+        assert all(type(sketch) is UDDSketch for _, sketch in entries)
 
     def test_empty_frame_round_trips(self):
         frame = encode_frame([])
         assert decode_frame(frame) == []
-        assert frame_from_dict(frame_to_dict([])) == []
 
     def test_untagged_series_round_trip(self):
         sketch = DDSketch()
@@ -214,22 +199,3 @@ class TestFrameHardening:
             decode_frame(b"DD" + junk)
         except ReproError:
             pass
-
-    def test_malformed_dict_frames_rejected(self):
-        sketch = DDSketch()
-        sketch.add(1.0)
-        good = frame_to_dict([(SeriesKey("m"), sketch)])
-        for bad in (
-            "nope",
-            {},
-            {"version": 2, "series": []},
-            {"version": 3, "series": "nope"},
-            {"version": 3, "series": [42]},
-            {"version": 3, "series": [{"metric": "m", "tags": [], "sketch": {}}]},
-            {"version": 3, "series": [{"metric": "m", "tags": {}, "sketch": "x"}]},
-            {"version": 3, "series": [{"metric": "", "tags": {}, "sketch": good["series"][0]["sketch"]}]},
-            {"version": 3, "series": [good["series"][0], good["series"][0]]},
-        ):
-            with pytest.raises(DeserializationError):
-                frame_from_dict(bad)
-        assert len(frame_from_dict(good)) == 1

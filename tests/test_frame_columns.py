@@ -53,7 +53,7 @@ from repro.service.protocol import encode_push_envelope
 from repro.service.state import ServiceState
 
 from _kernel_testkit import require_native_kernel
-from test_codec_fuzz import _FRAME, _PAYLOAD, _ZFRAME, _envelope
+from test_codec_fuzz import _FRAME, _PAYLOAD, _ZFRAME, _envelope, _sketch_payload
 from test_frame_codec import build_frame
 
 
@@ -311,32 +311,6 @@ def _frame_of(*sketch_payloads, keys=None):
     return b"DD" + encode_varint(3) + encode_varint(len(sketch_payloads)) + body
 
 
-def _sketch_payload(
-    store_code=2, pairs=((10, 1.0), (20, 1.0)), version=2, mapping_code=0,
-    accuracy=0.02, offset=0.0, collapses=0, initial=0.02, bin_limit=0,
-    negative_code=3, summary=(0.0, 2.0, 3.0, 1.0, 2.0), store_collapses=0,
-):
-    """A hand-built sketch payload; every field can be made malformed."""
-
-    def store(code, buckets):
-        out = encode_varint(code) + encode_varint(bin_limit)
-        if code == 4 and version >= 2:
-            out += encode_varint(store_collapses)
-        out += encode_varint(len(buckets))
-        previous = 0
-        for key, count in buckets:
-            out += encode_zigzag(key - previous) + encode_float(count)
-            previous = key
-        return out
-
-    out = b"DD" + encode_varint(version) + encode_varint(mapping_code)
-    out += encode_float(accuracy) + encode_float(offset)
-    if version >= 2:
-        out += encode_varint(collapses) + encode_float(initial)
-    out += b"".join(encode_float(value) for value in summary)
-    return out + store(store_code, pairs) + store(negative_code, ())
-
-
 def _header_corpus():
     """The hardening cases of ``tests/test_frame_codec.py``."""
     sketch = DDSketch()
@@ -519,8 +493,6 @@ def test_sketch_class_pairing_matches_the_oracle(name, sketch_cls):
     "corpus, name",
     [
         ("frame", "unsorted tags"),
-        ("sketch", "version 1"),
-        ("sketch", "version 1 uniform"),
         ("sketch", "zero count"),
         ("sketch", "unsorted keys"),
         ("sketch", "NaN offset"),

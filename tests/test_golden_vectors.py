@@ -11,7 +11,8 @@ zlib-compressed frame-v3 corpus, all generated deterministically by
 * re-encoding the decoded objects reproduces the committed bytes
   byte-for-byte — the encoders are deterministic functions of sketch state;
 * both kernel backends produce those identical bytes (the native backend
-  leg skips where the compiled kernel is unavailable).
+  leg skips where the compiled kernel cannot be built, and fails where it
+  was built and then failed its self-test).
 
 A failure here means the wire format changed.  If the change is
 intentional, regenerate the corpus and let the ``.bin`` diff document it;
@@ -28,7 +29,6 @@ import pytest
 
 from repro import kernel
 from repro.core import UDDSketch
-from repro.kernel.native import availability
 from repro.serialization import (
     compress_frame,
     decode_frame,
@@ -40,16 +40,16 @@ from repro.serialization import (
     sketch_to_proto,
 )
 
+from _kernel_testkit import require_native_kernel
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
-_NATIVE_AVAILABLE, _NATIVE_REASON = availability()
 
-BACKENDS = ["numpy"] + (["native"] if _NATIVE_AVAILABLE else [])
-
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["numpy", "native"])
 def backend(request):
+    if request.param == "native":
+        require_native_kernel()
     kernel.set_backend(request.param)
     try:
         yield request.param

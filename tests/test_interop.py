@@ -8,8 +8,9 @@ collapse state of a mid-collapse UDDSketch.  The documented lossy direction
 must still preserve counts exactly and every quantile to within the
 mapping's relative accuracy.
 
-Both kernel backends are exercised where the compiled kernel is available,
-and the proto bytes themselves must be backend-independent.
+Both kernel backends are exercised: the native cases skip where the
+compiled kernel cannot be built and fail where it was built and then failed
+its self-test.  The proto bytes themselves must be backend-independent.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core import (
     UDDSketch,
 )
 from repro.exceptions import DeserializationError
-from repro.kernel.native import availability
 from repro.mapping import (
     CubicallyInterpolatedMapping,
     LinearlyInterpolatedMapping,
@@ -41,8 +41,7 @@ from repro.mapping import (
 )
 from repro.serialization import encode_sketch, sketch_from_proto, sketch_to_proto
 
-_NATIVE_AVAILABLE, _ = availability()
-BACKENDS = ["numpy"] + (["native"] if _NATIVE_AVAILABLE else [])
+from _kernel_testkit import require_native_kernel
 
 VARIANTS = {
     "default": lambda: DDSketch(relative_accuracy=0.02),
@@ -65,8 +64,10 @@ _values = st.one_of(st.just(0.0), _magnitudes, _magnitudes.map(lambda x: -x))
 _quantiles = (0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0)
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["numpy", "native"])
 def backend(request):
+    if request.param == "native":
+        require_native_kernel()
     kernel.set_backend(request.param)
     try:
         yield request.param
@@ -147,8 +148,7 @@ class TestLosslessRoundTrip:
         assert encode_sketch(decoded) == encode_sketch(sketch)
 
     def test_proto_bytes_are_backend_independent(self) -> None:
-        if not _NATIVE_AVAILABLE:
-            pytest.skip("compiled kernel unavailable")
+        require_native_kernel()
         rng = np.random.default_rng(17)
         sketches = [
             _build("sparse", list(rng.lognormal(0.0, 3.0, 2000))),

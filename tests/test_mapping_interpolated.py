@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from repro import DDSketch
 from repro.mapping import (
     CubicallyInterpolatedMapping,
     LinearlyInterpolatedMapping,
@@ -85,9 +86,10 @@ def test_cross_type_mappings_are_not_equal(mapping_class):
 
 
 @pytest.mark.parametrize("mapping_class", ALL_INTERPOLATED)
-def test_dict_round_trip(mapping_class):
+def test_bytes_round_trip(mapping_class):
     mapping = mapping_class(0.02)
-    restored = type(mapping).from_dict(mapping.to_dict())
+    restored = DDSketch.from_bytes(DDSketch(0.02, mapping=mapping).to_bytes()).mapping
+    assert type(restored) is mapping_class
     assert restored == mapping
     for value in (0.004, 1.0, 97.3, 4.6e7):
         assert restored.key(value) == mapping.key(value)

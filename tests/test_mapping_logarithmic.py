@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import DDSketch
 from repro.exceptions import IllegalArgumentError
 from repro.mapping import LogarithmicMapping
 
@@ -81,15 +82,11 @@ class TestEqualityAndSerialization:
     def test_hash_consistent_with_equality(self):
         assert hash(LogarithmicMapping(0.01)) == hash(LogarithmicMapping(0.01))
 
-    def test_dict_round_trip(self):
+    def test_bytes_round_trip(self):
         mapping = LogarithmicMapping(0.03, offset=2.0)
-        restored = LogarithmicMapping.from_dict(mapping.to_dict())
+        restored = DDSketch.from_bytes(DDSketch(0.03, mapping=mapping).to_bytes()).mapping
         assert restored == mapping
         assert restored.key(123.456) == mapping.key(123.456)
-
-    def test_from_dict_rejects_unknown_type(self):
-        with pytest.raises(IllegalArgumentError):
-            LogarithmicMapping.from_dict({"type": "NoSuchMapping", "relative_accuracy": 0.01})
 
     def test_repr_mentions_accuracy(self):
         assert "0.01" in repr(LogarithmicMapping(0.01))

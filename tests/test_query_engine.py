@@ -10,6 +10,8 @@ Hypothesis-driven interleaving of ingests and queries that would expose any
 stale cache entry.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -351,6 +353,25 @@ class TestValidationAndCubeShape:
             engine.quantile("lat", 1.5)
         with pytest.raises(IllegalArgumentError):
             engine.threshold_query("lat", -0.1, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_threshold_rejected(self, bad):
+        engine = populated_aggregator(SKETCH_FAMILIES["dense"]).query_engine()
+        with pytest.raises(IllegalArgumentError, match="threshold"):
+            engine.threshold_query("lat", 0.5, bad)
+        with pytest.raises(IllegalArgumentError, match="threshold"):
+            engine.threshold_query("lat", 0.5, bad, above=False)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("bound", ["start", "end"])
+    def test_non_finite_window_rejected(self, bound, bad):
+        engine = populated_aggregator(SKETCH_FAMILIES["dense"]).query_engine(
+            cube_dimensions=(("endpoint",),)
+        )
+        with pytest.raises(IllegalArgumentError, match="finite"):
+            engine.quantile("lat", 0.5, tag_filter={"endpoint": "/a"}, **{bound: bad})
+        with pytest.raises(IllegalArgumentError, match="finite"):
+            engine.threshold_query("lat", 0.5, 1.0, **{bound: bad})
 
     def test_tags_and_tag_filter_mutually_exclusive(self):
         aggregator = populated_aggregator(SKETCH_FAMILIES["dense"])

@@ -1,13 +1,14 @@
-"""Tests for the serialization layer: varints, JSON codec, binary codec."""
+"""Tests for the serialization layer: varints and the binary codec."""
 
-import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DDSketch, FastDDSketch, LogUnboundedDenseDDSketch, SparseDDSketch
+from repro.core import BaseDDSketch
 from repro.exceptions import DeserializationError
+from repro.mapping import LogarithmicMapping
 from repro.serialization import (
     decode_sketch,
     decode_varint,
@@ -15,9 +16,6 @@ from repro.serialization import (
     encode_sketch,
     encode_varint,
     encode_zigzag,
-    sketch_from_json,
-    sketch_to_json,
-    store_from_dict,
 )
 from repro.serialization.encoding import VarintReader, decode_float, encode_float
 from repro.store import CollapsingLowestDenseStore, DenseStore, SparseStore
@@ -77,43 +75,6 @@ class TestVarints:
             reader.read_bytes(4)
 
 
-class TestJsonCodec:
-    def test_round_trip_preserves_quantiles(self, pareto_stream):
-        sketch = DDSketch()
-        sketch.add_all(pareto_stream[:5000])
-        payload = sketch_to_json(sketch)
-        json.loads(payload)  # must be valid JSON
-        restored = sketch_from_json(payload)
-        for quantile in (0.0, 0.5, 0.99, 1.0):
-            assert restored.get_quantile_value(quantile) == sketch.get_quantile_value(quantile)
-        assert restored.count == sketch.count
-        assert restored.min == sketch.min
-        assert restored.max == sketch.max
-
-    def test_invalid_json_rejected(self):
-        with pytest.raises(DeserializationError):
-            sketch_from_json("{not json")
-
-    def test_non_object_json_rejected(self):
-        with pytest.raises(DeserializationError):
-            sketch_from_json("[1, 2, 3]")
-
-    def test_store_from_dict_rejects_unknown_type(self):
-        with pytest.raises(DeserializationError):
-            store_from_dict({"type": "MysteryStore", "bins": {}})
-
-    @pytest.mark.parametrize(
-        "store_factory",
-        [DenseStore, SparseStore, lambda: CollapsingLowestDenseStore(bin_limit=64)],
-    )
-    def test_store_dict_round_trip(self, store_factory):
-        store = store_factory()
-        for key, weight in ((-5, 1.0), (0, 2.5), (42, 0.25)):
-            store.add(key, weight)
-        restored = store_from_dict(store.to_dict())
-        assert restored.key_counts() == store.key_counts()
-
-
 class TestBinaryCodec:
     @pytest.mark.parametrize(
         "sketch_factory", [DDSketch, FastDDSketch, SparseDDSketch, LogUnboundedDenseDDSketch]
@@ -129,6 +90,29 @@ class TestBinaryCodec:
             assert restored.get_quantile_value(quantile) == pytest.approx(
                 sketch.get_quantile_value(quantile)
             )
+
+    def test_round_trip_preserves_quantiles(self, pareto_stream):
+        sketch = DDSketch()
+        sketch.add_all(pareto_stream[:5000])
+        restored = DDSketch.from_bytes(sketch.to_bytes())
+        for quantile in (0.0, 0.5, 0.99, 1.0):
+            assert restored.get_quantile_value(quantile) == sketch.get_quantile_value(quantile)
+        assert restored.count == sketch.count
+        assert restored.min == sketch.min
+        assert restored.max == sketch.max
+
+    @pytest.mark.parametrize(
+        "store_factory",
+        [DenseStore, SparseStore, lambda: CollapsingLowestDenseStore(bin_limit=64)],
+    )
+    def test_store_round_trip(self, store_factory):
+        store = store_factory()
+        for key, weight in ((-5, 1.0), (0, 2.5), (42, 0.25)):
+            store.add(key, weight)
+        sketch = BaseDDSketch(LogarithmicMapping(0.01), store, DenseStore())
+        restored = BaseDDSketch.from_bytes(sketch.to_bytes())
+        assert type(restored.store) is type(store)
+        assert restored.store.key_counts() == store.key_counts()
 
     def test_empty_sketch_round_trip(self):
         restored = decode_sketch(encode_sketch(DDSketch()))

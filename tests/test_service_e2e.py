@@ -8,6 +8,7 @@ surface — whole-metric, tag-filtered rollups, and windowed queries — is
 frames (full mergeability across process boundaries, paper Section 2.1).
 """
 
+import math
 import multiprocessing
 import threading
 
@@ -114,6 +115,8 @@ class TestThreadedAgents:
                     client.query_quantiles("no.such.metric", [0.5])
                 with pytest.raises(IllegalArgumentError):
                     client.query_quantiles(METRIC, [])
+                with pytest.raises(IllegalArgumentError, match="window_start must be finite"):
+                    client.query_quantiles(METRIC, [0.5], window_start=math.inf)
 
 
 class TestRestart:

@@ -11,6 +11,7 @@ and snapshot/compaction cycles.  A mixed-alpha UDDSketch variant pins the
 same property for heterogeneous sketch families sharing one log.
 """
 
+import math
 import tempfile
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from _service_testkit import make_envelope, reference_state
 from repro.core.uddsketch import UDDSketch
 from repro.registry import SketchRegistry
-from repro.exceptions import DeserializationError
+from repro.exceptions import DeserializationError, IllegalArgumentError
 from repro.service import AggregationServer, SegmentLog, ServiceState
 from repro.service.protocol import decode_push_envelope, encode_push_envelope
 
@@ -235,6 +236,16 @@ class TestIntervalBucketRange:
         restored = ServiceState.from_snapshot(state.to_snapshot(), retention_intervals=2)
         assert restored.window_buckets() == state.window_buckets()
         assert restored.to_snapshot() == state.to_snapshot()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("bound", ["window_start", "window_end"])
+    def test_non_finite_window_bounds_are_refused(self, bound, bad):
+        state = ServiceState(retention_intervals=2)
+        state.apply_envelope_bytes(make_envelope([1.0]))
+        with pytest.raises(IllegalArgumentError, match=bound):
+            state.quantiles("latency", [0.5], **{bound: bad})
+        with pytest.raises(IllegalArgumentError, match=bound):
+            state.threshold_query("latency", 0.5, 0.5, **{bound: bad})
 
     def test_apply_refuses_before_mutating(self):
         state = ServiceState()

@@ -3,8 +3,8 @@
 A Hypothesis :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one
 sketch through arbitrary interleavings of the operations a production
 deployment performs — scalar ``add``, vectorized ``add_batch``, ``merge``
-with an independently-built peer, and full round trips through both codecs —
-while a plain Python list mirrors every inserted value.  After *every* step
+with an independently-built peer, and full round trips through the binary
+codec — while a plain Python list mirrors every inserted value.  After *every* step
 two invariants must hold:
 
 * **count conservation** — ``sketch.count`` equals the number of mirrored
@@ -35,8 +35,6 @@ from repro import (
     SparseDDSketch,
     UDDSketch,
 )
-from repro.serialization.json_codec import sketch_from_json, sketch_to_json
-
 from tests.conftest import assert_relative_accuracy
 
 #: Sketch configurations under test.  alpha = 0.02 and |value| in
@@ -96,10 +94,6 @@ class SketchStateMachine(RuleBasedStateMachine):
     @rule()
     def roundtrip_binary(self) -> None:
         self.sketch = BaseDDSketch.from_bytes(self.sketch.to_bytes())
-
-    @rule()
-    def roundtrip_json(self) -> None:
-        self.sketch = sketch_from_json(sketch_to_json(self.sketch))
 
     @invariant()
     def count_is_conserved(self) -> None:

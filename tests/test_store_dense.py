@@ -213,11 +213,3 @@ class TestMemoryModel:
         store.clear()
         assert store.is_empty
         assert store.size_in_bytes() == 64
-
-    def test_to_dict_round_trips_content(self):
-        store = DenseStore()
-        store.add(-2, 1.5)
-        store.add(9, 2.5)
-        payload = store.to_dict()
-        assert payload["type"] == "DenseStore"
-        assert payload["bins"] == {"-2": 1.5, "9": 2.5}

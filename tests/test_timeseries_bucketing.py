@@ -16,15 +16,25 @@ Three bugs are pinned here, each with a failing-before/passing-after test:
 3. ``Aggregator.interval_series`` used to return the *live* stored sketches
    when exactly one series was addressed, so callers mutating the result
    corrupted stored state; it now returns defensive copies by default.
+
+An infinite or NaN timestamp or window bound has no interval index; it
+used to leak ``OverflowError``/``ValueError`` from the index computation
+and is now refused with ``IllegalArgumentError``.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import DDSketch, EmptySketchError, UDDSketch
+from repro.exceptions import IllegalArgumentError
 from repro.monitoring import Aggregator, SketchTimeSeries
+
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"]
+)
 
 
 def make_series(interval_length, window_factors=(4, 16)):
@@ -122,6 +132,55 @@ class TestCanonicalIntervalIndex:
         assert indices[0] < 0 <= indices[1]
         assert series.rollup(-1.0, 0.0).count == 1
         assert series.rollup(0.0, 1.0).count == 1
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda series, bad: series.ingest_value(bad, 1.0),
+            lambda series, bad: series.ingest_sketch(bad, DDSketch()),
+            lambda series, bad: series.sketch_at(bad),
+            lambda series, bad: series.rollup(start=bad),
+            lambda series, bad: series.rollup(end=bad),
+            lambda series, bad: series.quantile_bounds(0.5, end=bad),
+        ],
+        ids=[
+            "ingest_value", "ingest_sketch", "sketch_at",
+            "rollup_start", "rollup_end", "bounds_end",
+        ],
+    )
+    def test_non_finite_timestamps_are_refused(self, operation, bad):
+        series = make_series(0.25)
+        series.ingest_value(0.1, 1.0)
+        with pytest.raises(IllegalArgumentError, match="finite"):
+            operation(series, bad)
+        assert series.interval_indices() == [0]
+        assert series.rollup().count == 1
+
+    def test_timestamp_whose_index_overflows_is_refused(self):
+        with pytest.raises(IllegalArgumentError, match="finite"):
+            make_series(1e-3).ingest_value(1e308, 1.0)
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda aggregator, bad: aggregator.rollup("latency", start=bad),
+            lambda aggregator, bad: aggregator.rollup("latency", end=bad),
+            lambda aggregator, bad: aggregator.quantiles("latency", [0.5], start=bad),
+            lambda aggregator, bad: aggregator.quantiles("latency", [0.5], end=bad),
+            lambda aggregator, bad: aggregator.ingest_values("latency", bad, np.ones(3)),
+        ],
+        ids=["rollup_start", "rollup_end", "quantiles_start", "quantiles_end", "ingest_values"],
+    )
+    def test_aggregator_refuses_non_finite_timestamps(self, operation, bad):
+        aggregator = Aggregator(interval_length=0.25)
+        aggregator.ingest_values("latency", 0.1, np.ones(2))
+        with pytest.raises(IllegalArgumentError, match="finite"):
+            operation(aggregator, bad)
+        assert aggregator.quantiles("latency", [0.5], start=0.0, end=1.0) == [
+            pytest.approx(1.0, rel=0.01)
+        ]
 
 
 class TestWindowQueryUsesCache:

@@ -28,7 +28,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Audited by default: the high-cardinality registry package (series keys,
 #: registry), the grouped ingestion facade and its store-level primitives,
 #: the service tier, the benchmark artifact schema, the query engine, the
-#: ingest kernel and the wire codecs.
+#: ingest kernel, the wire codecs, the key mappings and the monitoring
+#: pipeline.
 DEFAULT_TARGETS = [
     REPO_ROOT / "src" / "repro" / "registry",
     REPO_ROOT / "src" / "repro" / "serialization",
@@ -38,6 +39,8 @@ DEFAULT_TARGETS = [
     REPO_ROOT / "src" / "repro" / "evaluation" / "artifacts.py",
     REPO_ROOT / "src" / "repro" / "query",
     REPO_ROOT / "src" / "repro" / "kernel",
+    REPO_ROOT / "src" / "repro" / "mapping",
+    REPO_ROOT / "src" / "repro" / "monitoring",
 ]
 
 
