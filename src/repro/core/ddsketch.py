@@ -24,6 +24,7 @@ extensions discussed in Section 2.2:
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -758,6 +759,53 @@ class BaseDDSketch:
         for target, source in own_merges:
             target.merge(source)
 
+    @staticmethod
+    def fold(groups: Sequence[Sequence["BaseDDSketch"]]) -> "BaseDDSketch":
+        """Merge groups of sketches into a new sketch, in one bulk pass.
+
+        The result is, bit for bit, what this copy-first loop returns (and
+        no input changes)::
+
+            total = None
+            for group in groups:
+                merged = group[0].copy()
+                for sketch in group[1:]:
+                    merged.merge(sketch)
+                if total is None:
+                    total = merged
+                else:
+                    total.merge(merged)
+
+        A one-group fold is the plain copy-first merge of that group; the
+        second level is how a rollup over many series merges each series'
+        own fold over its time buckets.  With fractional weights the sums
+        depend on that two-level order, so it is kept exactly.
+
+        Under a backend with :func:`repro.kernel.window_merges`, the scalars
+        accumulate here in the loop's order and each store side folds in
+        one :func:`repro.store.grouped.fold_store_groups` pass; the result
+        is built through :meth:`_decoded` with the first sketch's class and
+        mapping.  The loop above runs instead, as the oracle and fallback,
+        under the NumPy backend, when a sketch's mapping differs from the
+        first sketch's (the loop then raises what it raises), when a
+        group's first sketch has a class that overrides :meth:`merge` or
+        :meth:`copy` (:class:`~repro.core.UDDSketch`), and where a store is
+        outside :data:`~repro.store.grouped.SEGMENT_STORE_TYPES` or the
+        store pass declines.
+
+        Raises
+        ------
+        IllegalArgumentError
+            For no groups, an empty group, or an entry that is not a
+            sketch, as :meth:`merge` raises it.
+        UnequalSketchParametersError
+            For sketches that cannot merge, as :meth:`merge` raises it.
+        """
+        if not groups or not all(groups):
+            raise IllegalArgumentError("a fold needs at least one group and no empty group")
+        folded = _fold_natively(groups)
+        return _fold_loop(groups) if folded is None else folded
+
     def __iadd__(self, other: "BaseDDSketch") -> "BaseDDSketch":
         self.merge(other)
         return self
@@ -854,6 +902,101 @@ class BaseDDSketch:
         )
 
 
+def _fold_loop(groups: Sequence[Sequence[BaseDDSketch]]) -> BaseDDSketch:
+    """:meth:`BaseDDSketch.fold` by its definition: copy first, merge the rest."""
+    total = None
+    for group in groups:
+        merged = group[0].copy()
+        for sketch in group[1:]:
+            merged.merge(sketch)
+        if total is None:
+            total = merged
+        else:
+            total.merge(merged)
+    return total
+
+
+def _plain_fold_class(cls: type) -> bool:
+    """Whether a group may start from a ``cls`` sketch in the native fold:
+    its merge and mergeability are the base class's, and its copy keeps
+    only what :meth:`BaseDDSketch._decoded` rebuilds."""
+    return (
+        issubclass(cls, BaseDDSketch)
+        and cls.merge is BaseDDSketch.merge
+        and cls.check_mergeable is BaseDDSketch.check_mergeable
+        and cls.mergeable_with is BaseDDSketch.mergeable_with
+        and cls.copy in (BaseDDSketch.copy, DDSketch.copy)
+    )
+
+
+def _fold_natively(groups: Sequence[Sequence[BaseDDSketch]]) -> Optional[BaseDDSketch]:
+    """:meth:`BaseDDSketch.fold` through the store pass, or ``None`` for the loop."""
+    from repro.store.grouped import fold_store_groups
+
+    if not kernel.window_merges():
+        return None
+    sketches = [sketch for group in groups for sketch in group]
+    if not all(issubclass(cls, BaseDDSketch) for cls in set(map(type, sketches))):
+        return None
+    if not all(_plain_fold_class(cls) for cls in {type(group[0]) for group in groups}):
+        return None
+    mapping = groups[0][0]._mapping
+    if any(other is not mapping and other != mapping for other in map(_MAPPING, sketches)):
+        return None
+    # The scalars in the loop's two-level order, and the sketches whose
+    # stores the loop merges: a merge of a sketch without weight returns
+    # at once, at either level.
+    merging: List[BaseDDSketch] = []
+    take = merging.append
+    ends: List[int] = []
+    merged: List[bool] = []
+    total = None
+    for group in groups:
+        head = group[0]
+        take(head)
+        count, zero_count, total_sum, minimum, maximum = _SCALARS(head)
+        for sketch in group[1:]:
+            weight, zeros, added, low, high = _SCALARS(sketch)
+            if weight <= 0:
+                continue
+            count += weight
+            zero_count += zeros
+            total_sum += added
+            if low < minimum:
+                minimum = low
+            if high > maximum:
+                maximum = high
+            take(sketch)
+        ends.append(len(merging))
+        if total is None:
+            total = [count, zero_count, total_sum, minimum, maximum]
+        elif count > 0:
+            total[0] += count
+            total[1] += zero_count
+            total[2] += total_sum
+            if minimum < total[3]:
+                total[3] = minimum
+            if maximum > total[4]:
+                total[4] = maximum
+        merged.append(count > 0)
+    store = fold_store_groups(list(map(_STORE, merging)), ends, merged)
+    if store is None:
+        return None
+    negative_store = fold_store_groups(list(map(_NEGATIVE_STORE, merging)), ends, merged)
+    if negative_store is None:
+        return None
+    count, zero_count, total_sum, minimum, maximum = total
+    return type(groups[0][0])._decoded(
+        mapping, store, negative_store, zero_count, count, total_sum, minimum, maximum
+    )
+
+
+_MAPPING = attrgetter("_mapping")
+_SCALARS = attrgetter("_count", "_zero_count", "_sum", "_min", "_max")
+_STORE = attrgetter("_store")
+_NEGATIVE_STORE = attrgetter("_negative_store")
+
+
 class DDSketch(BaseDDSketch):
     """The default DDSketch configuration.
 
@@ -897,7 +1040,24 @@ class DDSketch(BaseDDSketch):
         """Maximum number of buckets per store before collapsing begins."""
         return self._bin_limit
 
+    @classmethod
+    def _decoded(
+        cls, mapping: KeyMapping, store: Store, negative_store: Store,
+        zero_count: float, count: float, total: float, minimum: float, maximum: float,
+    ) -> "DDSketch":
+        """:meth:`BaseDDSketch._decoded`, with the bin limit of ``store``.
+
+        A store without one (a sketch decoded as a ``DDSketch`` from plain
+        dense stores) reads as :data:`DEFAULT_BIN_LIMIT`.
+        """
+        sketch = super()._decoded(
+            mapping, store, negative_store, zero_count, count, total, minimum, maximum
+        )
+        sketch._bin_limit = getattr(store, "bin_limit", DEFAULT_BIN_LIMIT)
+        return sketch
+
     def copy(self) -> "DDSketch":
+        """Return a deep copy of this sketch, bin limit included."""
         new = type(self)(
             relative_accuracy=self.relative_accuracy,
             bin_limit=self._bin_limit,

@@ -63,6 +63,7 @@ __all__ = [
     "encode_bucket_pairs",
     "encode_frame_columns",
     "encode_proto_bins",
+    "fold_windows",
     "group_key_ranges",
     "merge_windows",
     "move_windows",
@@ -304,7 +305,9 @@ def window_merges() -> bool:
 
     Only the native backend does.  Under the NumPy backend every pair of a
     bulk merge (:func:`repro.store.grouped.merge_store_pairs`) goes through
-    ``Store.merge``, the oracle :func:`merge_windows` must agree with.
+    ``Store.merge``, the oracle :func:`merge_windows`, :func:`move_windows`
+    and :func:`fold_windows` must agree with, and every fold
+    (:meth:`repro.core.BaseDDSketch.fold`) takes the copy-first loop.
     """
     return _backend().window_merges
 
@@ -356,6 +359,35 @@ def move_windows(targets, pairs, sources, moves, arena):
     :func:`window_merges`.
     """
     return _backend().move_windows(targets, pairs, sources, moves, arena)
+
+
+def fold_windows(ends, heads, offsets, windows, counts, total_cells, group_cells):
+    """Fold many dense store windows into one, as ``Store.merge`` folds them, in one pass.
+
+    The windows come in groups: group ``g`` is windows ``ends[g - 1]`` to
+    ``ends[g] - 1`` (from 0 for the first).  Each group is folded in order,
+    as ``copy(first)`` followed by ``merge`` of every later window (one
+    whose count is not positive adds nothing), and each later group's
+    result is merged into group 0's as soon as it is done, where its head
+    row says so.  Window ``i`` is the store whose bins are ``windows[i]``
+    (read in place) from key ``offsets[i]`` and whose count is
+    ``counts[i]``.  ``heads`` has five entries per group, for the store the
+    group starts from: its kind (0 plain dense, 1 collapsing lowest, 2
+    collapsing highest), bin limit (a plain store's chunk size), positive
+    bins and collapse flag, then whether the group's result is merged into
+    the total; a group of one window after the first needs only the last.
+    Group 0's result lives in ``total_cells`` cells and each later group's
+    in ``group_cells``, so each must hold any window its fold can reach.
+
+    Returns ``(bins, offset, positive, collapsed, count)`` of the result, or
+    ``None`` for a fold the pass leaves to the loop: a window without a used
+    bin where its count says it holds weight, keys past +-2**50, or a
+    window that would outgrow its cells.  Only for backends with
+    :func:`window_merges`.
+    """
+    return _backend().fold_windows(
+        ends, heads, offsets, windows, counts, total_cells, group_cells
+    )
 
 
 def encode_proto_bins(keys, counts) -> bytes:

@@ -598,23 +598,37 @@ void repro_fill_frame_windows(int64_t nstores, int64_t *stores, const int64_t *k
 }
 
 /* ---------------------------------------------------------------------- */
-/* Bulk store merge: many (target, source) dense-store pairs in one call.   */
-/* Store.merge (store/dense.py, store/collapsing.py) is the oracle: a pair  */
-/* is accepted only where that merge would leave the target's window and   */
-/* collapse flag as they are, so the merge is one slice addition.          */
+/* Bulk store merge: Store.merge of dense-family store windows, in C.       */
+/* Store.merge (store/dense.py, store/collapsing.py) is the oracle.  One    */
+/* helper, merge_window, applies its rules to one (target, source) pair;   */
+/* repro_merge_windows takes the pairs whose target window stays,          */
+/* repro_move_windows the pairs whose target window grows or moves, and    */
+/* repro_fold_windows folds many windows into one.                         */
 
 #define MERGE_DENSE 0
 #define MERGE_LOWEST 1
 #define MERGE_HIGHEST 2
-#define KEY_LIMIT ((int64_t)1 << 61)
 
-/* Pair columns: the target's key offset, kind and bin limit; the source
- * window's key offset, buffer (an index into `sources`), first cell in that
- * buffer and size. */
+/* Keys beyond +-2**50 (no mapping makes them) leave the window arithmetic
+ * below to Store.merge, as do chunk divisions Python would round apart. */
+#define KEY_LIMIT ((int64_t)1 << 50)
+
+/* Pair columns: the target's key offset, kind and bin limit (a plain dense
+ * store's chunk size); the source window's key offset, buffer (an index
+ * into `sources`), first cell in that buffer and size. */
 enum {
     MW_OFFSET, MW_KIND, MW_LIMIT, MW_SOURCE_OFFSET, MW_SOURCE_BUFFER, MW_SOURCE_START,
     MW_SOURCE_SIZE, MW_COLS
 };
+
+/* A target store as Store.merge sees it: its window's cells from key
+ * `offset`, its kind, bin limit or chunk size, running count, positive
+ * cells and collapse flag.  `bins` may hold up to `capacity` cells. */
+typedef struct {
+    double *bins;
+    int64_t capacity, offset, size, kind, limit, positive, collapsed;
+    double count;
+} Window;
 
 static int any_positive(const double *bins, int64_t size)
 {
@@ -623,91 +637,6 @@ static int any_positive(const double *bins, int64_t size)
             return 1;
     return 0;
 }
-
-/* Whether _extend_range(min_key, max_key) would keep the target's window
- * and collapse flag; lo and hi are the source's used keys as target indices.
- * The collapsing stores re-anchor on the target's used edge bin, so an
- * unused edge bin moves the window unless the source fills it. */
-static int window_stays(const double *bins, int64_t size, int64_t kind, int64_t limit,
-                        int64_t lo, int64_t hi)
-{
-    if (size <= 0 || lo < 0 || hi >= size)
-        return 0;
-    if (kind == MERGE_DENSE)
-        return 1;
-    if (size > limit)
-        return 0;
-    if (kind == MERGE_LOWEST)
-        return bins[size - 1] > 0.0 || (hi == size - 1 && any_positive(bins, size));
-    return bins[0] > 0.0 || (lo == 0 && any_positive(bins, size));
-}
-
-/* Merge n pairs in order; targets holds each pair's target bins as
- * (address, cell count) and sources the address of each source buffer.  An
- * accepted pair adds its source window into the target's bins in place (the
- * overlap, as _merge_dense slices it) and sets out[i] to the number of bins
- * that went from zero to positive; a declined pair is left untouched with
- * out[i] = -1.  Each window is read when its pair is merged.  The caller
- * passes only pairs whose target holds weight and whose source is not
- * empty, and updates the stores' counts.  Returns the number of accepted
- * pairs. */
-int64_t repro_merge_windows(int64_t n, const int64_t *targets, const int64_t *pairs,
-                            const int64_t *sources, int64_t *out)
-{
-    int64_t accepted = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t *row = pairs + i * MW_COLS;
-        double *bins = (double *)(intptr_t)targets[2 * i];
-        int64_t size = targets[2 * i + 1];
-        const double *source =
-            (const double *)(intptr_t)sources[row[MW_SOURCE_BUFFER]] + row[MW_SOURCE_START];
-        int64_t source_size = row[MW_SOURCE_SIZE];
-        out[i] = -1;
-        /* The source's used cells, as min_key / max_key find them. */
-        int64_t first = 0, last = source_size - 1;
-        while (first < source_size && !(source[first] > 0.0))
-            first++;
-        if (first == source_size)
-            continue;
-        while (!(source[last] > 0.0))
-            last--;
-        /* Offsets beyond +-2**61 (no mapping makes them) could overflow below. */
-        if (row[MW_OFFSET] < -KEY_LIMIT || row[MW_OFFSET] > KEY_LIMIT
-            || row[MW_SOURCE_OFFSET] < -KEY_LIMIT || row[MW_SOURCE_OFFSET] > KEY_LIMIT)
-            continue;
-        int64_t start = row[MW_SOURCE_OFFSET] - row[MW_OFFSET];
-        if (!window_stays(bins, size, row[MW_KIND], row[MW_LIMIT], start + first, start + last))
-            continue;
-        int64_t low = start > 0 ? start : 0;
-        int64_t high = start + source_size < size ? start + source_size : size;
-        int64_t positive = 0;
-        for (int64_t j = low; j < high; j++) {
-            double cell = source[j - start];
-            positive += bins[j] == 0.0 && cell > 0.0;
-            bins[j] += cell;
-        }
-        out[i] = positive;
-        accepted++;
-    }
-    return accepted;
-}
-
-/* float(numpy.sum(a[:n])) of a contiguous slice. */
-static double slice_sum(const double *a, int64_t n)
-{
-    return 0.0 + pairwise_sum(a, n);
-}
-
-/* Keys beyond +-2**50 (no mapping makes them) leave the window arithmetic
- * below to Store.merge, as do chunk divisions Python would round apart. */
-#define MOVE_KEY_LIMIT ((int64_t)1 << 50)
-
-/* Move columns: each pair's first cell in `arena` and the cells it may use. */
-enum { MV_ARENA_START, MV_ARENA_CELLS, MV_COLS };
-
-/* Output columns: the moved window's first key and size (-1: left to
- * Store.merge), its positive cells, and whether the store collapsed. */
-enum { MO_FIRST, MO_SIZE, MO_POSITIVE, MO_COLLAPSED, MO_COLS };
 
 static int64_t used_edge(const double *bins, int64_t size, int top)
 {
@@ -723,16 +652,289 @@ static int64_t used_edge(const double *bins, int64_t size, int top)
     return -1;
 }
 
+/* float(numpy.sum(a[:n])) of a contiguous slice. */
+static double slice_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+static int beyond_limit(int64_t key)
+{
+    return key < -KEY_LIMIT || key > KEY_LIMIT;
+}
+
+/* Whether _extend_range(min_key, max_key) would keep a holding target's
+ * window and collapse flag; lo and hi are the source's used keys as target
+ * indices.  The collapsing stores re-anchor on the target's used edge bin,
+ * so an unused edge bin moves the window unless the source fills it. */
+static int window_stays(const Window *t, int64_t lo, int64_t hi)
+{
+    const double *bins = t->bins;
+    int64_t size = t->size;
+    if (size <= 0 || lo < 0 || hi >= size)
+        return 0;
+    if (t->kind == MERGE_DENSE)
+        return 1;
+    if (size > t->limit)
+        return 0;
+    if (t->kind == MERGE_LOWEST)
+        return bins[size - 1] > 0.0 || (hi == size - 1 && any_positive(bins, size));
+    return bins[0] > 0.0 || (lo == 0 && any_positive(bins, size));
+}
+
+/* The window _extend_range(min_key, max_key) gives the target, as
+ * [*first, *last]; sets the collapse flag where it does.  Returns 0 where
+ * that is left to Store.merge (a collapsing target holding no used bin). */
+static int plan_window(Window *t, int64_t min_key, int64_t max_key, int64_t *first, int64_t *last)
+{
+    int64_t limit = t->limit;
+    if (limit <= 0)
+        return 0;
+    if (t->size <= 0) {
+        /* An empty store: _initialize, or the collapsing stores' anchoring. */
+        if (t->kind == MERGE_DENSE) {
+            *first = min_key - limit / 2;
+            *last = *first + limit - 1;
+            if (max_key > *last)
+                *last += (int64_t)ceil((double)(max_key - *last) / (double)limit) * limit;
+        } else if (t->kind == MERGE_LOWEST) {
+            *last = max_key;
+            *first = max_key - limit + 1 > min_key ? max_key - limit + 1 : min_key;
+            if (*first > min_key)
+                t->collapsed = 1;
+        } else {
+            *first = min_key;
+            *last = min_key + limit - 1 < max_key ? min_key + limit - 1 : max_key;
+            if (*last < max_key)
+                t->collapsed = 1;
+        }
+        return 1;
+    }
+    int64_t window_first = t->offset, window_last = t->offset + t->size - 1;
+    if (t->kind == MERGE_DENSE) {
+        /* _extend_below, then _extend_above, by whole chunks. */
+        *first = window_first;
+        *last = window_last;
+        if (min_key < *first)
+            *first -= (int64_t)ceil((double)(*first - min_key) / (double)limit) * limit;
+        if (max_key > *last)
+            *last += (int64_t)ceil((double)(max_key - *last) / (double)limit) * limit;
+    } else if (t->kind == MERGE_LOWEST) {
+        int64_t top = used_edge(t->bins, t->size, 1);
+        if (top < 0)
+            return 0;
+        *last = window_first + top > max_key ? window_first + top : max_key;
+        *first = window_first < min_key ? window_first : min_key;
+        if (*last - *first + 1 > limit)
+            *first = *last - limit + 1;
+        if (*first > min_key)
+            t->collapsed = 1;
+    } else {
+        int64_t bottom = used_edge(t->bins, t->size, 0);
+        if (bottom < 0)
+            return 0;
+        *first = window_first + bottom < min_key ? window_first + bottom : min_key;
+        *last = window_last > max_key ? window_last : max_key;
+        if (*last - *first + 1 > limit)
+            *last = *first + limit - 1;
+        if (*last < max_key)
+            t->collapsed = 1;
+    }
+    return 1;
+}
+
+/* _move_window / _extend_below / _extend_above: the target's window becomes
+ * [first, last], built in dest (t->bins itself, or a buffer apart from it).
+ * The overlap moves, and the rest folds onto the collapsing side (a plain
+ * store only grows, so nothing folds).  A collapsing store's positive cells
+ * are counted again, as _move_window counts them. */
+static void move_window(Window *t, double *dest, int64_t first, int64_t last)
+{
+    const double *old = t->bins;
+    int64_t old_size = t->size;
+    int64_t size = last - first + 1;
+    int64_t start = t->offset - first;
+    int64_t low = start < 0 ? -start : 0;
+    int64_t high = old_size < size - start ? old_size : size - start;
+    double folded;
+    if (low < high) {
+        folded = slice_sum(old, low) + slice_sum(old + high, old_size - high);
+        memmove(dest + start + low, old + low, (size_t)(high - low) * sizeof(double));
+        memset(dest, 0, (size_t)(start + low) * sizeof(double));
+        memset(dest + start + high, 0, (size_t)(size - start - high) * sizeof(double));
+    } else {
+        folded = slice_sum(old, old_size);
+        memset(dest, 0, (size_t)size * sizeof(double));
+    }
+    if (folded > 0.0) {
+        dest[t->kind == MERGE_HIGHEST ? size - 1 : 0] += folded;
+        t->collapsed = 1;
+    }
+    t->bins = dest;
+    t->offset = first;
+    t->size = size;
+    if (t->kind != MERGE_DENSE) {
+        int64_t positive = 0;
+        for (int64_t j = 0; j < size; j++)
+            positive += dest[j] > 0.0;
+        t->positive = positive;
+    }
+}
+
+/* _merge_dense's addition into the target's window: the overlap cell by
+ * cell, and the source's weight outside the window folded onto the edge
+ * bins. */
+static void add_window(Window *t, const double *source, int64_t source_offset,
+                       int64_t source_size, double count)
+{
+    double *bins = t->bins;
+    int64_t size = t->size;
+    int64_t start = source_offset - t->offset;
+    int64_t low = start > 0 ? start : 0;
+    int64_t high = start + source_size < size ? start + source_size : size;
+    int64_t positive = 0;
+    const double *cells = source - start;
+    for (int64_t j = low; j < high; j++) {
+        /* No branch on the data: this loop is most of a fold's time. */
+        double bin = bins[j], cell = cells[j];
+        positive += (bin == 0.0) & (cell > 0.0);
+        bins[j] = bin + cell;
+    }
+    if (start < 0) {
+        double below = slice_sum(source, -start < source_size ? -start : source_size);
+        if (below > 0.0) {
+            positive += bins[0] == 0.0;
+            bins[0] += below;
+        }
+    }
+    if (start + source_size > size) {
+        int64_t from = size - start > 0 ? size - start : 0;
+        double above = slice_sum(source + from, source_size - from);
+        if (above > 0.0) {
+            positive += bins[size - 1] == 0.0;
+            bins[size - 1] += above;
+        }
+    }
+    t->positive += positive;
+    t->count += count;
+}
+
+#define STAY 0 /* add in place only where the window stays */
+#define MOVE 1 /* only where the window moves, built in dest */
+#define FOLD 2 /* either, a moved window built in place */
+
+/* Store.merge of a source window holding weight into t, by `mode`; a moved
+ * or re-anchored window is built in dest (at most dest_cells cells).
+ * Returns 1, or 0 for a pair left to Store.merge, with t untouched. */
+static int merge_window(Window *t, const double *source, int64_t source_offset,
+                        int64_t source_size, double count, int mode, double *dest,
+                        int64_t dest_cells)
+{
+    int64_t first_used = used_edge(source, source_size, 0);
+    if (first_used < 0 || beyond_limit(t->offset) || beyond_limit(source_offset)
+        || t->kind < MERGE_DENSE || t->kind > MERGE_HIGHEST)
+        return 0;
+    int64_t min_key = source_offset + first_used;
+    int64_t max_key = source_offset + used_edge(source, source_size, 1);
+    if (t->size > 0 && t->count <= 0.0) {
+        /* An emptied target re-anchors: Store.merge clears it first. */
+        if (mode != FOLD)
+            return 0;
+        t->size = 0;
+        t->offset = 0;
+        t->count = 0.0;
+        t->positive = 0;
+        t->collapsed = 0;
+    }
+    if (window_stays(t, min_key - t->offset, max_key - t->offset)) {
+        if (mode == MOVE)
+            return 0;
+        add_window(t, source, source_offset, source_size, count);
+        return 1;
+    }
+    if (mode == STAY)
+        return 0;
+    Window planned = *t;
+    int64_t first, last;
+    if (!plan_window(&planned, min_key, max_key, &first, &last))
+        return 0;
+    int64_t size = last - first + 1;
+    if (t->size <= 0) {
+        if (size > dest_cells)
+            return 0;
+        memset(dest, 0, (size_t)size * sizeof(double));
+        planned.bins = dest;
+        planned.offset = first;
+        planned.size = size;
+    } else if (first != t->offset || last != t->offset + t->size - 1) {
+        if (size > dest_cells)
+            return 0;
+        move_window(&planned, dest, first, last);
+    } else if (mode == MOVE) {
+        return 0;
+    }
+    *t = planned;
+    add_window(t, source, source_offset, source_size, count);
+    return 1;
+}
+
+/* The target of pair i: its bins as (address, cell count) in targets, the
+ * rest from its pair row; positive cells and flags counted from zero. */
+static Window pair_target(const int64_t *targets, const int64_t *row, int64_t i)
+{
+    Window t;
+    t.bins = (double *)(intptr_t)targets[2 * i];
+    t.size = targets[2 * i + 1];
+    t.capacity = t.size;
+    t.offset = row[MW_OFFSET];
+    t.kind = row[MW_KIND];
+    t.limit = row[MW_LIMIT];
+    t.positive = 0;
+    t.collapsed = 0;
+    t.count = 1.0; /* the caller passes only targets that hold weight */
+    return t;
+}
+
+/* Merge n pairs in order; targets holds each pair's target bins as
+ * (address, cell count) and sources the address of each source buffer.  A
+ * pair whose target window stays adds its source window into the target's
+ * bins in place and sets out[i] to the number of bins that went from zero
+ * to positive; any other pair is left untouched with out[i] = -1.  Each
+ * window is read when its pair is merged.  The caller passes only pairs
+ * whose target holds weight and whose source is not empty, and updates the
+ * stores' counts.  Returns the number of pairs merged. */
+int64_t repro_merge_windows(int64_t n, const int64_t *targets, const int64_t *pairs,
+                            const int64_t *sources, int64_t *out)
+{
+    int64_t accepted = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *row = pairs + i * MW_COLS;
+        Window t = pair_target(targets, row, i);
+        const double *source =
+            (const double *)(intptr_t)sources[row[MW_SOURCE_BUFFER]] + row[MW_SOURCE_START];
+        out[i] = -1;
+        if (merge_window(&t, source, row[MW_SOURCE_OFFSET], row[MW_SOURCE_SIZE], 0.0, STAY,
+                         NULL, 0)) {
+            out[i] = t.positive;
+            accepted++;
+        }
+    }
+    return accepted;
+}
+
+/* Move columns: each pair's first cell in `arena` and the cells it may use. */
+enum { MV_ARENA_START, MV_ARENA_CELLS, MV_COLS };
+
+/* Output columns: the moved window's first key and size (-1: left to
+ * Store.merge), its positive cells, and whether the store collapsed. */
+enum { MO_FIRST, MO_SIZE, MO_POSITIVE, MO_COLLAPSED, MO_COLS };
+
 /* Store.merge for pairs whose target window must move (the pairs
  * repro_merge_windows declines), with pairs in its column layout and
  * targets and sources as there.  Each pair's new window is built in
- * arena[start:start + size]: the old bins moved as _extend_range and
- * _move_window move them (a plain store grows by whole chunks, its pair
- * row's limit column holding its chunk size; a collapsing store re-anchors
- * on its used edge bin and folds what falls outside into its boundary
- * bin), then the source window added as _merge_dense adds it, weight
- * outside the window folded onto the edge bins.  out gets the window's
- * first key and size, its positive cells and the collapsed flag, or size
+ * arena[start:start + cells], the old bins left as they are.  out gets the
+ * window's first key and size, its positive cells (for a plain dense
+ * store, the cells the merge made positive) and the collapsed flag, or size
  * -1 for a pair left to Store.merge.  Returns the number of pairs moved. */
 int64_t repro_move_windows(int64_t n, const int64_t *targets, const int64_t *pairs,
                            const int64_t *sources, const int64_t *moves, double *arena,
@@ -741,111 +943,113 @@ int64_t repro_move_windows(int64_t n, const int64_t *targets, const int64_t *pai
     int64_t moved = 0;
     for (int64_t i = 0; i < n; i++) {
         const int64_t *row = pairs + i * MW_COLS;
-        const double *old = (const double *)(intptr_t)targets[2 * i];
-        int64_t old_size = targets[2 * i + 1];
+        Window t = pair_target(targets, row, i);
         const double *source =
             (const double *)(intptr_t)sources[row[MW_SOURCE_BUFFER]] + row[MW_SOURCE_START];
-        int64_t source_size = row[MW_SOURCE_SIZE];
-        int64_t offset = row[MW_OFFSET], kind = row[MW_KIND], limit = row[MW_LIMIT];
-        int64_t source_offset = row[MW_SOURCE_OFFSET];
         int64_t *result = out + i * MO_COLS;
         result[MO_SIZE] = -1;
-        if (offset < -MOVE_KEY_LIMIT || offset > MOVE_KEY_LIMIT || source_offset < -MOVE_KEY_LIMIT
-            || source_offset > MOVE_KEY_LIMIT || old_size <= 0 || limit <= 0)
+        if (t.size <= 0)
             continue;
-        int64_t first = used_edge(source, source_size, 0);
-        if (first < 0)
+        if (!merge_window(&t, source, row[MW_SOURCE_OFFSET], row[MW_SOURCE_SIZE], 0.0, MOVE,
+                          arena + moves[i * MV_COLS + MV_ARENA_START],
+                          moves[i * MV_COLS + MV_ARENA_CELLS]))
             continue;
-        int64_t min_key = source_offset + first;
-        int64_t max_key = source_offset + used_edge(source, source_size, 1);
-        int64_t window_first = offset, window_last = offset + old_size - 1;
-        int64_t new_first, new_last, collapsed = 0, recount = 1;
-        if (kind == MERGE_DENSE) {
-            /* _extend_below, then _extend_above, by whole chunks. */
-            new_first = window_first;
-            new_last = window_last;
-            if (min_key < new_first)
-                new_first -= (int64_t)ceil((double)(new_first - min_key) / (double)limit) * limit;
-            if (max_key > new_last)
-                new_last += (int64_t)ceil((double)(max_key - new_last) / (double)limit) * limit;
-            recount = 0;
-        } else if (kind == MERGE_LOWEST) {
-            int64_t top = used_edge(old, old_size, 1);
-            if (top < 0 || old_size > limit)
-                continue;
-            new_last = offset + top > max_key ? offset + top : max_key;
-            new_first = window_first < min_key ? window_first : min_key;
-            if (new_last - new_first + 1 > limit)
-                new_first = new_last - limit + 1;
-            collapsed = new_first > min_key;
-        } else if (kind == MERGE_HIGHEST) {
-            int64_t bottom = used_edge(old, old_size, 0);
-            if (bottom < 0 || old_size > limit)
-                continue;
-            new_first = offset + bottom < min_key ? offset + bottom : min_key;
-            new_last = window_last > max_key ? window_last : max_key;
-            if (new_last - new_first + 1 > limit)
-                new_last = new_first + limit - 1;
-            collapsed = new_last < max_key;
-        } else {
-            continue;
-        }
-        if (new_first == window_first && new_last == window_last)
-            continue;
-        int64_t size = new_last - new_first + 1;
-        if (size > moves[i * MV_COLS + MV_ARENA_CELLS])
-            continue;
-        double *bins = arena + moves[i * MV_COLS + MV_ARENA_START];
-        memset(bins, 0, (size_t)size * sizeof(double));
-        /* _move_window: the overlap moves, the rest folds onto the
-         * collapsing side (a plain store only grows, so nothing folds). */
-        int64_t start = offset - new_first;
-        int64_t low = start < 0 ? -start : 0;
-        int64_t high = old_size < size - start ? old_size : size - start;
-        double folded;
-        if (low < high) {
-            memcpy(bins + start + low, old + low, (size_t)(high - low) * sizeof(double));
-            folded = slice_sum(old, low) + slice_sum(old + high, old_size - high);
-        } else {
-            folded = slice_sum(old, old_size);
-        }
-        if (folded > 0.0) {
-            bins[kind == MERGE_HIGHEST ? size - 1 : 0] += folded;
-            collapsed = 1;
-        }
-        int64_t positive = 0;
-        if (recount)
-            for (int64_t j = 0; j < size; j++)
-                positive += bins[j] > 0.0;
-        /* _merge_dense into the moved window. */
-        start = source_offset - new_first;
-        low = start > 0 ? start : 0;
-        high = start + source_size < size ? start + source_size : size;
-        for (int64_t j = low; j < high; j++) {
-            double cell = source[j - start];
-            positive += bins[j] == 0.0 && cell > 0.0;
-            bins[j] += cell;
-        }
-        if (start < 0) {
-            double below = slice_sum(source, -start < source_size ? -start : source_size);
-            if (below > 0.0) {
-                positive += bins[0] == 0.0;
-                bins[0] += below;
-            }
-        }
-        if (start + source_size > size) {
-            int64_t from = size - start > 0 ? size - start : 0;
-            double above = slice_sum(source + from, source_size - from);
-            if (above > 0.0) {
-                positive += bins[size - 1] == 0.0;
-                bins[size - 1] += above;
-            }
-        }
-        result[MO_FIRST] = new_first;
-        result[MO_SIZE] = size;
-        result[MO_POSITIVE] = positive;
-        result[MO_COLLAPSED] = collapsed;
+        result[MO_FIRST] = t.offset;
+        result[MO_SIZE] = t.size;
+        result[MO_POSITIVE] = t.positive;
+        result[MO_COLLAPSED] = t.collapsed;
         moved++;
     }
     return moved;
+}
+
+/* Fold columns: one row per window (its key offset, size and address) and
+ * one per group, for the store the group starts from (its kind, bin limit
+ * or a plain dense store's chunk size, positive cells and collapse flag)
+ * and whether the group's result is merged into the total. */
+enum { FW_OFFSET, FW_SIZE, FW_ADDRESS, FW_COLS };
+enum { FH_KIND, FH_LIMIT, FH_POSITIVE, FH_COLLAPSED, FH_MERGED, FH_COLS };
+
+/* The store a group starts from, copied into `cells`; 0 when it does not
+ * fit there. */
+static int copy_window(Window *t, const int64_t *row, const int64_t *head, double count,
+                       double *cells, int64_t capacity)
+{
+    t->bins = cells;
+    t->capacity = capacity;
+    t->offset = row[FW_OFFSET];
+    t->size = row[FW_SIZE];
+    t->kind = head[FH_KIND];
+    t->limit = head[FH_LIMIT];
+    t->positive = head[FH_POSITIVE];
+    t->collapsed = head[FH_COLLAPSED];
+    t->count = count;
+    if (t->size < 0 || t->size > capacity)
+        return 0;
+    if (t->size > 0)
+        memcpy(cells, (const double *)(intptr_t)row[FW_ADDRESS], (size_t)t->size * sizeof(double));
+    return 1;
+}
+
+/* Store.merge of a window into t: nothing where the window holds no weight. */
+static int fold_window(Window *t, const int64_t *row, double count)
+{
+    if (!(count > 0.0))
+        return 1;
+    return merge_window(t, (const double *)(intptr_t)row[FW_ADDRESS], row[FW_OFFSET],
+                        row[FW_SIZE], count, FOLD, t->bins, t->capacity);
+}
+
+/* Fold ngroups groups of windows into one, as the copy-first loop does:
+ * group g holds window rows [ends[g - 1], ends[g]) (from 0 for g = 0;
+ * counts holds each window's store count), is folded in order from a copy
+ * of its first window, and is merged into the total as soon as it is done
+ * where its head row says so.  The total is group 0's result and lives in
+ * total_cells; later groups are folded in group_cells, except that a group
+ * of one window merges straight from it.  Windows are read in place.  out
+ * gets the total's first key, size, positive cells and collapse flag, and
+ * count[0] its count.  Returns 0, or -1 for a fold left to the loop (a
+ * window without a used bin where its count says it holds weight, keys
+ * past +-2**50, a window outgrowing its cells). */
+int64_t repro_fold_windows(int64_t ngroups, const int64_t *ends, const int64_t *heads,
+                           const int64_t *windows, const double *counts, double *total_cells,
+                           int64_t total_capacity, double *group_cells, int64_t group_capacity,
+                           int64_t *out, double *count)
+{
+    Window total, group;
+    int64_t begin = 0;
+    for (int64_t g = 0; g < ngroups; g++) {
+        const int64_t *head = heads + g * FH_COLS;
+        int64_t end = ends[g];
+        if (end <= begin)
+            return -1;
+        if (g == 0) {
+            if (!copy_window(&total, windows, head, counts[0], total_cells, total_capacity))
+                return -1;
+            for (int64_t i = 1; i < end; i++)
+                if (!fold_window(&total, windows + i * FW_COLS, counts[i]))
+                    return -1;
+        } else if (end - begin == 1) {
+            if (head[FH_MERGED] && !fold_window(&total, windows + begin * FW_COLS, counts[begin]))
+                return -1;
+        } else {
+            if (!copy_window(&group, windows + begin * FW_COLS, head, counts[begin], group_cells,
+                             group_capacity))
+                return -1;
+            for (int64_t i = begin + 1; i < end; i++)
+                if (!fold_window(&group, windows + i * FW_COLS, counts[i]))
+                    return -1;
+            if (head[FH_MERGED] && group.count > 0.0
+                && !merge_window(&total, group.bins, group.offset, group.size, group.count,
+                                 FOLD, total.bins, total.capacity))
+                return -1;
+        }
+        begin = end;
+    }
+    out[0] = total.offset;
+    out[1] = total.size;
+    out[2] = total.positive;
+    out[3] = total.collapsed;
+    count[0] = total.count;
+    return 0;
 }

@@ -58,6 +58,9 @@ DECODED_STORE_COLUMNS = 10
 #: Columns of one bulk-merge pair row (``MW_COLS`` in ``_kernel.c``).
 MERGE_PAIR_COLUMNS = 7
 
+#: Columns of one fold group's head row (``FH_COLS`` in ``_kernel.c``).
+FOLD_HEAD_COLUMNS = 5
+
 _COMPILE_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
 #: Cached load attempt: ``None`` until tried, then ``(backend, reason)`` with
@@ -168,6 +171,8 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_merge_windows.restype = i64
     lib.repro_move_windows.argtypes = [i64, p, p, p, p, p, p]
     lib.repro_move_windows.restype = i64
+    lib.repro_fold_windows.argtypes = [i64, p, p, p, p, p, i64, p, i64, p, p]
+    lib.repro_fold_windows.restype = i64
 
 
 def _ptr(array: Optional["np.ndarray"]):
@@ -216,6 +221,24 @@ def _writable_windows(targets: Sequence["np.ndarray"]) -> "np.ndarray":
     addresses = [addressof(from_buffer(bins)) for bins in targets]
     sizes = [bins.size for bins in targets]
     return np.array(addresses + sizes, dtype=np.int64).reshape(2, -1).T.copy()
+
+
+def _readable_windows(windows: Sequence["np.ndarray"]) -> Tuple["np.ndarray", "np.ndarray"]:
+    """``(sizes, addresses)`` of store bins that native code may read in place.
+
+    Store bins are one-dimensional, contiguous, writable ``float64``
+    arrays; the buffer protocol read refuses any other, and an empty window
+    has address 0.
+    """
+    for dtype, ndim in {(bins.dtype, bins.ndim) for bins in windows}:
+        if dtype != _FLOAT64 or ndim != 1:
+            raise ValueError(f"store bins must be one-dimensional float64, got {ndim}-d {dtype}")
+    addressof = ctypes.addressof
+    from_buffer = ctypes.c_char.from_buffer
+    count = len(windows)
+    sizes = np.fromiter(map(len, windows), dtype=np.int64, count=count)
+    addresses = [addressof(from_buffer(bins)) if bins.size else 0 for bins in windows]
+    return sizes, np.array(addresses, dtype=np.int64)
 
 
 class NativeSignSplit(SignSplit):
@@ -549,6 +572,47 @@ class NativeBackend:
         )
         return out
 
+    def fold_windows(
+        self,
+        ends: Sequence[int],
+        heads: Sequence[int],
+        offsets: "np.ndarray",
+        windows: Sequence["np.ndarray"],
+        counts: Sequence[float],
+        total_cells: int,
+        group_cells: int,
+    ):
+        """Fold groups of store windows in one C pass; see :func:`repro.kernel.fold_windows`.
+
+        The pass reads each window in place through its address, so the
+        windows are checked as store bins (contiguous ``float64``), and the
+        groups must split the windows into non-empty runs.
+        """
+        count = len(windows)
+        ends = np.ascontiguousarray(ends, dtype=np.int64)
+        groups = ends.size
+        if not groups or int(ends[-1]) != count or (np.diff(ends, prepend=0) <= 0).any():
+            raise ValueError(f"the groups must split the {count} windows into non-empty runs")
+        heads = np.ascontiguousarray(heads, dtype=np.int64)
+        counts = np.ascontiguousarray(counts, dtype=np.float64)
+        if heads.size != groups * FOLD_HEAD_COLUMNS or not len(offsets) == counts.size == count:
+            raise ValueError(f"expected {groups} head rows and {count} window offsets and counts")
+        table = np.empty((count, 3), dtype=np.int64)
+        table[:, 0] = offsets
+        table[:, 1], table[:, 2] = _readable_windows(windows)
+        total = np.empty(total_cells)
+        group = np.empty(group_cells)
+        out = np.empty(4, dtype=np.int64)
+        total_count = np.empty(1)
+        status = self._lib.repro_fold_windows(
+            groups, _ptr(ends), _ptr(heads), _ptr(table), _ptr(counts),
+            _ptr(total), total_cells, _ptr(group), group_cells, _ptr(out), _ptr(total_count),
+        )
+        if status < 0:
+            return None
+        first, size, positive, collapsed = out.tolist()
+        return total[:size].copy(), first, positive, bool(collapsed), float(total_count[0])
+
     def pairwise_sum(self, values: "np.ndarray") -> float:
         """``float(values.sum())`` computed by the C pass (self-test hook)."""
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -574,8 +638,8 @@ def _self_test(backend: NativeBackend) -> None:
 
     Covers all four mapping families, both signs, zeros, denormal-adjacent
     magnitudes, window clipping, grouped binning, a codec round trip, the
-    pairwise count totals, a small frame through the columnar codec and a
-    few store pairs through the bulk merge.
+    pairwise count totals, a small frame through the columnar codec, a
+    few store pairs through the bulk merge and a small fold.
     A failure raises :class:`NativeKernelUnavailable` so the facade falls
     back to NumPy rather than ever serving non-reference bytes.
     """
@@ -656,6 +720,7 @@ def _self_test(backend: NativeBackend) -> None:
             raise NativeKernelUnavailable("self-test: pairwise sum mismatch")
     _frame_self_test(backend, rng)
     _merge_self_test(backend)
+    _fold_self_test(backend)
 
 
 @contextlib.contextmanager
@@ -749,6 +814,54 @@ def _merge_self_test(backend: "NativeBackend") -> None:
         target.merge(source)
     if not all(_same_store(got, want) for got, want in zip(targets, expected)):
         raise NativeKernelUnavailable("self-test: bulk merge mismatch")
+
+
+def _fold_self_test(backend: "NativeBackend") -> None:
+    """Three groups of stores through the fold pass against the copy-first loop.
+
+    Group 0 moves up and collapses; group 1 is one plain dense window,
+    merged straight into the total, which folds it onto its low edge;
+    group 2 starts from a store whose count drifted to 0 while a bin kept
+    weight (the next merge clears it), is folded apart and then merged.
+    The weights make key 5 read 0.1 + (0.2 + 0.3), which a flat fold would
+    sum as (0.1 + 0.2) + 0.3.  The loop is :meth:`BaseDDSketch.fold`'s, on
+    sketches holding these stores.
+    """
+    from repro.core.ddsketch import BaseDDSketch, _fold_loop
+    from repro.mapping import LogarithmicMapping
+    from repro.store import CollapsingLowestDenseStore, DenseStore
+    from repro.store.grouped import fold_store_groups
+
+    def build(factory, pairs):
+        store = factory()
+        for key, weight in pairs:
+            store.add(key, weight)
+        return store
+
+    lowest = functools.partial(CollapsingLowestDenseStore, 8, chunk_size=8)
+    dense = functools.partial(DenseStore, chunk_size=8)
+    emptied = build(lowest, [(4, 1.0), (3, 2.0**53)])  # the count rounds the 1.0 away
+    emptied.remove(3, 2.0**53)
+    groups = [
+        [build(lowest, [(2, 0.3), (5, 0.1)]), build(lowest, [(9, 0.7)]),
+         build(lowest, [(-6, 0.4), (4, 1.3)])],
+        [build(dense, [(-30, 0.6), (1, 0.2)])],
+        [emptied, build(dense, [(5, 0.2), (9, 0.5)]), build(lowest, [(5, 0.3), (8, 0.9)])],
+    ]
+    with _serving(backend):
+        got = fold_store_groups(
+            [store for group in groups for store in group], [3, 4, 7], [True] * 3
+        )
+    mapping = LogarithmicMapping(0.02)
+    sketches = [
+        [
+            BaseDDSketch._decoded(mapping, store, dense(), 0.0, store.count, 0.0, 0.0, 0.0)
+            for store in group
+        ]
+        for group in groups
+    ]
+    if got is None or not _same_store(got, _fold_loop(sketches).store):
+        raise NativeKernelUnavailable("self-test: fold mismatch")
 
 
 def _check_frame_columns(backend: "NativeBackend", rng) -> None:

@@ -26,8 +26,12 @@ import numpy as np
 from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.exceptions import EmptySketchError, IllegalArgumentError
 from repro.monitoring.agent import FramePayload, SketchPayload
-from repro.monitoring.timeseries import DEFAULT_WINDOW_FACTORS, SketchTimeSeries
-from repro.registry.series import SeriesKey, TagsLike
+from repro.monitoring.timeseries import (
+    DEFAULT_WINDOW_FACTORS,
+    SketchTimeSeries,
+    interval_index,
+)
+from repro.registry.series import SeriesKey, TagsLike, select_keys
 
 
 class Aggregator:
@@ -74,7 +78,7 @@ class Aggregator:
         self, metric: Optional[str] = None, tag_filter: TagsLike = None
     ) -> List[SeriesKey]:
         """Sorted keys of the stored series, optionally filtered."""
-        return sorted(key for key in self._series if key.matches(metric, tag_filter))
+        return select_keys(self._series, metric, tag_filter)
 
     @property
     def num_series(self) -> int:
@@ -101,17 +105,32 @@ class Aggregator:
         key = SeriesKey.of(metric, tags)
         existing = self._series.get(key)
         if existing is None:
-            existing = SketchTimeSeries(
-                key.metric,
-                interval_length=self._interval_length,
-                sketch_factory=self._sketch_factory,
-                tags=key.tags,
-                window_factors=self._window_factors,
-            )
-            for hook in self._invalidation_hooks:
-                existing.add_invalidation_hook(hook)
-            self._series[key] = existing
+            existing = self._series[key] = self._new_series(key)
         return existing
+
+    def _new_series(self, key: SeriesKey) -> SketchTimeSeries:
+        """A time series for ``key``, with every invalidation hook, not yet stored."""
+        series = SketchTimeSeries(
+            key.metric,
+            interval_length=self._interval_length,
+            sketch_factory=self._sketch_factory,
+            tags=key.tags,
+            window_factors=self._window_factors,
+        )
+        for hook in self._invalidation_hooks:
+            series.add_invalidation_hook(hook)
+        return series
+
+    def _ingest_into(self, key: SeriesKey, ingest: Callable[[SketchTimeSeries], None]) -> None:
+        """Run ``ingest`` on the series of ``key``; a new series is stored
+        only once ``ingest`` returns, so refused input leaves none behind."""
+        series = self._series.get(key)
+        if series is None:
+            series = self._new_series(key)
+            ingest(series)
+            self._series[key] = series
+        else:
+            ingest(series)
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -146,11 +165,21 @@ class Aggregator:
             observer(key, timestamp, sketch)
 
     def ingest(self, payload: SketchPayload) -> None:
-        """Decode one payload and merge it into the matching series/interval."""
+        """Decode one payload and merge it into the matching series/interval.
+
+        A payload whose interval start has no interval index is refused
+        before any observer sees it or any series is created.
+        """
         sketch = payload.decode()
-        series = self.series(payload.metric, payload.tags)
-        self._notify_ingest(series.series_key, payload.interval_start, sketch)
-        series.ingest_sketch(payload.interval_start, sketch)
+        key = SeriesKey.of(payload.metric, payload.tags)
+        interval_start = payload.interval_start
+        interval_index(interval_start, self._interval_length)
+
+        def ingest(series: SketchTimeSeries) -> None:
+            self._notify_ingest(key, interval_start, sketch)
+            series.ingest_sketch(interval_start, sketch)
+
+        self._ingest_into(key, ingest)
         self._payloads_received += 1
         self._series_received += 1
         self._bytes_received += payload.size_in_bytes
@@ -163,12 +192,17 @@ class Aggregator:
         of series merged.
         """
         entries = frame.decode()
+        interval_start = frame.interval_start
+        interval_index(interval_start, self._interval_length)
         for key, sketch in entries:
-            series = self.series(key.metric, key.tags)
-            self._notify_ingest(series.series_key, frame.interval_start, sketch)
-            # Decoded sketches are exclusively owned; adopt them instead of
-            # paying one deep copy per series.
-            series.ingest_sketch(frame.interval_start, sketch, copy=False)
+
+            def ingest(series: SketchTimeSeries, key=key, sketch=sketch) -> None:
+                self._notify_ingest(key, interval_start, sketch)
+                # Decoded sketches are exclusively owned; adopt them instead
+                # of paying one deep copy per series.
+                series.ingest_sketch(interval_start, sketch, copy=False)
+
+            self._ingest_into(key, ingest)
         self._payloads_received += 1
         self._series_received += len(entries)
         self._bytes_received += frame.size_in_bytes
@@ -195,20 +229,23 @@ class Aggregator:
         Convenience for co-located producers — e.g. a service embedding the
         aggregator in-process — that want the batch ingestion path without
         serializing a payload first.  All values land in the series'
-        interval containing ``timestamp``.
+        interval containing ``timestamp``.  An empty batch, and refused input
+        (a timestamp without an interval index, a value or weight
+        ``add_batch`` refuses), create no series.
         """
-        series = self.series(metric, tags)
+        key = SeriesKey.of(metric, tags)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if values.size == 0:
+            return
+        interval_index(timestamp, self._interval_length)
         if self._ingest_observers:
             # Observers receive deltas as sketches; materialise the batch as
             # one for them.  The stored series still takes the raw values, so
             # storage is bit-identical whether or not anyone is watching.
-            values = np.asarray(values, dtype=np.float64).reshape(-1)
-            if values.size == 0:
-                return
             delta = self._sketch_factory()
             delta.add_batch(values, weights)
-            self._notify_ingest(series.series_key, timestamp, delta)
-        series.ingest_values(timestamp, values, weights)
+            self._notify_ingest(key, timestamp, delta)
+        self._ingest_into(key, lambda series: series.ingest_values(timestamp, values, weights))
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -243,24 +280,24 @@ class Aggregator:
     ) -> BaseDDSketch:
         """Merge the addressed series over ``[start, end)`` into a new sketch.
 
-        Raises :class:`EmptySketchError` when the metric/series is unknown or
-        the window holds no data for any addressed series.
+        Each series' pieces over the window (its cached coarse windows and
+        raw intervals, as :meth:`SketchTimeSeries.rollup` covers it) are
+        one group of one :meth:`~repro.core.BaseDDSketch.fold`, in sorted
+        series order.  Raises :class:`EmptySketchError` when the
+        metric/series is unknown or the window holds no data for any
+        addressed series.
         """
-        merged: Optional[BaseDDSketch] = None
+        groups = []
         for series in self._selected_series(metric, tags, tag_filter):
             try:
-                piece = series.rollup(start, end)
+                groups.append(series._rollup_pieces(start, end))
             except EmptySketchError:
                 continue
-            if merged is None:
-                merged = piece
-            else:
-                merged.merge(piece)
-        if merged is None:
+        if not groups:
             raise EmptySketchError(
                 f"no data for metric {metric!r} in the requested window"
             )
-        return merged
+        return BaseDDSketch.fold(groups)
 
     def quantile(
         self,
@@ -316,27 +353,28 @@ class Aggregator:
         """Per-interval sketches of the addressed series, merged across series.
 
         One cross-series merge pass serves any number of reads (averages and
-        multi-quantile series alike).  By default every returned sketch is
-        caller-owned: the single-series path used to hand out the *live*
-        stored sketches (unlike the multi-series path, which always merges
-        fresh), so a caller mutating the result corrupted stored state and
-        left stale window caches behind.  Pass ``copy=False`` only for
-        read-only internal consumers that want to skip the defensive copies.
+        multi-quantile series alike): each interval's sketches, in series
+        order, are one :meth:`~repro.core.BaseDDSketch.fold`.  By default
+        every returned sketch is caller-owned: the single-series path used
+        to hand out the *live* stored sketches (unlike the multi-series
+        path, which always merges fresh), so a caller mutating the result
+        corrupted stored state and left stale window caches behind.  Pass
+        ``copy=False`` only for read-only internal consumers that want to
+        skip the defensive copies.
         """
         selected = self._selected_series(metric, tags, tag_filter)
         if len(selected) == 1:
             if copy:
                 return [(start, sketch.copy()) for start, sketch in selected[0]]
             return list(selected[0])
-        merged: Dict[float, BaseDDSketch] = {}
+        pieces: Dict[float, List[BaseDDSketch]] = {}
         for series in selected:
             for interval_start, sketch in series:
-                existing = merged.get(interval_start)
-                if existing is None:
-                    merged[interval_start] = sketch.copy()
-                else:
-                    existing.merge(sketch)
-        return [(interval_start, merged[interval_start]) for interval_start in sorted(merged)]
+                pieces.setdefault(interval_start, []).append(sketch)
+        return [
+            (interval_start, BaseDDSketch.fold([pieces[interval_start]]))
+            for interval_start in sorted(pieces)
+        ]
 
     def quantile_series(
         self,

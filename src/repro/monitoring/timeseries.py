@@ -41,6 +41,31 @@ from repro.registry.series import SeriesKey, TagsLike
 DEFAULT_WINDOW_FACTORS: Tuple[int, ...] = (16, 256)
 
 
+def interval_index(timestamp: float, interval_length: float) -> int:
+    """Canonical index of the interval of ``interval_length`` holding ``timestamp``.
+
+    One floor-division: the float pre-estimate ``floor(t / L)`` can be off
+    by one when ``t / L`` rounds across an integer (``0.3 / 0.1 ==
+    2.9999...``), so the result is fixed up until it satisfies the defining
+    invariant ``index * L <= timestamp < (index + 1) * L`` in float
+    arithmetic — which also makes ``interval_index(i * L, L) == i``, the
+    round-trip the old ``round(start / L)`` lookup path violated.  Raises
+    :class:`~repro.exceptions.IllegalArgumentError` for a timestamp without
+    one: infinite, NaN, or too large for its quotient to be finite.
+    """
+    try:
+        index = math.floor(timestamp / interval_length)
+    except (OverflowError, ValueError):
+        raise IllegalArgumentError(
+            f"timestamp {timestamp!r} has no interval index; it must be finite"
+        ) from None
+    while (index + 1) * interval_length <= timestamp:
+        index += 1
+    while index * interval_length > timestamp:
+        index -= 1
+    return index
+
+
 class SketchTimeSeries:
     """A time-indexed collection of sketches for a single tagged series.
 
@@ -167,43 +192,25 @@ class SketchTimeSeries:
     # ------------------------------------------------------------------ #
 
     def _index_for(self, timestamp: float) -> int:
-        """Canonical interval index of ``timestamp`` (one floor-division).
-
-        The float pre-estimate ``floor(t / L)`` can be off by one when
-        ``t / L`` rounds across an integer (``0.3 / 0.1 == 2.9999...``), so
-        the result is fixed up until it satisfies the defining invariant
-        ``start_of(index) <= timestamp < start_of(index + 1)`` in float
-        arithmetic — which also makes ``_index_for(_start_of(i)) == i``, the
-        round-trip the old ``round(start / L)`` lookup path violated.
-        Raises :class:`~repro.exceptions.IllegalArgumentError` for a
-        timestamp without one: infinite, NaN, or too large for its quotient
-        to be finite.
-        """
-        try:
-            index = math.floor(timestamp / self._interval_length)
-        except (OverflowError, ValueError):
-            raise IllegalArgumentError(
-                f"timestamp {timestamp!r} has no interval index; it must be finite"
-            ) from None
-        while (index + 1) * self._interval_length <= timestamp:
-            index += 1
-        while index * self._interval_length > timestamp:
-            index -= 1
-        return index
+        """Canonical interval index of ``timestamp`` (see :func:`interval_index`)."""
+        return interval_index(timestamp, self._interval_length)
 
     def _start_of(self, index: int) -> float:
         """Float interval start derived from the canonical integer index."""
         return index * self._interval_length
 
-    def _bucket_for(self, timestamp: float) -> BaseDDSketch:
-        """The interval sketch containing ``timestamp`` (created on demand)."""
+    def _record(self, timestamp: float, add: Callable[[BaseDDSketch], None]) -> None:
+        """Run ``add`` on the interval sketch containing ``timestamp``; a new
+        interval is kept only once ``add`` accepted its input."""
         index = self._index_for(timestamp)
         sketch = self._buckets.get(index)
         if sketch is None:
             sketch = self._sketch_factory()
+            add(sketch)
             self._buckets[index] = sketch
+        else:
+            add(sketch)
         self._invalidate_windows(index)
-        return sketch
 
     def add_invalidation_hook(self, hook: Callable[[SeriesKey, int], None]) -> None:
         """Register ``hook(series_key, interval_index)`` to fire on every mutation.
@@ -240,7 +247,7 @@ class SketchTimeSeries:
 
     def ingest_value(self, timestamp: float, value: float, weight: float = 1.0) -> None:
         """Record a single raw value into the interval containing ``timestamp``."""
-        self._bucket_for(timestamp).add(value, weight)
+        self._record(timestamp, lambda sketch: sketch.add(value, weight))
 
     def ingest_values(
         self,
@@ -256,7 +263,7 @@ class SketchTimeSeries:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if values.size == 0:
             return
-        self._bucket_for(timestamp).add_batch(values, weights)
+        self._record(timestamp, lambda sketch: sketch.add_batch(values, weights))
 
     # ------------------------------------------------------------------ #
     # Hierarchical windows
@@ -275,7 +282,7 @@ class SketchTimeSeries:
         if window_index in cache:
             return cache[window_index]
         child_factor = self._window_factors[level - 1] if level > 0 else 1
-        merged: Optional[BaseDDSketch] = None
+        pieces = []
         first_child = window_index * (factor // child_factor)
         for child_index in range(first_child, first_child + factor // child_factor):
             if child_factor == 1:
@@ -283,10 +290,8 @@ class SketchTimeSeries:
             else:
                 piece = self._window_sketch(level - 1, child_index)
             if piece is not None and piece.count > 0:
-                if merged is None:
-                    merged = piece.copy()
-                else:
-                    merged.merge(piece)
+                pieces.append(piece)
+        merged = BaseDDSketch.fold([pieces]) if pieces else None
         cache[window_index] = merged
         return merged
 
@@ -350,6 +355,10 @@ class SketchTimeSeries:
         pieces instead of every interval.  The result is a *new* sketch; the
         stored per-interval sketches are not modified.
         """
+        return BaseDDSketch.fold([self._rollup_pieces(start, end)])
+
+    def _rollup_pieces(self, start: Optional[float], end: Optional[float]) -> List[BaseDDSketch]:
+        """The sketches :meth:`rollup` folds, in time order (raising as it raises)."""
         if not self._buckets:
             raise EmptySketchError(f"no data stored for metric {self._metric!r}")
         selected = self._selected_indices(start, end)
@@ -358,14 +367,9 @@ class SketchTimeSeries:
                 f"no data for metric {self._metric!r} in [{start!r}, {end!r})"
             )
         pieces = self._cover_pieces(selected[0], selected[-1] + 1)
-        if not pieces:
-            # Every selected interval holds an empty sketch; preserve the
-            # plain-merge behaviour of returning an empty copy.
-            return self._buckets[selected[0]].copy()
-        merged = pieces[0].copy()
-        for piece in pieces[1:]:
-            merged.merge(piece)
-        return merged
+        # Every selected interval may hold an empty sketch: the rollup is
+        # then an empty copy, as a plain merge would give.
+        return pieces or [self._buckets[selected[0]]]
 
     def quantile_bounds(
         self,
@@ -490,8 +494,10 @@ class SketchTimeSeries:
         (:meth:`_cover_pieces`), so repeated dashboard reads over the same
         windows merge a few cached pieces instead of every raw interval.
         """
-        if window_length <= 0:
-            raise IllegalArgumentError(f"window_length must be positive, got {window_length!r}")
+        if not window_length > 0 or not math.isfinite(window_length):  # rejects NaN as well
+            raise IllegalArgumentError(
+                f"window_length must be positive and finite, got {window_length!r}"
+            )
         # Group stored intervals by containing window.  The interval -> window
         # assignment is monotone in the interval index, so each window's
         # indices form a contiguous range coverable by cached pieces.
@@ -516,10 +522,7 @@ class SketchTimeSeries:
             pieces = self._cover_pieces(group[0], group[-1] + 1)
             if not pieces:
                 continue
-            merged = pieces[0].copy()
-            for piece in pieces[1:]:
-                merged.merge(piece)
-            value = merged.get_quantile_value(quantile)
+            value = BaseDDSketch.fold([pieces]).get_quantile_value(quantile)
             if value is not None:
                 series.append((window_index * window_length, value))
         return series

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.core.grouped import GroupedIngest
 from repro.exceptions import EmptySketchError, IllegalArgumentError
-from repro.registry.series import SeriesKey, SeriesLike, TagsLike
+from repro.registry.series import SeriesKey, SeriesLike, TagsLike, select_keys
 
 if TYPE_CHECKING:
     from repro.serialization.frame import DecodedFrame
@@ -97,10 +97,7 @@ class SketchRegistry:
 
     def series_keys(self, metric: Optional[str] = None, tag_filter: TagsLike = None) -> List[SeriesKey]:
         """Sorted keys of the stored series, optionally filtered."""
-        return sorted(
-            (key for key in self._ingest.series_ids() if key.matches(metric, tag_filter)),
-            key=SeriesKey.sort_key,
-        )
+        return select_keys(self._ingest.series_ids(), metric, tag_filter)
 
     def metrics(self) -> List[str]:
         """Sorted names of the metrics with at least one series."""
@@ -277,23 +274,46 @@ class SketchRegistry:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def rollup(self, metric: str, tag_filter: TagsLike = None) -> BaseDDSketch:
+    def rollup(
+        self,
+        metric: str,
+        tag_filter: TagsLike = None,
+        windows: Optional[Sequence["SketchRegistry"]] = None,
+    ) -> BaseDDSketch:
         """Merge every matching series into a new sketch.
 
         With no filter this is the metric-level rollup; with a filter it is
-        the tag-filtered merge.  The stored per-series sketches are not
-        modified.  Raises :class:`EmptySketchError` when nothing matches.
+        the tag-filtered merge.  The series merge in sorted key order
+        through one :meth:`~repro.core.BaseDDSketch.fold`, and the stored
+        per-series sketches are not modified.  Raises
+        :class:`EmptySketchError` when nothing matches.
+
+        ``windows`` answers over time windows instead: registries holding
+        some of this registry's series (every key they hold is one of this
+        registry's), oldest first.  Each matching series is then folded
+        over the windows that hold it before the series merge, the same
+        sketch as merging the windows into one registry and rolling that
+        up, without building it.
         """
         selected = self.series_keys(metric, tag_filter)
-        if not selected:
+        groups = self._series_groups(selected, windows)
+        if not groups:
             raise EmptySketchError(
                 f"no data for metric {metric!r}"
                 + (f" with tags {dict(self._normalized_filter(tag_filter))}" if tag_filter else "")
             )
-        merged = self._ingest.get(selected[0]).copy()
-        for key in selected[1:]:
-            merged.merge(self._ingest.get(key))
-        return merged
+        return BaseDDSketch.fold(groups)
+
+    def _series_groups(
+        self, keys: Sequence[SeriesKey], windows: Optional[Sequence["SketchRegistry"]]
+    ) -> List[List[BaseDDSketch]]:
+        """Each key's sketches to fold: its own, or one per window holding it
+        (keys no window holds are left out)."""
+        if windows is None:
+            return [[sketch] for sketch in self._ingest.sketches_of(keys)]
+        columns = [window._ingest.sketches_of(keys) for window in windows]
+        groups = ([sketch for sketch in row if sketch is not None] for row in zip(*columns))
+        return [group for group in groups if group]
 
     @staticmethod
     def _normalized_filter(tag_filter: TagsLike) -> Tuple[Tuple[str, str], ...]:
@@ -323,17 +343,28 @@ class SketchRegistry:
         quantiles: Sequence[float],
         tags: TagsLike = None,
         tag_filter: TagsLike = None,
+        windows: Optional[Sequence["SketchRegistry"]] = None,
     ) -> List[float]:
-        """Several quantiles from one merged read (single cumulative pass)."""
+        """Several quantiles from one merged read (single cumulative pass).
+
+        ``windows`` reads over time windows, as :meth:`rollup` takes them;
+        an exact series is then folded over the windows that hold it.
+        """
         for quantile in quantiles:
             if not 0 <= quantile <= 1:  # rejects NaN as well
                 raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
         if tags is not None and tag_filter is not None:
             raise IllegalArgumentError("pass either tags (exact series) or tag_filter, not both")
-        if tags is not None:
-            sketch: BaseDDSketch = self.get(metric, tags)
+        if tags is None:
+            sketch = self.rollup(metric, tag_filter, windows)
+        elif windows is None:
+            sketch = self.get(metric, tags)
         else:
-            sketch = self.rollup(metric, tag_filter)
+            key = SeriesKey.of(metric, tags)
+            groups = self._series_groups([key], windows)
+            if not groups:
+                raise EmptySketchError(f"no data for series {key}")
+            sketch = BaseDDSketch.fold(groups)
         values = sketch.get_quantiles(quantiles)
         if any(value is None for value in values):
             raise EmptySketchError(f"no data for metric {metric!r}")

@@ -13,7 +13,7 @@ its other tags are).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import IllegalArgumentError
 
@@ -157,17 +157,38 @@ class SeriesKey:
         """
         if metric is not None and self.metric != metric:
             return False
-        wanted = normalize_tags(tag_filter)
-        if not wanted:
-            return True
-        own = dict(self.tags)
-        return all(own.get(key) == value for key, value in wanted)
+        return self._carries(normalize_tags(tag_filter))
+
+    def _carries(self, wanted: Tuple[Tuple[str, str], ...]) -> bool:
+        """Whether every pair of normalized ``wanted`` tags is one of this key's."""
+        tags = self.tags
+        for pair in wanted:
+            if pair not in tags:
+                return False
+        return True
 
     def __str__(self) -> str:
         if not self.tags:
             return self.metric
         rendered = ",".join(f"{key}={value}" for key, value in self.tags)
         return f"{self.metric}{{{rendered}}}"
+
+
+def select_keys(
+    keys: Iterable["SeriesKey"], metric: Optional[str] = None, tag_filter: TagsLike = None
+) -> List["SeriesKey"]:
+    """The sorted ``keys`` that :meth:`SeriesKey.matches` accepts.
+
+    The filter is normalized once for every key, not once per key; it is
+    validated only when some key has the metric, as ``matches`` validates
+    it.
+    """
+    selected = [key for key in keys if metric is None or key.metric == metric]
+    if selected and tag_filter is not None:
+        wanted = normalize_tags(tag_filter)
+        if wanted:
+            selected = [key for key in selected if key._carries(wanted)]
+    return sorted(selected, key=SeriesKey.sort_key)
 
 
 def _varint(value: int) -> bytes:

@@ -305,15 +305,25 @@ class ServiceState:
         """Quantiles over the merged state or a retained time window.
 
         Without window bounds the all-time merged registry answers; with
-        bounds, the retained interval buckets intersecting
-        ``[window_start, window_end)`` are merged on read.  Raises
-        :class:`~repro.exceptions.EmptySketchError` when nothing matches —
-        never ``KeyError`` (the repository-wide unknown-series contract) —
-        and :class:`~repro.exceptions.IllegalArgumentError` for a window
-        bound that is not finite.
+        bounds, each selected series is folded over the retained interval
+        buckets intersecting ``[window_start, window_end)``, oldest first,
+        and the series are then merged in sorted key order
+        (:meth:`~repro.registry.SketchRegistry.quantiles` with
+        ``windows``): the same answer as merging those buckets into one
+        registry first, without building it.  The merged registry indexes
+        the series, since every series a bucket holds is one of its own.
+        Raises :class:`~repro.exceptions.EmptySketchError` when nothing
+        matches — never ``KeyError`` (the repository-wide unknown-series
+        contract) — and :class:`~repro.exceptions.IllegalArgumentError` for
+        a window bound that is not finite.
         """
-        source = self._windowed_registry(window_start, window_end)
-        return source.quantiles(metric, quantiles, tags=tags, tag_filter=tag_filter)
+        windows = None
+        if window_start is not None or window_end is not None:
+            buckets = self._buckets_in(window_start, window_end)
+            windows = [self._windows[bucket] for bucket in buckets]
+        return self.registry.quantiles(
+            metric, quantiles, tags=tags, tag_filter=tag_filter, windows=windows
+        )
 
     def threshold_query(
         self,
@@ -341,23 +351,30 @@ class ServiceState:
             metric, quantile, threshold, above=above, tag_filter=tag_filter
         )
 
-    def _windowed_registry(
-        self, window_start: Optional[float], window_end: Optional[float]
-    ) -> SketchRegistry:
-        if window_start is None and window_end is None:
-            return self.registry
+    def _buckets_in(self, window_start: Optional[float], window_end: Optional[float]) -> List[int]:
+        """Retained buckets intersecting ``[window_start, window_end)``, oldest
+        first; a bound that is not finite is refused."""
         for name, bound in (("window_start", window_start), ("window_end", window_end)):
             if bound is not None and not math.isfinite(bound):
                 raise IllegalArgumentError(f"{name} must be finite, got {bound!r}")
-        merged = SketchRegistry(sketch_factory=self._sketch_factory)
         low = self._bucket_of(window_start) if window_start is not None else None
-        for bucket in self.window_buckets():
-            if low is not None and bucket < low:
-                continue
-            # Bucket b covers [b*L, (b+1)*L); it intersects a half-open
-            # [window_start, window_end) iff its own start is before the end.
-            if window_end is not None and bucket * self._interval_length >= window_end:
-                continue
+        # Bucket b covers [b*L, (b+1)*L); it intersects a half-open
+        # [window_start, window_end) iff its own start is before the end.
+        return [
+            bucket
+            for bucket in self.window_buckets()
+            if (low is None or bucket >= low)
+            and (window_end is None or bucket * self._interval_length < window_end)
+        ]
+
+    def _windowed_registry(
+        self, window_start: Optional[float], window_end: Optional[float]
+    ) -> SketchRegistry:
+        """The merged registry, or the window's buckets merged into a new one."""
+        if window_start is None and window_end is None:
+            return self.registry
+        merged = SketchRegistry(sketch_factory=self._sketch_factory)
+        for bucket in self._buckets_in(window_start, window_end):
             merged.merge(self._windows[bucket])
         return merged
 

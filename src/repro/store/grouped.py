@@ -28,6 +28,8 @@ store family's exact semantics while still being vectorized per group.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import attrgetter
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -385,6 +387,96 @@ def _move_declined(passed, table: "np.ndarray", target_bins, buffers) -> None:
         else:
             target._num_positive += positive
         target._count += count
+
+
+def fold_store_groups(
+    stores: Sequence[Store], ends: Sequence[int], merged: Sequence[bool]
+) -> Optional[Store]:
+    """A new store holding the fold of groups of ``stores``, in one native pass, or ``None``.
+
+    Group ``g`` is ``stores[ends[g - 1]:ends[g]]`` (from 0 for the first).
+    The fold is the copy-first loop, bit for bit: each group's first store
+    is copied and every later one merged into the copy in order; then each
+    later group's result is merged into group 0's where ``merged[g]`` is
+    set.  (A sketch-level fold leaves out the stores of sketches whose
+    merge returns at once, and clears ``merged[g]`` for a group whose
+    sketch holds no weight.)  The result is a new store of the first
+    store's type and settings; no input store changes.
+
+    ``None`` leaves the fold to that loop: under a backend without
+    :func:`repro.kernel.window_merges`, for a store type outside
+    :data:`SEGMENT_STORE_TYPES`, for scratch past :data:`MAX_MOVED_CELLS`
+    cells, and for what :func:`repro.kernel.fold_windows` declines (a store
+    whose count says it holds weight where no bin does, or keys past
+    +-2**50).  Each running target lives in scratch as large as it can
+    grow: a collapsing store's bin limit, or the union of every window plus
+    two chunks for a plain one.
+    """
+    if not kernel.window_merges():
+        return None
+    kinds = _MERGE_KINDS
+    if any(cls not in kinds for cls in set(map(type, stores))):
+        return None
+    first = stores[0]
+    counts = list(map(_COUNT, stores))
+    if not any(count > 0 for count in islice(counts, 1, None)):
+        return first.copy()  # every merge of the loop returns at once
+    heads: List[Any] = []
+    group_cells = 0
+    dense_chunk = 0
+    begin = 0
+    for index, end in enumerate(ends):
+        if index and end - begin == 1:
+            heads += (0, 0, 0, 0, merged[index])  # merged straight from its window
+        else:
+            head = stores[begin]
+            kind = kinds[type(head)]
+            limit = head._bin_limit if kind else head._chunk_size
+            collapsed = head._is_collapsed if kind else False
+            heads += (kind, limit, head._num_positive, collapsed, merged[index])
+            if not index:
+                total_kind, total_limit = kind, limit
+            elif kind:
+                group_cells = max(group_cells, limit)
+            else:
+                dense_chunk = max(dense_chunk, limit)
+        begin = end
+    try:
+        offsets = np.fromiter(map(_OFFSET, stores), dtype=np.int64, count=len(stores))
+    except OverflowError:
+        return None
+    windows = list(map(_BINS, stores))
+    total_cells = total_limit
+    if not total_kind or dense_chunk:
+        # A plain store's window stays within the union of every window,
+        # widened by one chunk on each side.
+        sizes = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
+        used = sizes > 0
+        span = int((offsets + sizes)[used].max() - offsets[used].min()) if used.any() else 0
+        if not total_kind:
+            total_cells = span + 2 * total_limit
+        if dense_chunk:
+            group_cells = max(group_cells, span + 2 * dense_chunk)
+    if total_cells > MAX_MOVED_CELLS or group_cells > MAX_MOVED_CELLS:
+        return None
+    folded = kernel.fold_windows(ends, heads, offsets, windows, counts, total_cells, group_cells)
+    if folded is None:
+        return None
+    bins, offset, positive, collapsed, count = folded
+    store = type(first).__new__(type(first))
+    store.__dict__.update(first.__dict__)
+    store._bins = bins
+    store._offset = offset
+    store._count = count
+    store._num_positive = positive
+    if total_kind:
+        store._is_collapsed = collapsed
+    return store
+
+
+_COUNT = attrgetter("_count")
+_OFFSET = attrgetter("_offset")
+_BINS = attrgetter("_bins")
 
 
 def _built(source) -> Store:

@@ -20,6 +20,7 @@ from repro import (
     EmptySketchError,
     IllegalArgumentError,
     LogCollapsingLowestDenseDDSketch,
+    LogUnboundedDenseDDSketch,
     SketchRegistry,
     SparseDDSketch,
     UDDSketch,
@@ -431,3 +432,132 @@ class TestValidationAndCubeShape:
             RollupCube(((),))
         with pytest.raises(IllegalArgumentError):
             RollupCube((("host", "host"),))
+
+
+class TestWindowedServiceQueries:
+    """Windowed ``ServiceState`` reads fold each series over the window's
+    buckets (``SketchRegistry.quantiles(..., windows=...)``) instead of
+    merging the buckets into a throwaway registry first; every answer,
+    error and merged sketch must equal that registry path's, bit for bit.
+    """
+
+    SERIES = [
+        ("lat", {"endpoint": f"/e{index}", "region": f"r{index % 3}"}) for index in range(7)
+    ]
+
+    @staticmethod
+    def _state(pushes, factory=None):
+        from repro.service import ServiceState
+        from repro.service.protocol import encode_push_envelope
+
+        state = ServiceState(sketch_factory=factory, interval_length=2.0, retention_intervals=4)
+        sequences = {}
+        for host, bucket, members, values in pushes:
+            registry = SketchRegistry(sketch_factory=factory)
+            for member in members:
+                metric, tags = TestWindowedServiceQueries.SERIES[member]
+                for position, value in enumerate(values):
+                    # Fractional weights: the sums depend on merge order.
+                    registry.add(
+                        metric, value * (member + 1), weight=0.1 + position / 7.0, tags=tags
+                    )
+            sequences[host] = sequences.get(host, 0) + 1
+            state.apply_envelope_bytes(
+                encode_push_envelope(
+                    registry.flush_frame(), host=host, sequence=sequences[host],
+                    interval_start=2.0 * bucket + 0.5,
+                )
+            )
+        return state
+
+    SELECTORS = [
+        {},
+        {"tag_filter": {"region": "r1"}},
+        {"tag_filter": {"region": "r2", "endpoint": "/e5"}},
+        {"tag_filter": {"region": "nowhere"}},
+        {"tags": {"endpoint": "/e3", "region": "r0"}},
+        {"tags": {"endpoint": "/e9", "region": "r0"}},
+        {"tags": {"endpoint": "/e1", "region": "r1"}, "tag_filter": {"region": "r1"}},
+        {"metric": "unknown"},
+        {"quantiles": (0.5, 1.5)},
+    ]
+
+    WINDOWS = [
+        (0.0, 100.0), (4.0, 9.0), (5.5, 6.5), (6.0, None), (None, 7.0), (50.0, 60.0), (8.0, 8.0),
+    ]
+
+    @staticmethod
+    def _outcome(read):
+        import struct
+
+        try:
+            return ("answer", [struct.pack("<d", value) for value in read()])
+        except Exception as error:  # both paths must fail alike
+            return ("raised", type(error).__name__, str(error))
+
+    def _assert_same_reads(self, state):
+        from test_store_merge_matrix import sketch_state
+
+        for window_start, window_end in self.WINDOWS:
+            parent = state._windowed_registry(window_start, window_end)
+            for selector in self.SELECTORS:
+                selector = dict(selector)
+                metric = selector.pop("metric", "lat")
+                quantiles = selector.pop("quantiles", QUANTILES)
+                folded = self._outcome(lambda: state.quantiles(
+                    metric, quantiles, window_start=window_start, window_end=window_end,
+                    **selector,
+                ))
+                merged = self._outcome(lambda: parent.quantiles(metric, quantiles, **selector))
+                assert folded == merged, (window_start, window_end, selector)
+            buckets = state._buckets_in(window_start, window_end)
+            windows = [state._windows[bucket] for bucket in buckets]
+            for tag_filter in (None, {"region": "r0"}):
+                try:
+                    expected = sketch_state(parent.rollup("lat", tag_filter))
+                except EmptySketchError:
+                    with pytest.raises(EmptySketchError):
+                        state.registry.rollup("lat", tag_filter, windows=windows)
+                    continue
+                folded = state.registry.rollup("lat", tag_filter, windows=windows)
+                assert sketch_state(folded) == expected
+
+    @pytest.mark.parametrize("family", ["default", "dense", "udd"])
+    def test_windowed_reads_match_the_merged_registry(self, kernel_backend, family):
+        factory = {
+            "default": lambda: DDSketch(0.02, bin_limit=24),
+            "dense": lambda: LogUnboundedDenseDDSketch(0.02),
+            "udd": lambda: UDDSketch(0.02, bin_limit=24),
+        }[family]
+        pushes = [
+            ("h1", 0, [0, 1, 2, 3, 4, 5, 6], [1.0, 2.5, 40.0]),
+            ("h2", 1, [1, 3, 5], [0.3, 7.0]),
+            ("h1", 2, [0, 2, 4, 6], [11.0, 0.05, 900.0, 3.0]),
+            ("h2", 2, [3, 4], [2.0]),
+            ("h1", 3, [5, 6], [1e3, 1e-2]),
+            ("h2", 4, [0, 1, 5], [6.0, 6.5, 0.7]),
+        ]
+        self._assert_same_reads(self._state(pushes, factory))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        pushes=st.lists(
+            st.tuples(
+                st.sampled_from(["h1", "h2"]),
+                st.integers(0, 6),
+                st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True),
+                st.lists(st.floats(min_value=1e-2, max_value=1e4), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_random_pushes_read_alike(self, pushes):
+        self._assert_same_reads(self._state(pushes, lambda: DDSketch(0.02, bin_limit=24)))
+
+    def test_non_finite_bounds_are_refused_before_anything_else(self):
+        state = self._state([("h1", 0, [0, 1], [1.0])])
+        for bound in (math.inf, -math.inf, math.nan):
+            for name in ("window_start", "window_end"):
+                with pytest.raises(IllegalArgumentError, match=f"{name} must be finite"):
+                    state.quantiles("lat", (2.0,), tags={"a": "b"}, tag_filter={}, **{name: bound})

@@ -71,6 +71,35 @@ class TestSeriesKey:
         assert not key.matches("m", {"host": "h2"})
         assert not key.matches("m", {"region": "us"})
 
+    @given(
+        tags=st.lists(
+            st.dictionaries(st.sampled_from("abc"), st.sampled_from("xy"), max_size=3),
+            max_size=8,
+        ),
+        metric=st.sampled_from([None, "m", "n", "z"]),
+        tag_filter=st.one_of(
+            st.none(),
+            st.dictionaries(st.sampled_from("abcd"), st.sampled_from("xy"), max_size=2),
+            st.just([("a",)]),
+        ),
+    )
+    def test_select_keys_filters_as_matches_does(self, tags, metric, tag_filter):
+        """``select_keys`` normalizes the filter once, yet selects and
+        refuses exactly as filtering key by key with ``matches`` does."""
+        from repro.registry.series import select_keys
+
+        keys = [SeriesKey.of("m" if index % 3 else "n", own) for index, own in enumerate(tags)]
+
+        def outcome(select):
+            try:
+                return select()
+            except IllegalArgumentError as error:
+                return str(error)
+
+        assert outcome(lambda: select_keys(keys, metric, tag_filter)) == outcome(
+            lambda: sorted(key for key in keys if key.matches(metric, tag_filter))
+        )
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(IllegalArgumentError):
             SeriesKey("")

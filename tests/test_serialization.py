@@ -153,3 +153,36 @@ class TestBinaryCodec:
         restored = DDSketch.from_bytes(sketch.to_bytes())
         assert restored.count == sketch.count
         assert restored.sum == pytest.approx(sketch.sum)
+
+
+class TestDecodedDefaultSketch:
+    """A sketch decoded as a ``DDSketch`` carries its bin limit, so it can be
+    copied and its ``bin_limit`` read, like the sketch that was encoded."""
+
+    @pytest.mark.parametrize("bin_limit", [2048, 37])
+    def test_round_trips_keep_the_bin_limit(self, kernel_backend, bin_limit):
+        from repro.registry import SeriesKey
+        from repro.serialization.frame import decode_frame, encode_frame, read_frame
+
+        sketch = DDSketch(0.02, bin_limit=bin_limit)
+        sketch.add_all([0.5, 3.0, -7.0, 0.0, 1e4])
+        payload = sketch.to_bytes()
+        frame = encode_frame([(SeriesKey.of("m", {"a": "b"}), sketch)])
+        decoded = [
+            DDSketch.from_bytes(payload),
+            decode_sketch(payload, sketch_cls=DDSketch),
+            decode_frame(frame, sketch_cls=DDSketch)[0][1],
+            read_frame(frame, sketch_cls=DDSketch).sketch(0),
+        ]
+        for restored in decoded:
+            assert type(restored) is DDSketch
+            assert restored.bin_limit == bin_limit
+            copied = restored.copy()
+            assert copied.bin_limit == bin_limit
+            assert copied.to_bytes() == payload
+            assert copied.get_quantiles([0.0, 0.5, 1.0]) == sketch.get_quantiles([0.0, 0.5, 1.0])
+
+    def test_empty_round_trip_copies(self, kernel_backend):
+        restored = DDSketch.from_bytes(DDSketch().to_bytes())
+        assert restored.copy().bin_limit == 2048
+        assert restored.copy().is_empty

@@ -39,6 +39,7 @@ from repro import (
     kernel,
 )
 from repro.core import BaseDDSketch
+from repro.mapping import LogarithmicMapping
 from repro.registry import SketchRegistry
 from repro.store import (
     CollapsingHighestDenseStore,
@@ -634,3 +635,291 @@ def test_a_frame_applied_many_times_in_a_row(backend_name):
             for key, sketch in decode_frame(frame):
                 expected.merge_series(key, sketch, copy=False)
             assert registry_state(actual) == registry_state(expected)
+
+
+# --------------------------------------------------------------------------- #
+# The fold (BaseDDSketch.fold) against the copy-first loop
+# --------------------------------------------------------------------------- #
+
+#: Sketch families of the fold differential, all over one mapping: small
+#: chunks leave unused edge bins, and bin limits of 12 make the bounded
+#: stores collapse, so windows fit, grow, move and collapse.  The sparse
+#: and uniform families, and UDDSketch's own merge, take the loop.
+FOLD_FAMILIES = {
+    "default": lambda mapping: DDSketch(mapping=mapping, bin_limit=12),
+    "dense": lambda mapping: BaseDDSketch(
+        mapping, DenseStore(chunk_size=4), DenseStore(chunk_size=4)
+    ),
+    "collapsing": lambda mapping: BaseDDSketch(
+        mapping,
+        CollapsingLowestDenseStore(bin_limit=12, chunk_size=4),
+        CollapsingHighestDenseStore(bin_limit=12, chunk_size=4),
+    ),
+    "highest_first": lambda mapping: BaseDDSketch(
+        mapping,
+        CollapsingHighestDenseStore(bin_limit=12, chunk_size=4),
+        CollapsingLowestDenseStore(bin_limit=12, chunk_size=4),
+    ),
+    "sparse": lambda mapping: BaseDDSketch(mapping, SparseStore(), SparseStore()),
+    "uniform": lambda mapping: BaseDDSketch(
+        mapping,
+        UniformCollapsingDenseStore(bin_limit=8, chunk_size=4),
+        UniformCollapsingDenseStore(bin_limit=8, chunk_size=4),
+    ),
+    "udd": lambda mapping: UDDSketch(mapping=mapping, bin_limit=16),
+}
+
+FOLD_MAPPING = LogarithmicMapping(0.02)
+#: Another accuracy: a sketch of it cannot merge with the rest.
+OTHER_MAPPING = LogarithmicMapping(0.05)
+
+#: Values whose keys stay within a few bins, or span many bins of both signs.
+fold_values = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1.0, max_value=1.3),
+    st.floats(min_value=1e-2, max_value=1e4),
+    st.floats(min_value=-1e4, max_value=-1e-2),
+)
+
+#: The families whose folds can take the native pass.
+DENSE_FOLD_FAMILIES = ["collapsing", "default", "dense", "highest_first"]
+
+
+def fold_groups(families):
+    """Groups of sketch specs over ``families``.  One spec: its family, its
+    (value, weight) pairs, and what happens next: nothing, everything
+    deleted again (an empty sketch), or a 2**53 round trip that drifts the
+    sketch's count to 0 while a bin keeps weight."""
+    spec = st.tuples(
+        st.sampled_from(families),
+        st.lists(st.tuples(fold_values, weights), max_size=8),
+        st.sampled_from(["keep", "keep", "keep", "delete_all", "drift"]),
+    )
+    return st.lists(st.lists(spec, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+#: Mostly groups the native pass can fold; the rest mix in every family.
+fold_group_specs = st.sampled_from(
+    [DENSE_FOLD_FAMILIES] * 3 + [sorted(FOLD_FAMILIES)]
+).flatmap(fold_groups)
+
+
+def build_fold_sketch(spec, mapping=FOLD_MAPPING):
+    family, contents, after = spec
+    sketch = FOLD_FAMILIES[family](mapping)
+    for value, weight in contents:
+        sketch.add(value, weight)
+    if after in ("delete_all", "drift"):
+        for value, weight in contents:
+            sketch.delete(value, weight)
+    if after == "drift" and family != "udd":
+        sketch.add(1.0, 1.0)
+        sketch.add(5.0, 2.0**53)  # 2**53 + 1 rounds back to 2**53 in the count
+        sketch.delete(5.0, 2.0**53)
+    return sketch
+
+
+def _fold_outcome(fold, groups):
+    try:
+        return ("folded", sketch_state(fold(groups)))
+    except Exception as error:  # the two folds must fail alike
+        return ("raised", type(error).__name__, str(error))
+
+
+@contextlib.contextmanager
+def fold_calls():
+    """Count the calls that reach :func:`repro.kernel.fold_windows`."""
+    calls = []
+    original = kernel.fold_windows
+
+    def spy(*args):
+        out = original(*args)
+        calls.append(out is not None)
+        return out
+
+    kernel.fold_windows = spy
+    try:
+        yield calls
+    finally:
+        kernel.fold_windows = original
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@given(
+    groups=fold_group_specs,
+    mismatched=st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 3))),
+)
+def test_fold_matches_the_copy_first_loop(backend_name, groups, mismatched):
+    """Every attribute of every store, bit for bit, or the same error."""
+    from repro.core.ddsketch import _fold_loop
+
+    def build():
+        built = [[build_fold_sketch(spec) for spec in group] for group in groups]
+        if mismatched is not None:
+            group = built[mismatched[0] % len(built)]
+            index = mismatched[1] % len(group)
+            group[index] = build_fold_sketch(groups[0][0], mapping=OTHER_MAPPING)
+        return built
+
+    with backend(backend_name):
+        inputs = build()
+        before = [[sketch_state(sketch) for sketch in group] for group in inputs]
+        folded = _fold_outcome(BaseDDSketch.fold, inputs)
+        looped = _fold_outcome(_fold_loop, build())
+    assert folded == looped
+    assert [[sketch_state(sketch) for sketch in group] for group in inputs] == before
+
+
+#: Groups that reach the fold pass, with fractional weights: windows that
+#: fit, grow by chunks, move up or down and collapse, one-window groups
+#: merged straight into the total, and empty and drift-emptied sketches
+#: first and later (their merges return at once, or clear the target).
+FOLD_CASES = {
+    "fits": [[("default", [(1.1, 0.3), (1.2, 1.7)]), ("default", [(1.15, 0.25)])]],
+    "grows": [
+        [("dense", [(1.1, 0.3)]), ("dense", [(50.0, 0.7), (0.05, 1.3)])],
+        [("dense", [(-3.0, 2.5)])],
+    ],
+    "moves_and_collapses": [
+        [("collapsing", [(1.1, 0.3), (-2.0, 0.4)]), ("collapsing", [(900.0, 0.6)])],
+        [("highest_first", [(0.02, 1.1), (-700.0, 0.9)]), ("collapsing", [(3.0, 0.2)])],
+        [("default", [(5000.0, 0.5), (-0.5, 1.5)])],
+    ],
+    "empty_and_drifted": [
+        [("default", [], "keep"), ("default", [(2.0, 0.75)])],
+        [("default", [(3.0, 1.25)], "drift"), ("collapsing", [(40.0, 0.5)])],
+        [("default", [(7.0, 0.5)], "delete_all")],
+        [("dense", [(1.2, 0.1)], "drift"), ("default", [(9.0, 0.3)], "drift")],
+    ],
+    "mixed_families": [
+        [("dense", [(1.1, 0.3), (-8.0, 2.0)]), ("default", [(600.0, 0.9)])],
+        [("collapsing", [(0.3, 0.6)]), ("highest_first", [(-0.2, 1.4), (30.0, 0.35)])],
+        [("default", [(1.25, 0.125)])],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_fold_takes_the_native_pass_where_it_can(backend_name, case):
+    from repro.core.ddsketch import _fold_loop
+
+    def build():
+        return [
+            [build_fold_sketch((spec + ("keep",))[:3]) for spec in group]
+            for group in FOLD_CASES[case]
+        ]
+
+    with backend(backend_name), fold_calls() as calls:
+        folded = BaseDDSketch.fold(build())
+        expected = _fold_loop(build())
+    assert sketch_state(folded) == sketch_state(expected)
+    if backend_name == "native":
+        assert calls and all(calls)
+    else:
+        assert not calls
+    if case == "empty_and_drifted":
+        # Two empty sketches, and three whose count drifted to 0 while a
+        # positive bin kept weight.
+        emptied = [sketch for group in build() for sketch in group if sketch.count == 0.0]
+        assert [sketch.store.count for sketch in emptied] == [0.0] * 5
+        assert [sketch.store.num_buckets for sketch in emptied] == [0, 1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("family", ["sparse", "uniform", "udd"])
+def test_fold_leaves_other_families_to_the_loop(family):
+    """A sparse or uniform store, or a class with its own merge, never
+    reaches the fold pass, alone or mixed with dense families."""
+    from repro.core.ddsketch import _fold_loop
+
+    def build():
+        return [
+            [build_fold_sketch(("default", [(2.0, 0.5)], "keep"))],
+            [build_fold_sketch((family, [(3.0, 0.25), (-1.0, 2.0)], "keep"))],
+        ]
+
+    with backend("native"), fold_calls() as calls:
+        folded = BaseDDSketch.fold(build())
+        expected = _fold_loop(build())
+        first = BaseDDSketch.fold(list(reversed(build())))
+        expected_first = _fold_loop(list(reversed(build())))
+    assert sketch_state(folded) == sketch_state(expected)
+    assert sketch_state(first) == sketch_state(expected_first)
+    assert not calls
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_fold_past_the_scratch_cap_takes_the_loop(backend_name, monkeypatch):
+    """A plain store's scratch spans every window plus two chunks; past
+    ``MAX_MOVED_CELLS`` cells the fold takes the loop."""
+    from repro.core.ddsketch import _fold_loop
+    from repro.store import grouped
+
+    monkeypatch.setattr(grouped, "MAX_MOVED_CELLS", 40)
+
+    def build():
+        near = build_fold_sketch(("dense", [(1.1, 0.5)], "keep"))
+        far = build_fold_sketch(("dense", [(3000.0, 0.25)], "keep"))
+        return [[near], [far]]
+
+    with backend(backend_name), fold_calls() as calls:
+        folded = BaseDDSketch.fold(build())
+        expected = _fold_loop(build())
+    assert sketch_state(folded) == sketch_state(expected)
+    assert not calls
+
+
+def test_fold_refuses_no_groups_and_empty_groups():
+    from repro.exceptions import IllegalArgumentError
+
+    for groups in ([], [[]], [[DDSketch()], []]):
+        with pytest.raises(IllegalArgumentError, match="empty group"):
+            BaseDDSketch.fold(groups)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_fold_from_a_decoded_default_sketch(backend_name):
+    """A decoded ``DDSketch`` keeps its bin limit, so the fold's result,
+    built like a decoded sketch, equals the loop's copy."""
+    from repro.core.ddsketch import _fold_loop
+
+    def build():
+        sketches = []
+        for scale in (1.0, 40.0, 0.01):
+            sketch = DDSketch(0.02, bin_limit=12)
+            sketch.add_batch(np.array([scale, 2.5 * scale, -scale]), np.array([0.3, 1.7, 0.6]))
+            sketches.append(DDSketch.from_bytes(sketch.to_bytes()))
+        return [sketches[:2], sketches[2:]]
+
+    with backend(backend_name):
+        folded = BaseDDSketch.fold(build())
+        expected = _fold_loop(build())
+    assert sketch_state(folded) == sketch_state(expected)
+    assert type(folded) is DDSketch and folded.bin_limit == 12
+
+
+def test_fold_windows_checks_what_it_reads():
+    """The fold pass reads windows through their addresses, so the wrapper
+    refuses groups that do not split the windows, rows of the wrong
+    length and windows it cannot read in place."""
+    with backend("native"):
+        windows = [np.array([0.5, 1.0]), np.array([2.0])]
+        # One group: a plain dense store of chunk 4 (5 head entries), then a window.
+        heads = [0, 4, 2, 0, 1]
+        args = ([2], heads, [0, 1], windows, [1.5, 2.0], 16, 0)
+        bins, offset, positive, collapsed, count = kernel.fold_windows(*args)
+        assert (bins.tolist(), offset, positive, collapsed, count) == ([0.5, 3.0], 0, 2, False, 3.5)
+        for ends in ([1], [3], [0, 2], [2, 1, 2], []):
+            with pytest.raises(ValueError, match="non-empty runs"):
+                kernel.fold_windows(ends, heads * max(len(ends), 1), *args[2:])
+        for bad in ((heads[:4],), (heads, [0]), (heads, [0, 1], windows, [1.5])):
+            with pytest.raises(ValueError, match="expected"):
+                kernel.fold_windows([2], *bad, *args[len(bad) + 1 :])
+        read_only = np.array([2.0])
+        read_only.flags.writeable = False
+        bad_windows = (
+            np.array([2.0], dtype=np.float32), np.zeros(4)[::2], read_only, np.zeros((1, 1))
+        )
+        for bad in bad_windows:
+            with pytest.raises((TypeError, ValueError)):
+                kernel.fold_windows([2], heads, [0, 1], [windows[0], bad], [1.5, 2.0], 16, 0)

@@ -157,6 +157,27 @@ class TestCanonicalIntervalIndex:
         assert series.interval_indices() == [0]
         assert series.rollup().count == 1
 
+    @NON_FINITE
+    def test_non_finite_window_length_is_refused(self, bad):
+        series = make_series(0.25)
+        series.ingest_value(0.1, 1.0)
+        with pytest.raises(IllegalArgumentError, match="finite"):
+            series.quantile_over_windows(0.5, window_length=bad)
+        assert series.quantile_over_windows(0.5, window_length=1.0) == [
+            (0.0, pytest.approx(1.0, rel=0.01))
+        ]
+
+    def test_refused_values_leave_no_empty_interval(self):
+        series = make_series(0.25)
+        series.ingest_value(0.1, 1.0)
+        with pytest.raises(IllegalArgumentError):
+            series.ingest_values(3.1, np.array([1.0, math.nan]))
+        with pytest.raises(IllegalArgumentError):
+            series.ingest_value(3.1, 2.0, weight=-1.0)
+        assert series.interval_indices() == [0]
+        with pytest.raises(EmptySketchError):
+            series.rollup(3.0, 4.0)
+
     def test_timestamp_whose_index_overflows_is_refused(self):
         with pytest.raises(IllegalArgumentError, match="finite"):
             make_series(1e-3).ingest_value(1e308, 1.0)
@@ -181,6 +202,46 @@ class TestCanonicalIntervalIndex:
         assert aggregator.quantiles("latency", [0.5], start=0.0, end=1.0) == [
             pytest.approx(1.0, rel=0.01)
         ]
+
+
+def _refused_ingest(aggregator, entry):
+    from repro.monitoring.agent import FramePayload, SketchPayload
+    from repro.registry import SketchRegistry
+
+    sketch = DDSketch()
+    sketch.add(2.0)
+    registry = SketchRegistry()
+    registry.add("new", 2.0, tags={"endpoint": "/a"})
+    if entry == "ingest":
+        aggregator.ingest(SketchPayload("h", "new", math.inf, 0.25, sketch.to_bytes()))
+    elif entry == "ingest_frame":
+        aggregator.ingest_frame(FramePayload("h", math.nan, 0.25, registry.to_frame(), 1))
+    elif entry == "ingest_values_timestamp":
+        aggregator.ingest_values("new", math.inf, np.ones(3))
+    else:
+        aggregator.ingest_values("new", 0.0, np.array([1.0, math.nan]))
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed"])
+@pytest.mark.parametrize(
+    "entry", ["ingest", "ingest_frame", "ingest_values_timestamp", "ingest_values_value"]
+)
+def test_refused_input_creates_no_series(entry, observed):
+    """A series, and a rollup-cube cell fed by an ingest observer, exist
+    only once input was accepted for them."""
+    aggregator = Aggregator(interval_length=0.25)
+    aggregator.ingest_values("latency", 0.1, np.ones(2))
+    engine = aggregator.query_engine(cube_dimensions=(("endpoint",),)) if observed else None
+    with pytest.raises(IllegalArgumentError):
+        _refused_ingest(aggregator, entry)
+    assert aggregator.num_series == 1
+    assert aggregator.metrics == ["latency"]
+    assert aggregator.series_keys() == [aggregator.series("latency").series_key]
+    if engine is not None:
+        assert engine.cube.num_cells == 0
+    aggregator.ingest_values("latency", 0.1, np.array([]))
+    aggregator.ingest_values("empty", 0.1, np.array([]))
+    assert aggregator.metrics == ["latency"]
 
 
 class TestWindowQueryUsesCache:
