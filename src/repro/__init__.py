@@ -36,7 +36,6 @@ from repro.core import (
     BaseDDSketch,
     DDSketch,
     FastDDSketch,
-    GroupedIngest,
     LogCollapsingHighestDenseDDSketch,
     LogCollapsingLowestDenseDDSketch,
     LogUnboundedDenseDDSketch,
@@ -87,7 +86,6 @@ __all__ = [
     "UniformCollapsingDDSketch",
     "QuantileSketch",
     # High-cardinality registry
-    "GroupedIngest",
     "SeriesKey",
     "SketchRegistry",
     # Mappings

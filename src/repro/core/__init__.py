@@ -6,7 +6,6 @@ combinations evaluated in the paper (memory-optimal, fast, unbounded, sparse).
 """
 
 from repro.core.ddsketch import BaseDDSketch, DDSketch
-from repro.core.grouped import GroupedIngest
 from repro.core.uddsketch import UDDSketch, DEFAULT_UNIFORM_BIN_LIMIT
 from repro.core.presets import (
     LogCollapsingLowestDenseDDSketch,
@@ -31,7 +30,6 @@ __all__ = [
     "UDDSketch",
     "UniformCollapsingDDSketch",
     "DEFAULT_UNIFORM_BIN_LIMIT",
-    "GroupedIngest",
     "QuantileSketch",
     "SketchMetadata",
     "sketch_metadata",

@@ -122,9 +122,8 @@ class BaseDDSketch:
     def total_count(self) -> float:
         """Alias of :attr:`count`.
 
-        Mirrors the ``total_count`` properties of the aggregation containers
-        (:class:`~repro.monitoring.SketchTimeSeries`,
-        :class:`~repro.core.GroupedIngest`), so generic code can read
+        Mirrors the ``total_count`` property of the aggregation container
+        :class:`~repro.monitoring.SketchTimeSeries`, so generic code can read
         ``total_count`` off a sketch or a container of sketches alike.
         (:meth:`repro.registry.SketchRegistry.total_count` is a *method*, as
         it takes metric/tag filters.)
@@ -325,17 +324,6 @@ class BaseDDSketch:
         if batch_max > self._max:
             self._max = batch_max
         return self
-
-    @staticmethod
-    def _coerce_values_weights(
-        values: "np.ndarray",
-        weights: Optional[Union[float, "np.ndarray"]],
-    ) -> "Tuple[np.ndarray, Optional[np.ndarray]]":
-        """Normalize and validate one ingestion batch (shared by the batch
-        and grouped entry points).  Thin compatibility alias for
-        :func:`repro.kernel.coerce_values_weights`, the single audited
-        entry point for the zero/negative/NaN filtering semantics."""
-        return kernel.coerce_values_weights(values, weights)
 
     @staticmethod
     def add_grouped_batch(
@@ -925,7 +913,7 @@ def _plain_fold_class(cls: type) -> bool:
         and cls.merge is BaseDDSketch.merge
         and cls.check_mergeable is BaseDDSketch.check_mergeable
         and cls.mergeable_with is BaseDDSketch.mergeable_with
-        and cls.copy in (BaseDDSketch.copy, DDSketch.copy)
+        and cls.copy is BaseDDSketch.copy
     )
 
 
@@ -991,6 +979,19 @@ def _fold_natively(groups: Sequence[Sequence[BaseDDSketch]]) -> Optional[BaseDDS
     )
 
 
+def _positive_store_bin_limit(sketch: BaseDDSketch) -> int:
+    """Maximum number of buckets per store before collapsing begins.
+
+    Read from the positive store, so every copy, fold and decode of the
+    sketch keeps it; a store without one (a plain dense store decoded into a
+    bounded class) reads as :data:`DEFAULT_BIN_LIMIT`.
+    """
+    return getattr(sketch._store, "bin_limit", DEFAULT_BIN_LIMIT)
+
+
+#: The ``bin_limit`` property of the sketch classes with bounded stores.
+bin_limit_property = property(_positive_store_bin_limit)
+
 _MAPPING = attrgetter("_mapping")
 _SCALARS = attrgetter("_count", "_zero_count", "_sum", "_min", "_max")
 _STORE = attrgetter("_store")
@@ -1033,41 +1034,5 @@ class DDSketch(BaseDDSketch):
             store=CollapsingLowestDenseStore(bin_limit=bin_limit),
             negative_store=CollapsingHighestDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = bin_limit
 
-    @property
-    def bin_limit(self) -> int:
-        """Maximum number of buckets per store before collapsing begins."""
-        return self._bin_limit
-
-    @classmethod
-    def _decoded(
-        cls, mapping: KeyMapping, store: Store, negative_store: Store,
-        zero_count: float, count: float, total: float, minimum: float, maximum: float,
-    ) -> "DDSketch":
-        """:meth:`BaseDDSketch._decoded`, with the bin limit of ``store``.
-
-        A store without one (a sketch decoded as a ``DDSketch`` from plain
-        dense stores) reads as :data:`DEFAULT_BIN_LIMIT`.
-        """
-        sketch = super()._decoded(
-            mapping, store, negative_store, zero_count, count, total, minimum, maximum
-        )
-        sketch._bin_limit = getattr(store, "bin_limit", DEFAULT_BIN_LIMIT)
-        return sketch
-
-    def copy(self) -> "DDSketch":
-        """Return a deep copy of this sketch, bin limit included."""
-        new = type(self)(
-            relative_accuracy=self.relative_accuracy,
-            bin_limit=self._bin_limit,
-            mapping=self._mapping,
-        )
-        new._store = self._store.copy()
-        new._negative_store = self._negative_store.copy()
-        new._zero_count = self._zero_count
-        new._min = self._min
-        new._max = self._max
-        new._count = self._count
-        new._sum = self._sum
-        return new
+    bin_limit = bin_limit_property

@@ -26,6 +26,7 @@ from repro.core.ddsketch import (
     DDSketch,
     DEFAULT_BIN_LIMIT,
     DEFAULT_RELATIVE_ACCURACY,
+    bin_limit_property,
 )
 from repro.core.uddsketch import UDDSketch
 from repro.exceptions import IllegalArgumentError
@@ -62,12 +63,8 @@ class LogCollapsingLowestDenseDDSketch(BaseDDSketch):
             store=CollapsingLowestDenseStore(bin_limit=bin_limit),
             negative_store=CollapsingHighestDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = int(bin_limit)
 
-    @property
-    def bin_limit(self) -> int:
-        """Maximum number of buckets per store before collapsing begins."""
-        return self._bin_limit
+    bin_limit = bin_limit_property
 
 
 class LogCollapsingHighestDenseDDSketch(BaseDDSketch):
@@ -88,12 +85,8 @@ class LogCollapsingHighestDenseDDSketch(BaseDDSketch):
             store=CollapsingHighestDenseStore(bin_limit=bin_limit),
             negative_store=CollapsingLowestDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = int(bin_limit)
 
-    @property
-    def bin_limit(self) -> int:
-        """Maximum number of buckets per store before collapsing begins."""
-        return self._bin_limit
+    bin_limit = bin_limit_property
 
 
 class LogUnboundedDenseDDSketch(BaseDDSketch):
@@ -136,12 +129,8 @@ class FastDDSketch(BaseDDSketch):
             store=CollapsingLowestDenseStore(bin_limit=bin_limit),
             negative_store=CollapsingHighestDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = int(bin_limit)
 
-    @property
-    def bin_limit(self) -> int:
-        """Maximum number of buckets per store before collapsing begins."""
-        return self._bin_limit
+    bin_limit = bin_limit_property
 
 
 class SparseDDSketch(BaseDDSketch):
@@ -181,6 +170,7 @@ class SparseDDSketch(BaseDDSketch):
         return self._max_num_buckets
 
     def add(self, value: float, weight: float = 1.0) -> None:
+        """Insert ``value``, then collapse back under the bucket limit."""
         super().add(value, weight)
         self._enforce_limit()
 
@@ -197,10 +187,12 @@ class SparseDDSketch(BaseDDSketch):
         return self
 
     def merge(self, other: BaseDDSketch) -> None:
+        """Merge ``other``, then collapse back under the bucket limit."""
         super().merge(other)
         self._enforce_limit()
 
     def copy(self) -> "SparseDDSketch":
+        """Return a deep copy of this sketch, bucket limit included."""
         new = super().copy()
         assert isinstance(new, SparseDDSketch)
         new._max_num_buckets = self._max_num_buckets

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.ddsketch import BaseDDSketch, DEFAULT_RELATIVE_ACCURACY
+from repro.core.ddsketch import BaseDDSketch, DEFAULT_RELATIVE_ACCURACY, bin_limit_property
 from repro.exceptions import IllegalArgumentError
 from repro.mapping import KeyMapping, LogarithmicMapping
 from repro.store import UniformCollapsingDenseStore
@@ -77,7 +77,6 @@ class UDDSketch(BaseDDSketch):
     # are well-formed before the decoder restores the real values.
     _collapse_count: int = 0
     _initial_relative_accuracy: Optional[float] = None
-    _bin_limit: int = DEFAULT_UNIFORM_BIN_LIMIT
 
     def __init__(
         self,
@@ -103,7 +102,6 @@ class UDDSketch(BaseDDSketch):
             store=UniformCollapsingDenseStore(bin_limit=bin_limit),
             negative_store=UniformCollapsingDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = int(bin_limit)
         self._initial_relative_accuracy = float(mapping.relative_accuracy)
         self._collapse_count = 0
 
@@ -111,10 +109,7 @@ class UDDSketch(BaseDDSketch):
     # Accuracy bookkeeping
     # ------------------------------------------------------------------ #
 
-    @property
-    def bin_limit(self) -> int:
-        """Bucket budget per store before a uniform collapse is triggered."""
-        return self._bin_limit
+    bin_limit = bin_limit_property
 
     @property
     def initial_relative_accuracy(self) -> float:
@@ -162,10 +157,12 @@ class UDDSketch(BaseDDSketch):
     # ------------------------------------------------------------------ #
 
     def add(self, value: float, weight: float = 1.0) -> None:
+        """Insert ``value``, then bring both stores and the mapping to one collapse count."""
         super().add(value, weight)
         self._sync_collapses()
 
     def add_batch(self, values, weights=None) -> "UDDSketch":
+        """Insert a batch, then bring both stores and the mapping to one collapse count."""
         super().add_batch(values, weights)
         self._sync_collapses()
         return self
@@ -225,19 +222,8 @@ class UDDSketch(BaseDDSketch):
         self._sync_collapses()
 
     def copy(self) -> "UDDSketch":
-        new = type(self).__new__(type(self))
-        BaseDDSketch.__init__(
-            new,
-            mapping=self._mapping,
-            store=self._store.copy(),
-            negative_store=self._negative_store.copy(),
-            zero_count=self._zero_count,
-        )
-        new._min = self._min
-        new._max = self._max
-        new._count = self._count
-        new._sum = self._sum
-        new._bin_limit = self._bin_limit
+        """Return a deep copy of this sketch, collapse lineage included."""
+        new = super().copy()
         new._collapse_count = self._collapse_count
         new._initial_relative_accuracy = self._initial_relative_accuracy
         return new

@@ -22,15 +22,15 @@ of series in one payload.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
 
 from repro.core.ddsketch import BaseDDSketch, DDSketch
-from repro.core.grouped import GroupedIngest
 from repro.exceptions import EmptySketchError, IllegalArgumentError
 from repro.registry.series import SeriesKey, SeriesLike, TagsLike, select_keys
+from repro.store.grouped import GroupedScratch
 
 if TYPE_CHECKING:
     from repro.serialization.frame import DecodedFrame
@@ -62,7 +62,10 @@ class SketchRegistry:
 
     def __init__(self, sketch_factory: Optional[Callable[[], BaseDDSketch]] = None) -> None:
         self._sketch_factory = sketch_factory or (lambda: DDSketch(relative_accuracy=0.01))
-        self._ingest = GroupedIngest(self._sketch_factory)
+        self._sketches: Dict[SeriesKey, BaseDDSketch] = {}
+        # The grouped pass's reusable flat-index scratch: a registry has one
+        # writer, as GroupedScratch requires.
+        self._scratch = GroupedScratch()
         self._data_version = 0
 
     # ------------------------------------------------------------------ #
@@ -85,55 +88,56 @@ class SketchRegistry:
     def sketch(self, series: SeriesLike, tags: TagsLike = None) -> BaseDDSketch:
         """The sketch for a series, created on first use."""
         self._data_version += 1
-        return self._ingest.sketch(SeriesKey.of(series, tags))
+        key = SeriesKey.of(series, tags)
+        sketch = self._sketches.get(key)
+        if sketch is None:
+            sketch = self._sketches[key] = self._sketch_factory()
+        return sketch
 
     def get(self, series: SeriesLike, tags: TagsLike = None) -> BaseDDSketch:
         """The sketch for a series; raises :class:`EmptySketchError` if unknown."""
         key = SeriesKey.of(series, tags)
-        try:
-            return self._ingest.get(key)
-        except EmptySketchError:
-            raise EmptySketchError(f"no data for series {key}") from None
+        sketch = self._sketches.get(key)
+        if sketch is None:
+            raise EmptySketchError(f"no data for series {key}")
+        return sketch
 
     def series_keys(self, metric: Optional[str] = None, tag_filter: TagsLike = None) -> List[SeriesKey]:
         """Sorted keys of the stored series, optionally filtered."""
-        return select_keys(self._ingest.series_ids(), metric, tag_filter)
+        return select_keys(self._sketches, metric, tag_filter)
 
     def metrics(self) -> List[str]:
         """Sorted names of the metrics with at least one series."""
-        return sorted({key.metric for key in self._ingest.series_ids()})
+        return sorted({key.metric for key in self._sketches})
 
     @property
     def num_series(self) -> int:
         """Number of stored series."""
-        return len(self._ingest)
+        return len(self._sketches)
 
     def __len__(self) -> int:
-        return len(self._ingest)
+        return len(self._sketches)
 
     def __contains__(self, series: SeriesLike) -> bool:
-        return SeriesKey.of(series) in self._ingest
+        return SeriesKey.of(series) in self._sketches
 
     def __iter__(self) -> Iterator[Tuple[SeriesKey, BaseDDSketch]]:
         """Iterate ``(key, sketch)`` pairs in sorted key order."""
         for key in self.series_keys():
-            yield key, self._ingest.get(key)
+            yield key, self._sketches[key]
 
     def total_count(self, metric: Optional[str] = None, tag_filter: TagsLike = None) -> float:
         """Total inserted weight over the matching series (0.0 when none match)."""
-        return sum(
-            self._ingest.get(key).count
-            for key in self.series_keys(metric, tag_filter)
-        )
+        return sum(self._sketches[key].count for key in self.series_keys(metric, tag_filter))
 
     def size_in_bytes(self) -> int:
         """Modelled memory footprint of every stored sketch."""
-        return sum(sketch.size_in_bytes() for _, sketch in self._ingest)
+        return sum(sketch.size_in_bytes() for sketch in self._sketches.values())
 
     def clear(self) -> None:
         """Drop every series."""
         self._data_version += 1
-        self._ingest.clear()
+        self._sketches = {}
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -153,7 +157,7 @@ class SketchRegistry:
         contract as :meth:`ingest_grouped`).
         """
         key = SeriesKey.of(series, tags)
-        if key in self._ingest:
+        if key in self._sketches:
             self.sketch(key).add(value, weight)
             return
         sketch = self._sketch_factory()
@@ -172,7 +176,7 @@ class SketchRegistry:
         As with :meth:`add`, a rejected or empty batch creates no series.
         """
         key = SeriesKey.of(series, tags)
-        if key in self._ingest:
+        if key in self._sketches:
             self.sketch(key).add_batch(values, weights)
             return
         sketch = self._sketch_factory()
@@ -190,13 +194,17 @@ class SketchRegistry:
         """Ingest pre-factorized columns across many series at once.
 
         ``series`` lists one key per group and ``group_indices`` maps each
-        sample to a position in that list; the batch flows through the
-        grouped pipeline (one ``key_batch``, one combined ``bincount`` where
-        possible).  Returns the number of samples ingested.
+        sample to a position in that list; the series that receive samples
+        take the batch in one
+        :meth:`~repro.core.BaseDDSketch.add_grouped_batch` (one
+        ``key_batch``, one combined ``bincount`` where possible).  A new
+        series is only stored once that call accepted the batch, so a
+        rejected batch changes no series and creates none (the contract of
+        :meth:`add`).  Returns the number of samples ingested.
         """
         keys = [SeriesKey.of(entry) for entry in series]
         self._data_version += 1
-        return self._ingest.ingest_grouped(keys, group_indices, values, weights)
+        return self._ingest_keys(keys, group_indices, values, weights)
 
     def ingest_columns(
         self,
@@ -206,25 +214,69 @@ class SketchRegistry:
     ) -> int:
         """Ingest raw parallel ``(series, value)`` columns (factorized here).
 
-        ``series`` may be an array of metric strings (the common columnar
-        shape) or any sequence of loose series descriptions; each unique
-        entry is normalized to a :class:`SeriesKey` once.
+        ``series`` may be a NumPy array of metric strings (the common
+        columnar shape, factorized with one ``numpy.unique``) or any
+        sequence of loose series descriptions, each normalized to a
+        :class:`SeriesKey` and factorized through a dictionary.  The
+        batch then flows through :meth:`ingest_grouped`'s pass.
         """
-        array = np.asarray(series)
-        if array.ndim == 1 and array.dtype.kind == "U":
-            # Vectorized factorization for the all-strings column, then one
-            # SeriesKey normalization per *unique* metric.  (Bytes columns
-            # fall through to the loose path, which rejects non-string
-            # metrics instead of repr-mangling them.)
-            uniques, codes = np.unique(array, return_inverse=True)
-            keys = [SeriesKey.of(str(unique)) for unique in uniques.tolist()]
-            self._data_version += 1
-            return self._ingest.ingest_grouped(keys, codes.astype(np.int64), values, weights)
-        # Loose descriptions: normalize to hashable keys, then let the
-        # facade's own factorization do the dict scan.
-        keys = [SeriesKey.of(entry) for entry in series]
+        if isinstance(series, np.ndarray) and series.ndim == 1 and series.dtype.kind == "U":
+            uniques, codes = np.unique(series, return_inverse=True)
+            keys = [SeriesKey.of(metric) for metric in uniques.tolist()]
+        else:
+            # SeriesKey.of refuses a metric that is not a string (a bytes
+            # column, say) instead of repr-mangling it.
+            positions: Dict[SeriesKey, int] = {}
+            codes = [positions.setdefault(SeriesKey.of(entry), len(positions)) for entry in series]
+            keys = list(positions)
         self._data_version += 1
-        return self._ingest.ingest_columns(keys, values, weights)
+        return self._ingest_keys(keys, codes, values, weights)
+
+    def _ingest_keys(
+        self,
+        keys: List[SeriesKey],
+        group_indices: "np.ndarray",
+        values: "np.ndarray",
+        weights: Optional[Union[float, "np.ndarray"]],
+    ) -> int:
+        """:meth:`ingest_grouped` over normalized keys."""
+        group_indices = np.asarray(group_indices, dtype=np.int64).reshape(-1)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if group_indices.shape != values.shape:
+            raise IllegalArgumentError(
+                f"group_indices shape {group_indices.shape} does not match "
+                f"values shape {values.shape}"
+            )
+        if group_indices.size == 0:
+            return 0
+        num_listed = len(keys)
+        lowest, highest = int(group_indices.min()), int(group_indices.max())
+        if lowest < 0 or highest >= num_listed:
+            raise IllegalArgumentError(
+                f"group indices must be in [0, {num_listed}), got range [{lowest}, {highest}]"
+            )
+        # Only the listed series that receive samples take part: the
+        # presence scan and the dense re-coding are O(n) array passes.
+        present = np.flatnonzero(np.bincount(group_indices, minlength=num_listed))
+        if present.size < num_listed:
+            recode = np.empty(num_listed, dtype=np.int64)
+            recode[present] = np.arange(present.size)
+            group_indices = recode[group_indices]
+        stored = self._sketches
+        new: Dict[SeriesKey, BaseDDSketch] = {}
+        sketches = []
+        for position in present.tolist():
+            key = keys[position]
+            # A series listed twice takes both groups into one sketch.
+            sketch = stored.get(key, new.get(key))
+            if sketch is None:
+                sketch = new[key] = self._sketch_factory()
+            sketches.append(sketch)
+        BaseDDSketch.add_grouped_batch(
+            sketches, group_indices, values, weights, scratch=self._scratch
+        )
+        stored.update(new)
+        return int(values.size)
 
     def merge_series(
         self,
@@ -242,7 +294,15 @@ class SketchRegistry:
         series behaves identically either way (Algorithm 4 mergeability).
         """
         self._data_version += 1
-        self._ingest.merge_sketch(SeriesKey.of(series, tags), sketch, copy=copy)
+        self._merge_sketch(SeriesKey.of(series, tags), sketch, copy)
+
+    def _merge_sketch(self, key: SeriesKey, sketch: BaseDDSketch, copy: bool) -> None:
+        """:meth:`merge_series` for a normalized key, without the version bump."""
+        stored = self._sketches.get(key)
+        if stored is None:
+            self._sketches[key] = sketch.copy() if copy else sketch
+        else:
+            stored.merge(sketch)
 
     def merge_entries(
         self, entries: Iterable[Tuple[SeriesLike, BaseDDSketch]], copy: bool = True
@@ -268,7 +328,7 @@ class SketchRegistry:
         Takes ``other``'s series as stored, unsorted: each series merges on
         its own, so the order changes no answer.
         """
-        self.merge_entries(other._ingest)
+        self.merge_entries(other._sketches.items())
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -310,8 +370,8 @@ class SketchRegistry:
         """Each key's sketches to fold: its own, or one per window holding it
         (keys no window holds are left out)."""
         if windows is None:
-            return [[sketch] for sketch in self._ingest.sketches_of(keys)]
-        columns = [window._ingest.sketches_of(keys) for window in windows]
+            return [[sketch] for sketch in map(self._sketches.get, keys)]
+        columns = [list(map(window._sketches.get, keys)) for window in windows]
         groups = ([sketch for sketch in row if sketch is not None] for row in zip(*columns))
         return [group for group in groups if group]
 
@@ -497,12 +557,12 @@ def merge_entries_into(
     ):
         for key, sketch in frame:
             for registry, copy in destinations:
-                registry._ingest.merge_sketch(key, sketch, copy=copy)
+                registry._merge_sketch(key, sketch, copy)
     else:
         for (registry, copy), stored in zip(destinations, found):
             for index, target in enumerate(stored):
                 if target is None:
-                    registry._ingest.merge_sketch(keys[index], frame.sketch(index), copy=copy)
+                    registry._merge_sketch(keys[index], frame.sketch(index), copy)
         frame.merge_into(targets, indices)
     for registry, _ in destinations:
         registry._data_version += 1
@@ -526,7 +586,7 @@ def _checked_targets(
         raise IllegalArgumentError("a bulk merge names one series twice")
     found = []
     for registry in registries:
-        stored = registry._ingest.sketches_of(keys)
+        stored = list(map(registry._sketches.get, keys))
         frame.check_targets(stored)
         found.append(stored)
     return found

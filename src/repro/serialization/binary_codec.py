@@ -371,8 +371,8 @@ def _decoded_sketch(
     """A sketch of class ``cls`` (from :func:`_sketch_class`) holding exactly
     the decoded state; ``minimum``/``maximum`` may be NaN for an empty sketch.
 
-    A UDDSketch also takes its collapse lineage: the collapse count, the
-    accuracy before the first collapse, and its stores' bin limit.
+    A UDDSketch also takes its collapse lineage: the collapse count and the
+    accuracy before the first collapse.
     """
     sketch = cls._decoded(
         mapping, store, negative_store, zero_count, count, total, minimum, maximum
@@ -381,5 +381,4 @@ def _decoded_sketch(
         # _sketch_class pairs uniform stores with a UDDSketch and nothing else.
         sketch._collapse_count = collapse_count
         sketch._initial_relative_accuracy = initial_accuracy
-        sketch._bin_limit = store.bin_limit
     return sketch

@@ -99,7 +99,7 @@ class AggregationServer:
         server in-memory only (no durability, no recovery).
     host / port:
         Listen address; port ``0`` picks a free port (see :attr:`address`).
-    sketch_factory / interval_length / retention_intervals:
+    interval_length / retention_intervals:
         Forwarded to :class:`~repro.service.state.ServiceState`.
     max_segment_bytes / fsync:
         Forwarded to :class:`~repro.service.segment_log.SegmentLog`.
@@ -144,7 +144,6 @@ class AggregationServer:
         data_dir=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        sketch_factory=None,
         interval_length: float = 1.0,
         retention_intervals: int = 64,
         max_segment_bytes: int = 4 * 1024 * 1024,
@@ -188,7 +187,6 @@ class AggregationServer:
             )
         self._host = host
         self._port = int(port)
-        self._sketch_factory = sketch_factory
         self._interval_length = float(interval_length)
         self._retention_intervals = int(retention_intervals)
         self._snapshot_every = int(snapshot_every)
@@ -200,7 +198,6 @@ class AggregationServer:
         self._overload_retry_after = float(overload_retry_after)
         self._max_message_bytes = min(int(max_message_bytes), protocol.MAX_MESSAGE_BYTES)
         self.state = ServiceState(
-            sketch_factory=sketch_factory,
             interval_length=interval_length,
             retention_intervals=retention_intervals,
         )
@@ -256,7 +253,6 @@ class AggregationServer:
         """
         report = RecoveryReport()
         self.state = ServiceState(
-            sketch_factory=self._sketch_factory,
             interval_length=self._interval_length,
             retention_intervals=self._retention_intervals,
         )
@@ -269,7 +265,6 @@ class AggregationServer:
             applied, payload = snapshot
             self.state = ServiceState.from_snapshot(
                 payload,
-                sketch_factory=self._sketch_factory,
                 interval_length=self._interval_length,
                 retention_intervals=self._retention_intervals,
             )

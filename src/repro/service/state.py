@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.ddsketch import BaseDDSketch
 from repro.exceptions import DeserializationError, IllegalArgumentError
 from repro.registry import SketchRegistry, check_entries, merge_entries_into
 from repro.registry.registry import Entries
@@ -64,11 +63,11 @@ DEDUP_WINDOW = 1024
 class ServiceState:
     """Deduplicating, windowed aggregation state fed by push envelopes.
 
+    Every series it holds is a decoded frame entry it adopted or copied, so
+    each keeps the family it was pushed with (a UDDSketch series stays UDD).
+
     Parameters
     ----------
-    sketch_factory:
-        Factory for sketches created on the *raw-value* path; decoded frame
-        entries keep their own families (a UDDSketch series stays UDD).
     interval_length:
         Length of one retention bucket in seconds; an envelope lands in the
         bucket containing its ``interval_start``.
@@ -83,7 +82,6 @@ class ServiceState:
 
     def __init__(
         self,
-        sketch_factory: Optional[Callable[[], BaseDDSketch]] = None,
         interval_length: float = 1.0,
         retention_intervals: int = 64,
         dedup_window: int = DEDUP_WINDOW,
@@ -100,11 +98,10 @@ class ServiceState:
             raise IllegalArgumentError(
                 f"dedup_window must be positive, got {dedup_window!r}"
             )
-        self._sketch_factory = sketch_factory
         self._interval_length = float(interval_length)
         self._retention_intervals = int(retention_intervals)
         self._dedup_window = int(dedup_window)
-        self.registry = SketchRegistry(sketch_factory=sketch_factory)
+        self.registry = SketchRegistry()
         self._windows: Dict[int, SketchRegistry] = {}
         self._max_bucket: Optional[int] = None
         # Dedup table: per-host contiguous-prefix watermark + the applied
@@ -264,7 +261,7 @@ class ServiceState:
             return None  # older than the retention horizon: merged-only
         window = self._windows.get(bucket)
         if window is None:
-            window = SketchRegistry(sketch_factory=self._sketch_factory)
+            window = SketchRegistry()
         return window
 
     def _keep_window(self, bucket: int, window: SketchRegistry) -> None:
@@ -373,7 +370,7 @@ class ServiceState:
         """The merged registry, or the window's buckets merged into a new one."""
         if window_start is None and window_end is None:
             return self.registry
-        merged = SketchRegistry(sketch_factory=self._sketch_factory)
+        merged = SketchRegistry()
         for bucket in self._buckets_in(window_start, window_end):
             merged.merge(self._windows[bucket])
         return merged
@@ -418,7 +415,6 @@ class ServiceState:
     def from_snapshot(
         cls,
         payload: bytes,
-        sketch_factory: Optional[Callable[[], BaseDDSketch]] = None,
         interval_length: float = 1.0,
         retention_intervals: int = 64,
         dedup_window: int = DEDUP_WINDOW,
@@ -432,7 +428,6 @@ class ServiceState:
         legitimately hold more bins than one pushed frame may decode to.
         """
         state = cls(
-            sketch_factory=sketch_factory,
             interval_length=interval_length,
             retention_intervals=retention_intervals,
             dedup_window=dedup_window,
@@ -457,7 +452,7 @@ class ServiceState:
                 frame_length = reader.read_varint()
                 if frame_length > reader.remaining:
                     raise DeserializationError("snapshot window frame exceeds the payload")
-                window = SketchRegistry(sketch_factory=sketch_factory)
+                window = SketchRegistry()
                 window.merge_frame(reader.read_bytes(frame_length))
                 state._windows[bucket] = window
             num_hosts = reader.read_varint()

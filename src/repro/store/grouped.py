@@ -62,9 +62,9 @@ class GroupedScratch:
     ``int64`` flat-index array as large as the batch.  A registry that
     ingests a columnar batch every interval would reallocate that temporary
     on every call; holding a ``GroupedScratch`` per single-writer owner (each
-    registry's :class:`~repro.core.grouped.GroupedIngest` holds one) lets the
-    allocation be grown once and reused (the batch math is computed in place
-    with ``out=``, producing bit-identical indices).
+    :class:`~repro.registry.SketchRegistry` holds one) lets the allocation be
+    grown once and reused (the batch math is computed in place with ``out=``,
+    producing bit-identical indices).
 
     Instances are **not** thread-safe: each concurrent writer must own its
     own scratch, which the single-writer registry guarantees.

@@ -450,7 +450,7 @@ class TestWindowedServiceQueries:
         from repro.service import ServiceState
         from repro.service.protocol import encode_push_envelope
 
-        state = ServiceState(sketch_factory=factory, interval_length=2.0, retention_intervals=4)
+        state = ServiceState(interval_length=2.0, retention_intervals=4)
         sequences = {}
         for host, bucket, members, values in pushes:
             registry = SketchRegistry(sketch_factory=factory)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro import (
     DDSketch,
-    GroupedIngest,
     LogUnboundedDenseDDSketch,
     SeriesKey,
     SketchRegistry,
@@ -508,36 +507,66 @@ class TestGroupedSketchIngestion:
             assert sketch.relative_accuracy == snapshot.relative_accuracy
 
 
-class TestGroupedIngestFacade:
+class TestRegistryGroupedIngest:
     def test_string_column_factorization(self):
-        ingest = GroupedIngest(lambda: DDSketch())
+        registry = SketchRegistry(lambda: DDSketch())
         ids = np.array(["a", "b", "a", "c", "b", "a"])
-        assert ingest.ingest_columns(ids, np.arange(1.0, 7.0)) == 6
-        assert sorted(ingest.series_ids()) == ["a", "b", "c"]
-        assert ingest.get("a").count == 3
-        assert ingest.total_count == 6.0
-        assert "a" in ingest and "missing" not in ingest
+        assert registry.ingest_columns(ids, np.arange(1.0, 7.0)) == 6
+        assert registry.series_keys() == [SeriesKey("a"), SeriesKey("b"), SeriesKey("c")]
+        assert registry.get("a").count == 3
+        assert registry.total_count() == 6.0
+        assert "a" in registry and "missing" not in registry
 
-    def test_arbitrary_hashable_ids(self):
-        ingest = GroupedIngest(lambda: DDSketch())
-        ids = [("m", "h1"), ("m", "h2"), ("m", "h1")]
-        ingest.ingest_columns(ids, np.array([1.0, 2.0, 3.0]))
-        assert ingest.get(("m", "h1")).count == 2
+    def test_every_column_shape_factorizes_alike(self):
+        # A NumPy string column, the same metrics as a list, and loose
+        # descriptions of the same series all build the same registry.
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        frames = []
+        for series in (
+            np.array(["b", "a", "b", "c"]),
+            ["b", "a", "b", "c"],
+            np.array(["b", "a", "b", "c"], dtype=object),
+            [SeriesKey("b"), ("a", {}), "b", ("c", ())],
+        ):
+            registry = SketchRegistry()
+            assert registry.ingest_columns(series, values) == 4
+            frames.append(registry.to_frame())
+        assert frames[1:] == frames[:-1]
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            [("m", {"a": "1"}), "m"],
+            [("m", (("a", "1"),)), ("m", (("a", "2"),))],
+            [("m", {"h": "1"}), ("m", {"h": "2"}), ("m", {"h": "1"})],
+        ],
+    )
+    def test_loose_series_descriptions(self, series):
+        registry = SketchRegistry()
+        values = np.arange(1.0, len(series) + 1.0)
+        assert registry.ingest_columns(series, values) == len(series)
+        reference = SketchRegistry()
+        for entry, value in zip(series, values.tolist()):
+            reference.add(entry, value)
+        assert registry.series_keys() == reference.series_keys()
+        assert registry.to_frame() == reference.to_frame()
 
     def test_unknown_series_raises(self):
         with pytest.raises(EmptySketchError):
-            GroupedIngest().get("missing")
+            SketchRegistry().get("missing")
 
     def test_mismatched_columns_rejected(self):
-        ingest = GroupedIngest()
+        registry = SketchRegistry()
         with pytest.raises(IllegalArgumentError):
-            ingest.ingest_columns(np.array(["a"]), np.array([1.0, 2.0]))
+            registry.ingest_columns(np.array(["a"]), np.array([1.0, 2.0]))
         with pytest.raises(IllegalArgumentError):
-            ingest.ingest_columns([], np.array([1.0]))
+            registry.ingest_columns([], np.array([1.0]))
+        assert registry.num_series == 0
 
-    def test_rejected_batch_leaves_no_phantom_series(self):
-        # Validation must run before any sketch is created: a rejected batch
-        # must not register empty series.
+    @pytest.mark.parametrize("fault", ["nan_value", "negative_weight"])
+    def test_rejected_batch_leaves_no_phantom_series(self, kernel_backend, fault):
+        # A rejected batch must neither register empty series nor change a
+        # stored one: new series are stored only once the batch is accepted.
         registry = SketchRegistry()
         with pytest.raises(IllegalArgumentError):
             registry.ingest_grouped(
@@ -549,12 +578,37 @@ class TestGroupedIngestFacade:
             )
         assert registry.num_series == 0
 
+        registry.add_batch("old", np.array([0.5, 2.0, -3.0]))
+        before = registry.get("old").to_bytes()
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        weights = None
+        if fault == "nan_value":
+            values[2] = np.nan
+        else:
+            weights = np.array([1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(IllegalArgumentError):
+            registry.ingest_grouped(["old", "new"], np.array([0, 1, 0, 1]), values, weights)
+        assert registry.series_keys() == [SeriesKey("old")]
+        assert registry.get("old").to_bytes() == before
+
+    def test_a_series_listed_twice_takes_both_groups(self, kernel_backend):
+        values = np.random.default_rng(8).lognormal(0.0, 2.0, 600)
+        groups = np.tile(np.arange(3), 200)
+        registry = SketchRegistry()
+        registry.ingest_grouped(["a", "b", "a"], groups, values)
+        reference = SketchRegistry()
+        reference.add_batch("a", values[groups != 1])
+        reference.add_batch("b", values[groups == 1])
+        for key in ("a", "b"):
+            assert registry.get(key).count == reference.get(key).count
+            assert registry.get(key).store.key_counts() == reference.get(key).store.key_counts()
+
     def test_empty_group_column_with_values_rejected(self):
         # A silent `return 0` here would lose data; the shape mismatch must
         # raise like every other ingestion path.
-        ingest = GroupedIngest()
+        registry = SketchRegistry()
         with pytest.raises(IllegalArgumentError):
-            ingest.ingest_grouped(["a"], np.array([], dtype=np.int64), np.array([1.0]))
+            registry.ingest_grouped(["a"], np.array([], dtype=np.int64), np.array([1.0]))
 
 
 class TestSketchRegistry:

@@ -138,7 +138,7 @@ class TestSeriesPartitionedAcrossAgents:
 
         registry = SketchRegistry(sketch_factory=factory)
         aggregator = Aggregator()
-        state = ServiceState(sketch_factory=factory)
+        state = ServiceState()
         for frame in frames:
             registry.merge_frame(frame.payload)
             aggregator.ingest_frame(frame)
@@ -227,7 +227,7 @@ class TestSameSeriesSplitAcrossAgents:
 
         envelopes = pushed_envelopes(fleet(num_agents, owner, keys, group_indices, values, factory))
         assert len(envelopes) == num_agents
-        state = ServiceState(sketch_factory=factory)
+        state = ServiceState()
         for raw in envelopes:
             state.apply_envelope_bytes(raw)
         assert state.frames_applied == num_agents
@@ -347,7 +347,7 @@ def test_any_split_flush_schedule_and_delivery_order_converges(
     delivered = envelopes + [envelopes[i] for i in rng.integers(0, len(envelopes), retransmits)]
     delivered = [delivered[i] for i in rng.permutation(len(delivered))]
 
-    state = ServiceState(sketch_factory=factory)
+    state = ServiceState()
     for raw in delivered:
         state.apply_envelope_bytes(raw)
     assert state.frames_applied == len(envelopes)

@@ -2,10 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import DDSketch, FastDDSketch, LogUnboundedDenseDDSketch, SparseDDSketch
+from repro import (
+    DDSketch,
+    FastDDSketch,
+    LogCollapsingHighestDenseDDSketch,
+    LogCollapsingLowestDenseDDSketch,
+    LogUnboundedDenseDDSketch,
+    SparseDDSketch,
+)
 from repro.core import BaseDDSketch
 from repro.exceptions import DeserializationError
 from repro.mapping import LogarithmicMapping
@@ -155,34 +163,62 @@ class TestBinaryCodec:
         assert restored.sum == pytest.approx(sketch.sum)
 
 
+@pytest.mark.parametrize(
+    "sketch_cls",
+    [
+        DDSketch,
+        LogCollapsingLowestDenseDDSketch,
+        LogCollapsingHighestDenseDDSketch,
+        FastDDSketch,
+    ],
+)
 class TestDecodedDefaultSketch:
-    """A sketch decoded as a ``DDSketch`` carries its bin limit, so it can be
-    copied and its ``bin_limit`` read, like the sketch that was encoded."""
+    """A bounded sketch keeps its bin limit through a decode, a copy and a
+    rollup, so its ``bin_limit`` reads as on the sketch that was encoded."""
 
     @pytest.mark.parametrize("bin_limit", [2048, 37])
-    def test_round_trips_keep_the_bin_limit(self, kernel_backend, bin_limit):
+    def test_round_trips_keep_the_bin_limit(self, kernel_backend, sketch_cls, bin_limit):
         from repro.registry import SeriesKey
         from repro.serialization.frame import decode_frame, encode_frame, read_frame
 
-        sketch = DDSketch(0.02, bin_limit=bin_limit)
+        sketch = sketch_cls(0.02, bin_limit=bin_limit)
         sketch.add_all([0.5, 3.0, -7.0, 0.0, 1e4])
         payload = sketch.to_bytes()
         frame = encode_frame([(SeriesKey.of("m", {"a": "b"}), sketch)])
         decoded = [
-            DDSketch.from_bytes(payload),
-            decode_sketch(payload, sketch_cls=DDSketch),
-            decode_frame(frame, sketch_cls=DDSketch)[0][1],
-            read_frame(frame, sketch_cls=DDSketch).sketch(0),
+            sketch_cls.from_bytes(payload),
+            decode_sketch(payload, sketch_cls=sketch_cls),
+            decode_frame(frame, sketch_cls=sketch_cls)[0][1],
+            read_frame(frame, sketch_cls=sketch_cls).sketch(0),
         ]
         for restored in decoded:
-            assert type(restored) is DDSketch
+            assert type(restored) is sketch_cls
             assert restored.bin_limit == bin_limit
             copied = restored.copy()
             assert copied.bin_limit == bin_limit
             assert copied.to_bytes() == payload
             assert copied.get_quantiles([0.0, 0.5, 1.0]) == sketch.get_quantiles([0.0, 0.5, 1.0])
 
-    def test_empty_round_trip_copies(self, kernel_backend):
-        restored = DDSketch.from_bytes(DDSketch().to_bytes())
+    @pytest.mark.parametrize("bin_limit", [2048, 37])
+    def test_copies_and_rollups_keep_the_bin_limit(self, kernel_backend, sketch_cls, bin_limit):
+        from repro.registry import SketchRegistry
+
+        sketch = sketch_cls(0.02, bin_limit=bin_limit)
+        sketch.add_all([0.5, 3.0, -7.0, 0.0, 1e4])
+        copied = sketch.copy()
+        assert type(copied) is sketch_cls
+        assert copied.bin_limit == bin_limit
+        assert copied.to_bytes() == sketch.to_bytes()
+
+        registry = SketchRegistry(lambda: sketch_cls(0.02, bin_limit=bin_limit))
+        registry.add_batch("m", np.geomspace(1e-3, 1e6, 500), tags={"h": "1"})
+        registry.add_batch("m", np.geomspace(1e-2, 1e3, 300), tags={"h": "2"})
+        rollup = registry.rollup("m")
+        assert type(rollup) is sketch_cls
+        assert rollup.bin_limit == bin_limit
+        assert rollup.copy().bin_limit == bin_limit
+
+    def test_empty_round_trip_copies(self, kernel_backend, sketch_cls):
+        restored = sketch_cls.from_bytes(sketch_cls().to_bytes())
         assert restored.copy().bin_limit == 2048
         assert restored.copy().is_empty

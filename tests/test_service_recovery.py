@@ -58,11 +58,10 @@ def _build_envelope(host, values, interval, tagged, sequence, factory=None):
     )
 
 
-def _run_scenario(operations, tmp_dir, sketch_factory=None, frame_factory=None):
+def _run_scenario(operations, tmp_dir, frame_factory=None):
     """Drive the server through the operations; compare against the reference."""
     server = AggregationServer(
         data_dir=tmp_dir,
-        sketch_factory=sketch_factory,
         max_segment_bytes=256,  # tiny segments: rotation happens constantly
         retention_intervals=4,
     )
@@ -86,19 +85,16 @@ def _run_scenario(operations, tmp_dir, sketch_factory=None, frame_factory=None):
         else:  # crash: abandon the object, restart from disk
             server = AggregationServer(
                 data_dir=tmp_dir,
-                sketch_factory=sketch_factory,
                 max_segment_bytes=256,
                 retention_intervals=4,
             )
             server.recover()
-            _assert_matches_reference(server, applied, sketch_factory)
-    _assert_matches_reference(server, applied, sketch_factory)
+            _assert_matches_reference(server, applied)
+    _assert_matches_reference(server, applied)
 
 
-def _assert_matches_reference(server, applied, sketch_factory):
-    reference = reference_state(
-        applied, sketch_factory=sketch_factory, retention_intervals=4
-    )
+def _assert_matches_reference(server, applied):
+    reference = reference_state(applied, retention_intervals=4)
     assert server.state.to_frame() == reference.to_frame()
     assert server.state.frames_applied == reference.frames_applied
     assert server.state.window_buckets() == reference.window_buckets()
@@ -130,14 +126,13 @@ def test_crash_replay_matches_uncrashed_reference(operations):
     alpha=st.sampled_from([0.005, 0.02, 0.05]),
 )
 def test_mixed_alpha_uddsketch_recovery(operations, alpha):
-    # Frames carry UDDSketch series at a Hypothesis-chosen alpha while the
-    # server's raw-value factory uses another: the log replays heterogeneous
-    # families into the same bit-exact state.
+    # Frames carry UDDSketch series at a Hypothesis-chosen alpha, whose small
+    # bin limit collapses them to different effective alphas: the log
+    # replays the mixed-alpha fusion into the same bit-exact state.
     with tempfile.TemporaryDirectory(prefix="repro-recovery-udd-") as tmp_dir:
         _run_scenario(
             operations,
             tmp_dir,
-            sketch_factory=lambda: UDDSketch(relative_accuracy=0.01),
             frame_factory=lambda: UDDSketch(relative_accuracy=alpha, bin_limit=64),
         )
 
