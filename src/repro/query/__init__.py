@@ -21,17 +21,18 @@ merge-on-read one):
     that invalidate the per-series window hierarchy — a repeated dashboard
     query costs one cache lookup.
 :class:`QueryEngine`
-    The front-end tying both to a data source (:class:`~repro.monitoring.
-    Aggregator` or :class:`~repro.registry.SketchRegistry`), plus
-    sketch-bound **threshold queries** ("which series have p99 > 500ms?")
-    that prune series from cheap rank/count bounds
-    (:meth:`~repro.core.BaseDDSketch.quantile_bounds`) before merging or
-    scanning anything.
+    The front-end tying both to a :class:`~repro.monitoring.Aggregator`,
+    plus sketch-bound **threshold queries** ("which series have p99 >
+    500ms?") that prune series from cheap rank/count bounds before merging
+    or scanning anything (:class:`ThresholdResult`).  Over a
+    :class:`~repro.registry.SketchRegistry`, whose writes no hook sees, it
+    keeps no cube or cache and each read is the registry's own method.
 """
 
 from repro.query.cache import MergeCache
 from repro.query.cube import RollupCube
-from repro.query.engine import QueryEngine, ThresholdResult
+from repro.query.engine import QueryEngine
+from repro.registry import ThresholdResult
 
 __all__ = [
     "MergeCache",

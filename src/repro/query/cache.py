@@ -113,8 +113,3 @@ class MergeCache:
         for key in stale:
             del self._entries[key]
             self._invalidations += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counted as invalidations)."""
-        self._invalidations += len(self._entries)
-        self._entries.clear()

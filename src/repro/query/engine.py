@@ -1,9 +1,8 @@
 """The query engine: cubes + merge cache + sketch-bound threshold pruning.
 
-:class:`QueryEngine` fronts a data source — a live
-:class:`~repro.monitoring.Aggregator` or a
-:class:`~repro.registry.SketchRegistry` — and answers the two
-interactive query shapes of the paper's motivating dashboard scenario:
+:class:`QueryEngine` fronts a live :class:`~repro.monitoring.Aggregator`
+and answers the two interactive query shapes of the paper's motivating
+dashboard scenario:
 
 * **tag-slice quantiles** ("p99 for endpoint /checkout over this window"):
   answered from the LRU merge cache when warm, from a premerged
@@ -14,92 +13,57 @@ interactive query shapes of the paper's motivating dashboard scenario:
   are pure latency optimizations.
 * **threshold queries** ("which series have p99 > 500ms?"): each candidate
   series is first classified from cheap rank/count bounds
-  (:meth:`~repro.core.BaseDDSketch.quantile_bounds` /
-  :meth:`~repro.monitoring.SketchTimeSeries.quantile_bounds`) that cost a
+  (:meth:`~repro.monitoring.SketchTimeSeries.quantile_bounds`) that cost a
   scalar-summary pass, no merge.  Only series whose bounds straddle the
-  threshold are scanned with a real quantile estimate; on selective
+  threshold are scanned with a real quantile estimate
+  (:func:`~repro.registry.registry.threshold_scan`); on selective
   thresholds the vast majority of series is pruned without touching any
   bucket data.
+
+A cache of merged answers is sound only where every write invalidates it,
+and the aggregator's hooks see every write.  A
+:class:`~repro.registry.SketchRegistry` has no such seam — a sketch it
+handed out can be written at any time — so over a registry the engine
+keeps no cube or cache, and each read is the registry's own method.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.ddsketch import BaseDDSketch
 from repro.exceptions import EmptySketchError, IllegalArgumentError
 from repro.query.cache import MergeCache
 from repro.query.cube import RollupCube
-from repro.registry.series import SeriesKey, TagsLike, normalize_tags
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Outcome of one threshold query over a series population.
-
-    ``matches`` lists every series whose quantile estimate passes the
-    threshold — identical to what a naive scan estimating every series
-    would report.  ``scanned`` lists the subset that actually needed an
-    estimate (their bounds straddled the threshold); everything else was
-    classified from bounds alone.  The pruning contract is one-sided
-    soundness: bounds may force a *scan* that turns out unnecessary, but
-    they never misclassify — a series excluded by bounds cannot match, and
-    one included by bounds always does.
-    """
-
-    metric: str
-    quantile: float
-    threshold: float
-    above: bool
-    matches: List[SeriesKey] = field(default_factory=list)
-    scanned: List[SeriesKey] = field(default_factory=list)
-    total_series: int = 0
-
-    @property
-    def pruned(self) -> int:
-        """Series classified without a quantile scan (or empty in-window)."""
-        return self.total_series - len(self.scanned)
-
-    @property
-    def prune_rate(self) -> float:
-        """Fraction of the population resolved without scanning (0 when empty)."""
-        if self.total_series == 0:
-            return 0.0
-        return self.pruned / self.total_series
+from repro.registry import SketchRegistry, ThresholdResult
+from repro.registry.registry import threshold_scan
+from repro.registry.series import TagsLike, normalize_tags
 
 
 class QueryEngine:
     """Interactive tag-slice and threshold queries over a sketch source.
 
     Build engines through :meth:`over_aggregator` /
-    :meth:`over_registry` (or the ``query_engine()`` convenience methods on
-    :class:`~repro.monitoring.Aggregator` and
-    :class:`~repro.registry.SketchRegistry`) rather than the constructor.
+    :meth:`over_registry` (or
+    :meth:`~repro.monitoring.Aggregator.query_engine`) rather than the
+    constructor.
 
     Over an **aggregator**, the engine registers an ingest observer (keeps
     cube cells incrementally premerged) and an invalidation hook (drops
     stale merge-cache entries the moment an underlying interval mutates).
-    Over a **registry**, there is no observer seam; the engine snapshots the
-    registry's ``data_version`` instead and rebuilds cube + cache whenever
-    the version moved — free for immutable snapshots, conservative for live
-    registries.  Registry sources have no time dimension, so ``start`` /
-    ``end`` must be None there.
+    Over a **registry** it keeps neither (:meth:`over_registry`), and as
+    registries have no time dimension, ``start`` / ``end`` must be None.
     """
 
     def __init__(
         self,
         source,
-        cube: RollupCube,
-        cache: MergeCache,
-        has_time_dimension: bool,
+        cube: Optional[RollupCube] = None,
+        cache: Optional[MergeCache] = None,
     ) -> None:
         self._source = source
         self._cube = cube
         self._cache = cache
-        self._has_time = has_time_dimension
-        self._source_version: Optional[int] = getattr(source, "data_version", None)
         self._cube_hits = 0
         self._naive_merges = 0
 
@@ -131,47 +95,45 @@ class QueryEngine:
                 for key in aggregator.series_keys()
             )
         cache = MergeCache(capacity=cache_capacity)
-        engine = cls(aggregator, cube, cache, has_time_dimension=True)
+        engine = cls(aggregator, cube, cache)
         aggregator.add_ingest_observer(cube.observe)
         aggregator.add_invalidation_hook(cache.invalidate_series)
         return engine
 
     @classmethod
-    def over_registry(
-        cls,
-        registry,
-        cube_dimensions: Sequence[Sequence[str]] = (),
-        cache_capacity: int = 128,
-    ) -> "QueryEngine":
+    def over_registry(cls, registry: SketchRegistry) -> "QueryEngine":
         """An engine over a :class:`~repro.registry.SketchRegistry`.
 
-        Registries hold one sketch per series (no time dimension); cube
-        cells are premerged from the current contents, and the registry's
-        ``data_version`` counter guards against serving answers derived
-        from a superseded state.
+        It keeps no cube, cache or version: :meth:`rollup`,
+        :meth:`quantiles`, :meth:`quantile` and :meth:`threshold_query` are
+        the registry's own methods, so every answer reflects the registry as
+        it is, including values added through a sketch that
+        :meth:`~repro.registry.SketchRegistry.sketch` or
+        :meth:`~repro.registry.SketchRegistry.get` handed out.
         """
-        cube = RollupCube(cube_dimensions, interval_length=1.0)
-        if cube.dimensions:
-            cube.seed((key, [(0.0, sketch)]) for key, sketch in registry)
-        cache = MergeCache(capacity=cache_capacity)
-        return cls(registry, cube, cache, has_time_dimension=False)
+        return cls(registry)
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
     @property
-    def cube(self) -> RollupCube:
-        """The engine's rollup cube."""
+    def cube(self) -> Optional[RollupCube]:
+        """The engine's rollup cube (None over a registry)."""
         return self._cube
 
     @property
-    def cache(self) -> MergeCache:
-        """The engine's merge cache."""
+    def cache(self) -> Optional[MergeCache]:
+        """The engine's merge cache (None over a registry)."""
         return self._cache
 
     def stats(self) -> Dict[str, float]:
-        """Counters for observability: cache traffic, cube hits, merges."""
+        """Counters for observability: cache traffic, cube hits, merges.
+
+        Empty over a registry, which has neither cube nor cache.
+        """
+        if self._cache is None:
+            return {}
         return {
             "cache_hits": float(self._cache.hits),
             "cache_misses": float(self._cache.misses),
@@ -186,26 +148,17 @@ class QueryEngine:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _check_window(self, start: Optional[float], end: Optional[float]) -> None:
-        if not self._has_time and (start is not None or end is not None):
+    def _registry(
+        self, start: Optional[float], end: Optional[float]
+    ) -> Optional[SketchRegistry]:
+        """The source when it is a registry (refusing a time window), else None."""
+        if self._cache is not None:
+            return None
+        if start is not None or end is not None:
             raise IllegalArgumentError(
                 "time windows are not supported over a registry source"
             )
-
-    def _check_version(self) -> None:
-        """Rebuild cube and cache when a versioned source has moved on."""
-        if self._source_version is None:
-            return
-        version = self._source.data_version
-        if version == self._source_version:
-            return
-        self._cache.clear()
-        self._cube = RollupCube(
-            self._cube.dimensions, interval_length=self._cube._interval_length
-        )
-        if self._cube.dimensions:
-            self._cube.seed((key, [(0.0, sketch)]) for key, sketch in self._source)
-        self._source_version = version
+        return self._source
 
     def _merged_filter(
         self,
@@ -228,55 +181,13 @@ class QueryEngine:
             self._cube_hits += 1
             merged = cell.rollup(start, end)
         else:
-            merged = self._naive_merge(metric, tag_filter, start, end)
-        self._cache.put(cache_key, merged)
-        return merged
-
-    def _naive_merge(
-        self,
-        metric: str,
-        tag_filter: Tuple[Tuple[str, str], ...],
-        start: Optional[float],
-        end: Optional[float],
-    ) -> BaseDDSketch:
-        """Merge-on-read over every matching series (the baseline path)."""
-        self._naive_merges += 1
-        if self._has_time:
-            return self._source.rollup(
+            # Merge-on-read over every matching series (the baseline path).
+            self._naive_merges += 1
+            merged = self._source.rollup(
                 metric, start=start, end=end, tag_filter=tag_filter or None
             )
-        return self._source.rollup(metric, tag_filter=tag_filter or None)
-
-    def _series_population(
-        self, metric: str, tag_filter: Tuple[Tuple[str, str], ...]
-    ) -> List[SeriesKey]:
-        return self._source.series_keys(metric, tag_filter or None)
-
-    def _series_bounds(
-        self,
-        key: SeriesKey,
-        quantile: float,
-        start: Optional[float],
-        end: Optional[float],
-    ) -> Tuple[float, float]:
-        """Rank/count bounds for one series — raises EmptySketchError when bare."""
-        if self._has_time:
-            series = self._source.series(key.metric, key.tags)
-            return series.quantile_bounds(quantile, start, end)
-        return self._source.get(key).quantile_bounds(quantile)
-
-    def _series_estimate(
-        self,
-        key: SeriesKey,
-        quantile: float,
-        start: Optional[float],
-        end: Optional[float],
-    ) -> float:
-        """The real per-series quantile estimate (identical to a naive scan)."""
-        if self._has_time:
-            series = self._source.series(key.metric, key.tags)
-            return series.rollup(start, end).quantile(quantile)
-        return self._source.get(key).quantile(quantile)
+        self._cache.put(cache_key, merged)
+        return merged
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -294,8 +205,9 @@ class QueryEngine:
         Raises :class:`EmptySketchError` when nothing matches — the same
         contract as the sources' ``rollup``.
         """
-        self._check_window(start, end)
-        self._check_version()
+        registry = self._registry(start, end)
+        if registry is not None:
+            return registry.rollup(metric, tag_filter)
         merged = self._merged_filter(metric, normalize_tags(tag_filter), start, end)
         return merged.copy()
 
@@ -315,6 +227,9 @@ class QueryEngine:
         single-series reads need no merging), ``tag_filter`` the merge of
         every series carrying those tags, neither the whole metric.
         """
+        registry = self._registry(start, end)
+        if registry is not None:
+            return registry.quantiles(metric, quantiles, tags=tags, tag_filter=tag_filter)
         for quantile in quantiles:
             if not 0 <= quantile <= 1:  # rejects NaN as well
                 raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
@@ -322,12 +237,8 @@ class QueryEngine:
             raise IllegalArgumentError(
                 "pass either tags (exact series) or tag_filter, not both"
             )
-        self._check_window(start, end)
-        self._check_version()
         if tags is not None:
-            if self._has_time:
-                return self._source.quantiles(metric, quantiles, start=start, end=end, tags=tags)
-            return self._source.quantiles(metric, quantiles, tags=tags)
+            return self._source.quantiles(metric, quantiles, start=start, end=end, tags=tags)
         merged = self._merged_filter(metric, normalize_tags(tag_filter), start, end)
         values = merged.get_quantiles(quantiles)
         if any(value is None for value in values):
@@ -370,46 +281,24 @@ class QueryEngine:
         The bounds pass costs one scalar-summary sweep per series; only
         series whose bounds straddle ``threshold`` pay a real merge+scan.
         A ``threshold`` that is not finite raises
-        :class:`~repro.exceptions.IllegalArgumentError`.
+        :class:`~repro.exceptions.IllegalArgumentError`.  Over a registry
+        this is :meth:`~repro.registry.SketchRegistry.threshold_query`.
         """
-        if not 0 <= quantile <= 1:
-            raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
-        threshold = float(threshold)
-        if not math.isfinite(threshold):
-            raise IllegalArgumentError(f"threshold must be finite, got {threshold!r}")
-        self._check_window(start, end)
-        self._check_version()
-        normalized = normalize_tags(tag_filter)
-        population = self._series_population(metric, normalized)
-        matches: List[SeriesKey] = []
-        scanned: List[SeriesKey] = []
-        for key in population:
-            try:
-                lower, upper = self._series_bounds(key, quantile, start, end)
-            except EmptySketchError:
-                continue  # no data in window: cannot match, nothing to scan
-            if above:
-                if upper <= threshold:
-                    continue  # pruned out: estimate cannot exceed threshold
-                if lower > threshold:
-                    matches.append(key)  # pruned in: estimate must exceed it
-                    continue
-            else:
-                if lower >= threshold:
-                    continue
-                if upper < threshold:
-                    matches.append(key)
-                    continue
-            scanned.append(key)
-            estimate = self._series_estimate(key, quantile, start, end)
-            if (estimate > threshold) if above else (estimate < threshold):
-                matches.append(key)
-        return ThresholdResult(
-            metric=metric,
-            quantile=quantile,
-            threshold=threshold,
-            above=above,
-            matches=matches,
-            scanned=scanned,
-            total_series=len(population),
+        registry = self._registry(start, end)
+        if registry is not None:
+            return registry.threshold_query(
+                metric, quantile, threshold, above=above, tag_filter=tag_filter
+            )
+        aggregator = self._source
+        return threshold_scan(
+            metric,
+            quantile,
+            threshold,
+            above,
+            [
+                (key, aggregator.series(key.metric, key.tags))
+                for key in aggregator.series_keys(metric, tag_filter)
+            ],
+            bounds=lambda series: series.quantile_bounds(quantile, start, end),
+            estimate=lambda series: series.rollup(start, end).quantile(quantile),
         )

@@ -14,7 +14,8 @@ accuracy guarantee.
   series (normalized, hashable, ordered).
 * :class:`SketchRegistry` — owns one sketch per series, ingests columnar
   ``(series, value)`` batches through the grouped vectorized pipeline, and
-  answers exact-series / tag-filtered / metric-rollup quantile queries.
+  answers exact-series / tag-filtered / metric-rollup quantile queries and
+  threshold queries (:class:`ThresholdResult`).
 * Wire frames — a registry round-trips through the length-prefixed
   multi-sketch frame of :mod:`repro.serialization.frame`, so an agent
   flushes its whole series population in one payload.
@@ -26,11 +27,12 @@ same answers as one registry fed every value.
 """
 
 from repro.registry.series import SeriesKey, normalize_tags
-from repro.registry.registry import SketchRegistry, check_entries, merge_entries_into
+from repro.registry.registry import SketchRegistry, ThresholdResult, check_entries, merge_entries_into
 
 __all__ = [
     "SeriesKey",
     "SketchRegistry",
+    "ThresholdResult",
     "check_entries",
     "merge_entries_into",
     "normalize_tags",

@@ -12,7 +12,11 @@ three query shapes of a high-cardinality monitoring backend:
 * **tag-filtered merge** — every series of a metric carrying the filter
   tags, merged (full mergeability, Section 2.1 of the paper, keeps the
   accuracy guarantee intact);
-* **metric rollup** — all series of a metric, merged.
+* **metric rollup** — all series of a metric, merged;
+
+and :meth:`SketchRegistry.threshold_query` lists the series whose quantile
+estimate lies beyond a threshold, pruning most of them from cheap bounds
+(:func:`threshold_scan`).
 
 A registry serializes to the length-prefixed multi-sketch wire frame
 (:mod:`repro.serialization.frame`), which is how an agent flushes thousands
@@ -21,15 +25,18 @@ of series in one payload.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
 
 from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.exceptions import EmptySketchError, IllegalArgumentError
-from repro.registry.series import SeriesKey, SeriesLike, TagsLike, select_keys
+from repro.registry.series import SeriesKey, SeriesLike, TagsLike, normalize_tags, select_keys
 from repro.store.grouped import GroupedScratch
 
 if TYPE_CHECKING:
@@ -66,28 +73,13 @@ class SketchRegistry:
         # The grouped pass's reusable flat-index scratch: a registry has one
         # writer, as GroupedScratch requires.
         self._scratch = GroupedScratch()
-        self._data_version = 0
 
     # ------------------------------------------------------------------ #
     # Series access
     # ------------------------------------------------------------------ #
 
-    @property
-    def data_version(self) -> int:
-        """Monotone counter bumped on every mutating call.
-
-        Read-side caches (e.g. :class:`~repro.query.QueryEngine` over a live
-        registry) compare this against the version they derived from to
-        detect staleness without tracking individual series.  Handing out a
-        mutable sketch via :meth:`sketch` conservatively counts as a
-        mutation; values added through a previously-obtained live reference
-        are the one write path the counter cannot see.
-        """
-        return self._data_version
-
     def sketch(self, series: SeriesLike, tags: TagsLike = None) -> BaseDDSketch:
         """The sketch for a series, created on first use."""
-        self._data_version += 1
         key = SeriesKey.of(series, tags)
         sketch = self._sketches.get(key)
         if sketch is None:
@@ -136,7 +128,6 @@ class SketchRegistry:
 
     def clear(self) -> None:
         """Drop every series."""
-        self._data_version += 1
         self._sketches = {}
 
     # ------------------------------------------------------------------ #
@@ -157,12 +148,13 @@ class SketchRegistry:
         contract as :meth:`ingest_grouped`).
         """
         key = SeriesKey.of(series, tags)
-        if key in self._sketches:
-            self.sketch(key).add(value, weight)
+        sketch = self._sketches.get(key)
+        if sketch is not None:
+            sketch.add(value, weight)
             return
         sketch = self._sketch_factory()
         sketch.add(value, weight)
-        self.merge_series(key, sketch, copy=False)
+        self._sketches[key] = sketch
 
     def add_batch(
         self,
@@ -176,13 +168,14 @@ class SketchRegistry:
         As with :meth:`add`, a rejected or empty batch creates no series.
         """
         key = SeriesKey.of(series, tags)
-        if key in self._sketches:
-            self.sketch(key).add_batch(values, weights)
+        sketch = self._sketches.get(key)
+        if sketch is not None:
+            sketch.add_batch(values, weights)
             return
         sketch = self._sketch_factory()
         sketch.add_batch(values, weights)
         if sketch.count > 0:
-            self.merge_series(key, sketch, copy=False)
+            self._sketches[key] = sketch
 
     def ingest_grouped(
         self,
@@ -203,7 +196,6 @@ class SketchRegistry:
         :meth:`add`).  Returns the number of samples ingested.
         """
         keys = [SeriesKey.of(entry) for entry in series]
-        self._data_version += 1
         return self._ingest_keys(keys, group_indices, values, weights)
 
     def ingest_columns(
@@ -229,7 +221,6 @@ class SketchRegistry:
             positions: Dict[SeriesKey, int] = {}
             codes = [positions.setdefault(SeriesKey.of(entry), len(positions)) for entry in series]
             keys = list(positions)
-        self._data_version += 1
         return self._ingest_keys(keys, codes, values, weights)
 
     def _ingest_keys(
@@ -293,11 +284,7 @@ class SketchRegistry:
         only reference.  Merging into an existing
         series behaves identically either way (Algorithm 4 mergeability).
         """
-        self._data_version += 1
-        self._merge_sketch(SeriesKey.of(series, tags), sketch, copy)
-
-    def _merge_sketch(self, key: SeriesKey, sketch: BaseDDSketch, copy: bool) -> None:
-        """:meth:`merge_series` for a normalized key, without the version bump."""
+        key = SeriesKey.of(series, tags)
         stored = self._sketches.get(key)
         if stored is None:
             self._sketches[key] = sketch.copy() if copy else sketch
@@ -360,7 +347,7 @@ class SketchRegistry:
         if not groups:
             raise EmptySketchError(
                 f"no data for metric {metric!r}"
-                + (f" with tags {dict(self._normalized_filter(tag_filter))}" if tag_filter else "")
+                + (f" with tags {dict(normalize_tags(tag_filter))}" if tag_filter else "")
             )
         return BaseDDSketch.fold(groups)
 
@@ -374,12 +361,6 @@ class SketchRegistry:
         columns = [list(map(window._sketches.get, keys)) for window in windows]
         groups = ([sketch for sketch in row if sketch is not None] for row in zip(*columns))
         return [group for group in groups if group]
-
-    @staticmethod
-    def _normalized_filter(tag_filter: TagsLike) -> Tuple[Tuple[str, str], ...]:
-        from repro.registry.series import normalize_tags
-
-        return normalize_tags(tag_filter)
 
     def quantile(
         self,
@@ -430,21 +411,35 @@ class SketchRegistry:
             raise EmptySketchError(f"no data for metric {metric!r}")
         return [float(value) for value in values]
 
-    def query_engine(
+    def threshold_query(
         self,
-        cube_dimensions: Sequence[Sequence[str]] = (),
-        cache_capacity: int = 128,
-    ) -> "QueryEngine":
-        """A :class:`~repro.query.QueryEngine` over this registry.
+        metric: str,
+        quantile: float,
+        threshold: float,
+        above: bool = True,
+        tag_filter: TagsLike = None,
+    ) -> ThresholdResult:
+        """Which series' ``quantile`` estimate is strictly beyond ``threshold``?
 
-        Cube cells are premerged from the current contents; the engine
-        watches :attr:`data_version` and rebuilds them whenever this
-        registry mutates, so it is cheapest over an immutable snapshot.
+        With ``above=True`` a series of ``metric`` carrying every
+        ``tag_filter`` tag matches when its estimate is ``> threshold``
+        (``< threshold`` with ``above=False``).  Each series is first
+        classified from :meth:`~repro.core.BaseDDSketch.quantile_bounds`,
+        and only one whose bounds straddle ``threshold`` is asked for its
+        estimate (:func:`threshold_scan`), so the
+        matches equal scanning every series' estimate.  A series without
+        data never matches.  Raises :class:`IllegalArgumentError` for a
+        quantile outside ``[0, 1]`` or a ``threshold`` that is not finite.
         """
-        from repro.query import QueryEngine
-
-        return QueryEngine.over_registry(
-            self, cube_dimensions=cube_dimensions, cache_capacity=cache_capacity
+        sketches = self._sketches
+        return threshold_scan(
+            metric,
+            quantile,
+            threshold,
+            above,
+            [(key, sketches[key]) for key in self.series_keys(metric, tag_filter)],
+            bounds=lambda sketch: sketch.quantile_bounds(quantile),
+            estimate=lambda sketch: sketch.quantile(quantile),
         )
 
     # ------------------------------------------------------------------ #
@@ -557,15 +552,13 @@ def merge_entries_into(
     ):
         for key, sketch in frame:
             for registry, copy in destinations:
-                registry._merge_sketch(key, sketch, copy)
+                registry.merge_series(key, sketch, copy=copy)
     else:
         for (registry, copy), stored in zip(destinations, found):
             for index, target in enumerate(stored):
                 if target is None:
-                    registry._merge_sketch(keys[index], frame.sketch(index), copy)
+                    registry.merge_series(keys[index], frame.sketch(index), copy=copy)
         frame.merge_into(targets, indices)
-    for registry, _ in destinations:
-        registry._data_version += 1
 
 
 def _frame_of(entries: Entries) -> "DecodedFrame":
@@ -590,3 +583,100 @@ def _checked_targets(
         frame.check_targets(stored)
         found.append(stored)
     return found
+
+
+@dataclass(frozen=True)
+class ThresholdResult:
+    """Outcome of one threshold query over a series population.
+
+    ``matches`` lists every series whose quantile estimate passes the
+    threshold — identical to what a naive scan estimating every series
+    would report.  ``scanned`` lists the subset that actually needed an
+    estimate (their bounds straddled the threshold); everything else was
+    classified from bounds alone.  The pruning contract is one-sided
+    soundness: bounds may force a *scan* that turns out unnecessary, but
+    they never misclassify — a series excluded by bounds cannot match, and
+    one included by bounds always does.
+    """
+
+    metric: str
+    quantile: float
+    threshold: float
+    above: bool
+    matches: List[SeriesKey] = field(default_factory=list)
+    scanned: List[SeriesKey] = field(default_factory=list)
+    total_series: int = 0
+
+    @property
+    def pruned(self) -> int:
+        """Series classified without a quantile scan (or empty in-window)."""
+        return self.total_series - len(self.scanned)
+
+    @property
+    def prune_rate(self) -> float:
+        """Fraction of the population resolved without scanning (0 when empty)."""
+        if self.total_series == 0:
+            return 0.0
+        return self.pruned / self.total_series
+
+
+def threshold_scan(
+    metric: str,
+    quantile: float,
+    threshold: float,
+    above: bool,
+    population: Sequence[Tuple[SeriesKey, Any]],
+    bounds: Callable[[Any], Tuple[float, float]],
+    estimate: Callable[[Any], float],
+) -> ThresholdResult:
+    """Classify every ``(key, source)`` of ``population`` against ``threshold``.
+
+    The bounds-then-estimate cascade of Gan et al.'s moment sketch: cheap
+    bounds decide most series, and only the rest pay for an estimate.
+    A series matches when its ``quantile`` estimate is ``> threshold``
+    (``< threshold`` with ``above=False``).  ``bounds(source)`` returns
+    ``(lower, upper)`` enclosing that estimate, or raises
+    :class:`~repro.exceptions.EmptySketchError` for a series without data,
+    which then neither matches nor is scanned; ``estimate(source)`` is the
+    estimate itself, asked only of a series whose bounds straddle
+    ``threshold``.  Raises :class:`~repro.exceptions.IllegalArgumentError`
+    for a quantile outside ``[0, 1]`` or a ``threshold`` that is not
+    finite, before any series is read.
+    """
+    if not 0 <= quantile <= 1:  # rejects NaN as well
+        raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
+    threshold = float(threshold)
+    if not math.isfinite(threshold):
+        raise IllegalArgumentError(f"threshold must be finite, got {threshold!r}")
+    matches: List[SeriesKey] = []
+    scanned: List[SeriesKey] = []
+    for key, source in population:
+        try:
+            lower, upper = bounds(source)
+        except EmptySketchError:
+            continue  # no data: cannot match, nothing to scan
+        if above:
+            if upper <= threshold:
+                continue  # pruned out: estimate cannot exceed threshold
+            if lower > threshold:
+                matches.append(key)  # pruned in: estimate must exceed it
+                continue
+        else:
+            if lower >= threshold:
+                continue
+            if upper < threshold:
+                matches.append(key)
+                continue
+        scanned.append(key)
+        value = estimate(source)
+        if (value > threshold) if above else (value < threshold):
+            matches.append(key)
+    return ThresholdResult(
+        metric=metric,
+        quantile=quantile,
+        threshold=threshold,
+        above=above,
+        matches=matches,
+        scanned=scanned,
+        total_series=len(population),
+    )

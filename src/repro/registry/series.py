@@ -39,7 +39,12 @@ def normalize_tags(tags: TagsLike) -> Tuple[Tuple[str, str], ...]:
     if isinstance(tags, Mapping):
         items = tags.items()
     else:
-        items = list(tags)
+        try:
+            items = list(tags)
+        except TypeError:
+            raise IllegalArgumentError(
+                f"tags must be a mapping or an iterable of (key, value) pairs, got {tags!r}"
+            ) from None
     normalized = []
     seen = set()
     for item in items:

@@ -448,9 +448,11 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Which series' ``quantile`` estimate passes ``threshold`` on the server?
 
-        The wire form of :meth:`repro.query.QueryEngine.threshold_query`:
-        the server prunes its series population from cheap sketch bounds and
-        scans only the stragglers.  The reply carries the matching series
+        The wire form of :meth:`repro.registry.SketchRegistry.threshold_query`
+        (:meth:`repro.service.ServiceState.threshold_query` on the server,
+        over its merged registry or the window's buckets): the server
+        prunes its series population from cheap sketch bounds and scans
+        only the stragglers.  The reply carries the matching series
         (string form), the population size, and the prune rate.
         """
         body: Dict[str, Any] = {

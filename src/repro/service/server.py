@@ -667,6 +667,8 @@ class AggregationServer:
             quantiles = body.get("quantiles", [0.5, 0.95, 0.99])
         except (KeyError, TypeError) as error:
             raise IllegalArgumentError(f"malformed query: {error}") from None
+        if not isinstance(metric, str):
+            raise IllegalArgumentError(f"query metric must be a string, got {metric!r}")
         if not isinstance(quantiles, list) or not quantiles:
             raise IllegalArgumentError("query quantiles must be a non-empty array")
         try:
@@ -692,11 +694,18 @@ class AggregationServer:
                 raise IllegalArgumentError(
                     f"query threshold must be a number, got {body.get('threshold')!r}"
                 ) from None
+            below = body.get("below", False)
+            if not isinstance(below, bool):
+                raise IllegalArgumentError(f"query below must be a boolean, got {below!r}")
+            if body.get("tags") is not None:
+                raise IllegalArgumentError(
+                    "a threshold query selects series with tag_filter, not tags"
+                )
             result = self.state.threshold_query(
-                str(metric),
+                metric,
                 quantile_values[0],
                 threshold,
-                above=not bool(body.get("below", False)),
+                above=not below,
                 tag_filter=body.get("tag_filter"),
                 window_start=window_start,
                 window_end=window_end,
@@ -714,7 +723,7 @@ class AggregationServer:
                 "prune_rate": result.prune_rate,
             }
         values = self.state.quantiles(
-            str(metric),
+            metric,
             quantile_values,
             tags=body.get("tags"),
             tag_filter=body.get("tag_filter"),

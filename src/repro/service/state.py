@@ -35,7 +35,7 @@ import struct
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.exceptions import DeserializationError, IllegalArgumentError
-from repro.registry import SketchRegistry, check_entries, merge_entries_into
+from repro.registry import SketchRegistry, ThresholdResult, check_entries, merge_entries_into
 from repro.registry.registry import Entries
 from repro.registry.series import TagsLike
 from repro.serialization.encoding import (
@@ -331,20 +331,17 @@ class ServiceState:
         tag_filter: TagsLike = None,
         window_start: Optional[float] = None,
         window_end: Optional[float] = None,
-    ) -> "ThresholdResult":
+    ) -> ThresholdResult:
         """Which stored series' quantile estimate passes ``threshold``?
 
-        Runs a :class:`~repro.query.QueryEngine` sketch-bound threshold
-        query (see :meth:`~repro.query.QueryEngine.threshold_query`) over
-        the merged state or, with window bounds, over the retained interval
-        buckets intersecting ``[window_start, window_end)``.  Window bounds
-        and ``threshold`` must be finite.
+        The sketch-bound threshold query of
+        :meth:`~repro.registry.SketchRegistry.threshold_query`, over the
+        merged registry or, with window bounds, over the retained interval
+        buckets intersecting ``[window_start, window_end)`` merged into one
+        registry (:meth:`_windowed_registry`).  Window bounds and
+        ``threshold`` must be finite.
         """
-        from repro.query import QueryEngine
-
-        source = self._windowed_registry(window_start, window_end)
-        engine = QueryEngine.over_registry(source)
-        return engine.threshold_query(
+        return self._windowed_registry(window_start, window_end).threshold_query(
             metric, quantile, threshold, above=above, tag_filter=tag_filter
         )
 
@@ -367,7 +364,11 @@ class ServiceState:
     def _windowed_registry(
         self, window_start: Optional[float], window_end: Optional[float]
     ) -> SketchRegistry:
-        """The merged registry, or the window's buckets merged into a new one."""
+        """The merged registry, or the window's buckets merged into a new one.
+
+        One bulk ``merge`` per bucket: the cheapest way, so far, to give a
+        windowed threshold query one sketch per series.
+        """
         if window_start is None and window_end is None:
             return self.registry
         merged = SketchRegistry()

@@ -272,3 +272,33 @@ def reference_state(envelopes, **state_kwargs) -> ServiceState:
     for payload in envelopes:
         state.apply_envelope_bytes(payload)
     return state
+
+
+def reference_threshold(registry, metric, quantile, threshold, above=True, tag_filter=None):
+    """``(matches, scanned, total_series, prune_rate)`` of a threshold query
+    over ``registry``, by a per-series bounds-then-estimate loop.
+
+    Each series is classified from its sketch's ``quantile_bounds``, and
+    only one whose bounds straddle ``threshold`` is estimated; a series
+    without data neither matches nor is scanned.
+    """
+    def beyond(value):
+        return value > threshold if above else value < threshold
+
+    keys = registry.series_keys(metric, tag_filter)
+    matches, scanned = [], []
+    for key in keys:
+        sketch = registry.get(key)
+        if sketch.count == 0:
+            continue
+        lower, upper = sketch.quantile_bounds(quantile)
+        outer, inner = (upper, lower) if above else (lower, upper)
+        if not beyond(outer):
+            continue
+        if not beyond(inner):
+            scanned.append(key)
+            if not beyond(sketch.quantile(quantile)):
+                continue
+        matches.append(key)
+    prune_rate = (len(keys) - len(scanned)) / len(keys) if keys else 0.0
+    return matches, scanned, len(keys), prune_rate

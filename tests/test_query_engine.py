@@ -10,10 +10,11 @@ Hypothesis-driven interleaving of ingests and queries that would expose any
 stale cache entry.
 """
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     DDSketch,
@@ -21,6 +22,7 @@ from repro import (
     IllegalArgumentError,
     LogCollapsingLowestDenseDDSketch,
     LogUnboundedDenseDDSketch,
+    SeriesKey,
     SketchRegistry,
     SparseDDSketch,
     UDDSketch,
@@ -126,7 +128,7 @@ class TestBitExactness:
             registry.get("lat", {"host": host}).relative_accuracy for host in spans
         }
         assert len(accuracies) > 1  # genuinely mixed-alpha shards
-        engine = registry.query_engine()
+        engine = QueryEngine.over_registry(registry)
         merged = engine.rollup("lat", tag_filter={})
         naive = registry.rollup("lat")
         assert_same_bits(merged, naive)
@@ -167,17 +169,46 @@ class TestCacheInvalidation:
         value = engine.quantile("lat", 0.5, tag_filter={"endpoint": "/a"})
         assert value == aggregator.rollup("lat", tag_filter={"endpoint": "/a"}).quantile(0.5)
 
-    def test_registry_version_change_rebuilds(self):
+    def test_registry_reads_see_every_write(self):
+        """A registry cannot see a value added through a sketch it handed
+        out, so an engine over one caches nothing: every read after such a
+        write equals the registry's own answer."""
         registry = SketchRegistry()
-        registry.sketch("lat", {"host": "h1"}).add(1.0)
-        engine = registry.query_engine(cube_dimensions=("host",))
-        assert engine.quantile("lat", 0.5, tag_filter={"host": "h1"}) == pytest.approx(
-            1.0, rel=0.011
-        )
-        sketch = registry.sketch("lat", {"host": "h1"})  # bumps data_version
-        sketch.add(1000.0)
-        merged = engine.rollup("lat", tag_filter={"host": "h1"})
-        assert merged.count == registry.rollup("lat", tag_filter={"host": "h1"}).count
+        key = SeriesKey("lat", {"host": "h1"})
+        held = registry.sketch(key)
+        for step in range(100):
+            held.add(0.01 * (step + 1))
+        registry.add("lat", 0.5, tags={"host": "h2"})
+        engine = QueryEngine.over_registry(registry)
+
+        def engine_reads():
+            return (
+                engine.quantile("lat", 1.0),
+                engine.quantiles("lat", QUANTILES, tag_filter={"host": "h1"}),
+                engine.quantiles("lat", QUANTILES, tags={"host": "h1"}),
+                engine.rollup("lat").count,
+                engine.threshold_query("lat", 1.0, 100.0).matches,
+            )
+
+        def registry_reads():
+            return (
+                registry.quantile("lat", 1.0),
+                registry.quantiles("lat", QUANTILES, tag_filter={"host": "h1"}),
+                registry.quantiles("lat", QUANTILES, tags={"host": "h1"}),
+                registry.rollup("lat").count,
+                [series for series, sketch in registry if sketch.quantile(1.0) > 100.0],
+            )
+
+        assert engine_reads() == registry_reads()
+        for write in (
+            lambda: registry.sketch(key).add(1000.0),
+            lambda: registry.get(key).add(500.0),
+            lambda: held.add(2000.0),
+        ):
+            write()
+            assert engine_reads() == registry_reads()
+        assert engine.quantile("lat", 1.0) == registry.quantile("lat", 1.0) > 1000.0
+        assert engine.cube is None and engine.cache is None and engine.stats() == {}
 
 
 class TestInterleavedIngestAndQuery:
@@ -329,7 +360,7 @@ class TestRegistrySource:
         registry = SketchRegistry()
         for host in range(8):
             registry.add("lat", 1.0 + host, tags={"host": f"h{host}"})
-        engine = registry.query_engine(cube_dimensions=("host",))
+        engine = QueryEngine.over_registry(registry)
         merged = engine.rollup("lat", tag_filter={})
         assert merged.count == registry.rollup("lat").count
         result = engine.threshold_query("lat", 0.5, 5.0)
@@ -339,7 +370,7 @@ class TestRegistrySource:
     def test_window_rejected_over_registry(self):
         registry = SketchRegistry()
         registry.sketch("lat").add(1.0)
-        engine = registry.query_engine()
+        engine = QueryEngine.over_registry(registry)
         with pytest.raises(IllegalArgumentError):
             engine.quantile("lat", 0.5, start=0.0)
         with pytest.raises(IllegalArgumentError):
@@ -439,18 +470,20 @@ class TestWindowedServiceQueries:
     buckets (``SketchRegistry.quantiles(..., windows=...)``) instead of
     merging the buckets into a throwaway registry first; every answer,
     error and merged sketch must equal that registry path's, bit for bit.
+    Threshold queries must equal a per-series bounds/estimate loop over the
+    pushed frames merged into one registry, field for field.
     """
 
     SERIES = [
         ("lat", {"endpoint": f"/e{index}", "region": f"r{index % 3}"}) for index in range(7)
     ]
+    INTERVAL_LENGTH = 2.0
+    RETENTION = 4
 
     @staticmethod
-    def _state(pushes, factory=None):
-        from repro.service import ServiceState
-        from repro.service.protocol import encode_push_envelope
-
-        state = ServiceState(interval_length=2.0, retention_intervals=4)
+    def _frames(pushes, factory=None):
+        """``(host, sequence, bucket, frame)`` for each push, in push order."""
+        frames = []
         sequences = {}
         for host, bucket, members, values in pushes:
             registry = SketchRegistry(sketch_factory=factory)
@@ -462,13 +495,74 @@ class TestWindowedServiceQueries:
                         metric, value * (member + 1), weight=0.1 + position / 7.0, tags=tags
                     )
             sequences[host] = sequences.get(host, 0) + 1
+            frames.append((host, sequences[host], bucket, registry.flush_frame()))
+        return frames
+
+    @classmethod
+    def _state(cls, pushes, factory=None):
+        from repro.service import ServiceState
+        from repro.service.protocol import encode_push_envelope
+
+        state = ServiceState(
+            interval_length=cls.INTERVAL_LENGTH, retention_intervals=cls.RETENTION
+        )
+        for host, sequence, bucket, frame in cls._frames(pushes, factory):
             state.apply_envelope_bytes(
                 encode_push_envelope(
-                    registry.flush_frame(), host=host, sequence=sequences[host],
-                    interval_start=2.0 * bucket + 0.5,
+                    frame, host=host, sequence=sequence,
+                    interval_start=cls.INTERVAL_LENGTH * bucket + 0.5,
                 )
             )
         return state
+
+    @classmethod
+    def _reference_registry(cls, frames, window_start, window_end):
+        """Every frame merged in push order or, with window bounds, each
+        retained bucket in the window (oldest first) merged from its frames
+        in push order: a bucket is retained when it is within the retention
+        horizon of the newest one, which evicted every older bucket."""
+        merged = SketchRegistry()
+        if window_start is None and window_end is None:
+            for *_, frame in frames:
+                merged.merge_frame(frame)
+            return merged
+        newest = max(bucket for _, _, bucket, _ in frames)
+        for bucket in sorted({bucket for _, _, bucket, _ in frames}):
+            if bucket <= newest - cls.RETENTION:
+                continue
+            if window_start is not None and bucket < math.floor(window_start / cls.INTERVAL_LENGTH):
+                continue
+            if window_end is not None and bucket * cls.INTERVAL_LENGTH >= window_end:
+                continue
+            window = SketchRegistry()
+            for _, _, pushed_bucket, frame in frames:
+                if pushed_bucket == bucket:
+                    window.merge_frame(frame)
+            merged.merge(window)
+        return merged
+
+    def _assert_same_thresholds(self, state, pushes, factory, thresholds):
+        from _service_testkit import reference_threshold
+
+        frames = self._frames(pushes, factory)
+        for window_start, window_end in [(None, None)] + self.WINDOWS:
+            reference = self._reference_registry(frames, window_start, window_end)
+            for tag_filter, quantile, threshold, above in itertools.product(
+                (None, {"region": "r1"}, {"region": "nowhere"}),
+                (0.0, 0.5, 0.95, 1.0),
+                thresholds,
+                (True, False),
+            ):
+                result = state.threshold_query(
+                    "lat", quantile, threshold, above=above, tag_filter=tag_filter,
+                    window_start=window_start, window_end=window_end,
+                )
+                expected = reference_threshold(
+                    reference, "lat", quantile, threshold, above, tag_filter
+                )
+                assert (
+                    result.matches, result.scanned, result.total_series, result.prune_rate
+                ) == expected, (window_start, window_end, tag_filter, quantile, threshold, above)
 
     SELECTORS = [
         {},
@@ -537,7 +631,49 @@ class TestWindowedServiceQueries:
             ("h1", 3, [5, 6], [1e3, 1e-2]),
             ("h2", 4, [0, 1, 5], [6.0, 6.5, 0.7]),
         ]
-        self._assert_same_reads(self._state(pushes, factory))
+        state = self._state(pushes, factory)
+        self._assert_same_reads(state)
+        self._assert_same_thresholds(state, pushes, factory, (0.5, 6.0, 40.0, 1e3))
+
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        family=st.sampled_from(["default", "udd"]),
+        pushes=st.lists(
+            st.tuples(
+                st.sampled_from(["h1", "h2"]),
+                st.integers(0, 6),
+                st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True),
+                st.lists(
+                    st.one_of(
+                        st.just(0.0),
+                        st.floats(min_value=1e-2, max_value=1e4),
+                        st.floats(min_value=-1e4, max_value=-1e-2),
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        threshold=st.floats(min_value=-2e4, max_value=2e4),
+    )
+    def test_threshold_queries_match_the_registry_reference(
+        self, kernel_backend, family, pushes, threshold
+    ):
+        """All-time and windowed, above and below, with and without a tag
+        filter: collapsing stores at their bin limit, fractional weights,
+        negative values and the zero bucket, buckets missing series, and
+        buckets evicted behind the retention horizon."""
+        factory = {
+            "default": lambda: DDSketch(0.02, bin_limit=24),
+            "udd": lambda: UDDSketch(0.02, bin_limit=24),
+        }[family]
+        state = self._state(pushes, factory)
+        self._assert_same_thresholds(state, pushes, factory, (0.0, -1.0, 5.0, threshold))
 
     @settings(max_examples=15, deadline=None)
     @given(

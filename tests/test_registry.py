@@ -1,6 +1,8 @@
 """Tests for the high-cardinality registry: series keys, grouped ingestion,
 tag-aware queries, and bit-exact agreement with naive per-series sketching."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -110,6 +112,30 @@ class TestSeriesKey:
             SeriesKey("m", ((1, "v"),))
         with pytest.raises(IllegalArgumentError):
             SeriesKey.of(12345)
+
+    @pytest.mark.parametrize("bad", [7, 2.5], ids=["int", "float"])
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda registry, bad: SeriesKey.of("m", bad),
+            lambda registry, bad: registry.series_keys("m", bad),
+            lambda registry, bad: registry.quantiles("m", [0.5], tags=bad),
+            lambda registry, bad: registry.quantiles("m", [0.5], tag_filter=bad),
+            lambda registry, bad: registry.threshold_query("m", 0.5, 1.0, tag_filter=bad),
+            lambda registry, bad: registry.add("m", 1.0, tags=bad),
+        ],
+        ids=["SeriesKey.of", "series_keys", "quantiles-tags", "quantiles-tag_filter",
+             "threshold_query", "add"],
+    )
+    def test_tags_neither_mapping_nor_pairs_are_refused(self, use, bad):
+        """A number where tags belong raises IllegalArgumentError, never
+        TypeError, and stores nothing."""
+        registry = SketchRegistry()
+        registry.add("m", 1.0)
+        before = registry.to_frame()
+        with pytest.raises(IllegalArgumentError, match="mapping or an iterable"):
+            use(registry, bad)
+        assert registry.to_frame() == before
 
     def test_keys_are_ordered(self):
         keys = [SeriesKey("b"), SeriesKey("a", {"x": "2"}), SeriesKey("a", {"x": "1"})]
@@ -685,6 +711,41 @@ class TestSketchRegistry:
             registry.quantile("latency", 0.5, tags={"a": "1"}, tag_filter={"b": "2"})
         assert registry.total_count("missing") == 0.0
 
+    @pytest.mark.parametrize("family", sorted(FACTORIES))
+    def test_threshold_query_equals_an_estimate_scan(self, family):
+        """Matches equal estimating every series; only series whose bounds
+        straddle the threshold are scanned; a series without data neither
+        matches nor is scanned but counts in the population."""
+        registry = SketchRegistry(sketch_factory=FACTORIES[family])
+        group_indices, values = grouped_workload(seed=9, n=6_000, groups=12)
+        keys = [SeriesKey("lat", {"host": f"h{index}", "dc": f"d{index % 2}"}) for index in range(12)]
+        # Scale each series apart, so thresholds prune some and scan others.
+        registry.ingest_grouped(keys, group_indices, values * (1.0 + 10.0 * group_indices))
+        registry.sketch("lat", {"host": "idle", "dc": "d0"})
+        estimates = {key: registry.get(key).quantile(0.9) for key in keys}
+        for threshold, above, tag_filter in itertools.product(
+            (-50.0, 0.0, 5.0, 60.0, 1e6), (True, False), (None, {"dc": "d0"})
+        ):
+            result = registry.threshold_query("lat", 0.9, threshold, above, tag_filter)
+            population = registry.series_keys("lat", tag_filter)
+            assert result.total_series == len(population)
+            assert result.matches == [
+                key
+                for key in population
+                if key in estimates
+                and (estimates[key] > threshold if above else estimates[key] < threshold)
+            ]
+            assert set(result.scanned) <= set(estimates) and result.scanned == sorted(result.scanned)
+            for key in result.scanned:
+                lower, upper = registry.get(key).quantile_bounds(0.9)
+                assert lower <= threshold <= upper
+            assert result.prune_rate == (len(population) - len(result.scanned)) / len(population)
+        assert registry.threshold_query("lat", 0.9, 1e6).prune_rate == 1.0
+        assert registry.threshold_query("missing", 0.9, 1.0).total_series == 0
+        for quantile, threshold in ((1.5, 1.0), (float("nan"), 1.0), (0.5, float("inf"))):
+            with pytest.raises(IllegalArgumentError):
+                registry.threshold_query("lat", quantile, threshold)
+
     def test_flush_frame_round_trip_conserves_counts(self):
         registry = SketchRegistry()
         keys = [SeriesKey("m", {"host": f"h{index}"}) for index in range(5)]
@@ -733,11 +794,10 @@ class TestSketchRegistry:
             sketch = DDSketch(relative_accuracy=accuracy)
             sketch.add(3.0)
             pushed.merge_series(metric, sketch, copy=False)
-        before, version = target.to_frame(), target.data_version
+        before = target.to_frame()
         with pytest.raises(UnequalSketchParametersError):
             target.merge_frame(pushed.to_frame())
         assert target.to_frame() == before
-        assert target.data_version == version
         assert "c" not in target
 
     def test_merge_entries_refuses_a_repeated_series(self):

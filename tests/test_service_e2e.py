@@ -8,18 +8,22 @@ surface — whole-metric, tag-filtered rollups, and windowed queries — is
 frames (full mergeability across process boundaries, paper Section 2.1).
 """
 
+import itertools
+import json
 import math
 import multiprocessing
+import socket
 import threading
 
 import numpy as np
 import pytest
+from _service_testkit import reference_threshold
 
 from repro.core.ddsketch import DDSketch
 from repro.exceptions import EmptySketchError, IllegalArgumentError
 from repro.monitoring import MetricAgent
 from repro.registry import SketchRegistry
-from repro.service import ServiceClient, serve_in_thread
+from repro.service import ServiceClient, protocol, serve_in_thread
 from repro.service.loadgen import (
     METRIC,
     build_fleet_frames,
@@ -108,6 +112,51 @@ class TestThreadedAgents:
         )
         assert served == window_reference.quantiles(METRIC, QUANTILES, tag_filter={})
 
+    def test_threshold_queries_match_the_registry_reference(self):
+        """Windowed and ``above=False`` threshold replies equal a per-series
+        bounds/estimate loop over the window's frames merged into one
+        registry; the series sit on different scales and some buckets miss
+        some series, so thresholds both prune and scan."""
+        rng = np.random.default_rng(11)
+        frames = []
+        for bucket in range(4):
+            for host in ("h1", "h2"):
+                registry = SketchRegistry()
+                for index in range(8):
+                    if (index + bucket) % 3:
+                        registry.add_batch(
+                            METRIC, rng.lognormal(0.0, 0.5, 40) * (index + 1),
+                            tags={"endpoint": f"/e{index}", "tier": f"t{index % 2}"},
+                        )
+                frames.append((host, float(bucket), registry.flush_frame()))
+        with serve_in_thread(retention_intervals=16) as handle:
+            with ServiceClient(*handle.address) as client:
+                for host, interval_start, payload in frames:
+                    client.push_frame(payload, host=host, interval_start=interval_start)
+                for window_start, window_end in ((None, None), (1.0, 3.0), (2.0, None)):
+                    reference = reference_registry([
+                        frame for frame in frames
+                        if (window_start is None or frame[1] >= window_start)
+                        and (window_end is None or frame[1] < window_end)
+                    ])
+                    for tag_filter, threshold, above in itertools.product(
+                        (None, {"tier": "t1"}), (0.5, 4.0, 1e6), (True, False)
+                    ):
+                        reply = client.query_threshold(
+                            METRIC, 0.9, threshold, above=above, tag_filter=tag_filter,
+                            window_start=window_start, window_end=window_end,
+                        )
+                        matches, scanned, total_series, prune_rate = reference_threshold(
+                            reference, METRIC, 0.9, threshold, above, tag_filter
+                        )
+                        assert (
+                            reply["matches"], reply["scanned"], reply["total_series"],
+                            reply["prune_rate"], reply["above"],
+                        ) == (
+                            [str(key) for key in matches], len(scanned), total_series,
+                            prune_rate, above,
+                        ), (window_start, window_end, tag_filter, threshold, above)
+
     def test_error_contract_crosses_the_wire(self):
         with serve_in_thread() as handle:
             with ServiceClient(*handle.address) as client:
@@ -117,6 +166,30 @@ class TestThreadedAgents:
                     client.query_quantiles(METRIC, [])
                 with pytest.raises(IllegalArgumentError, match="window_start must be finite"):
                     client.query_quantiles(METRIC, [0.5], window_start=math.inf)
+                frames, _ = _fleet(num_agents=1, num_intervals=1)
+                client.push_frame(frames[0][2], host=frames[0][0], interval_start=0.0)
+            # Raw bodies the client would not build: each is refused as
+            # IllegalArgumentError, never answered or failed as TypeError.
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                for body, message in (
+                    ({"metric": METRIC, "quantiles": [0.5], "tags": 5}, "mapping or an iterable"),
+                    ({"metric": METRIC, "quantiles": [0.5], "tag_filter": 5},
+                     "mapping or an iterable"),
+                    ({"metric": METRIC, "quantiles": [0.9], "threshold": 1.0, "tag_filter": 5},
+                     "mapping or an iterable"),
+                    ({"metric": METRIC, "quantiles": [0.9], "threshold": 1.0,
+                      "tags": {"endpoint": "/e0000"}}, "tag_filter, not tags"),
+                    ({"metric": METRIC, "quantiles": [0.9], "threshold": 1.0, "below": "no"},
+                     "below must be a boolean"),
+                    ({"metric": [METRIC], "quantiles": [0.5]}, "metric must be a string"),
+                ):
+                    reply_type, reply = protocol.request(
+                        sock, protocol.MSG_QUERY, json.dumps(body).encode("utf-8")
+                    )
+                    assert reply_type == protocol.MSG_ERROR, body
+                    error = protocol.decode_json_body(reply)
+                    assert error["kind"] == "IllegalArgumentError", (body, error)
+                    assert message in error["message"], (body, error)
 
 
 class TestRestart:
