@@ -346,7 +346,12 @@ class BaseDDSketch:
         pass and accumulated across all groups with one combined binning
         pass per sign (:func:`repro.store.grouped.add_grouped_batch`); the
         exact per-sketch ``count``/``sum``/``min``/``max`` summaries come from
-        grouped array reductions.  Any other configuration — uniform-collapse
+        grouped array reductions and one scalar loop.  On that pass a fresh
+        target (a collapsing store with no bins allocated, as a new series
+        has) whose row fits its bin limit takes a copy of the row as its
+        window in one step, bit for bit what
+        :func:`repro.kernel.apply_segments` gives, which every other target
+        still takes.  Any other configuration — uniform-collapse
         or sparse stores, sketch classes with their own :meth:`add_batch`,
         sketches whose mappings have diverged (e.g. independently collapsed
         :class:`~repro.core.UDDSketch` series) — falls back to one stable
@@ -410,7 +415,7 @@ class BaseDDSketch:
             type(sketch).add_batch is BaseDDSketch.add_batch
             and type(sketch._store) in SEGMENT_STORE_TYPES
             and type(sketch._negative_store) in SEGMENT_STORE_TYPES
-            and sketch._mapping == mapping
+            and (sketch._mapping is mapping or sketch._mapping == mapping)
             for sketch in sketches
         )
 
@@ -467,13 +472,18 @@ class BaseDDSketch:
         np.minimum.at(group_mins, group_indices, values)
         np.maximum.at(group_maxs, group_indices, values)
 
-        for group in np.flatnonzero(count_add > 0.0).tolist():
-            sketch = sketches[group]
-            sketch._zero_count += float(zero_add[group])
-            sketch._count += float(count_add[group])
-            sketch._sum += float(sum_add[group])
-            batch_min = float(group_mins[group])
-            batch_max = float(group_maxs[group])
+        groups = np.flatnonzero(count_add > 0.0)
+        for sketch, zero_weight, weight, batch_sum, batch_min, batch_max in zip(
+            [sketches[group] for group in groups.tolist()],
+            zero_add[groups].tolist(),
+            count_add[groups].tolist(),
+            sum_add[groups].tolist(),
+            group_mins[groups].tolist(),
+            group_maxs[groups].tolist(),
+        ):
+            sketch._zero_count += zero_weight
+            sketch._count += weight
+            sketch._sum += batch_sum
             if batch_min < sketch._min:
                 sketch._min = batch_min
             if batch_max > sketch._max:
@@ -841,15 +851,19 @@ class BaseDDSketch:
         return sketch
 
     def copy(self) -> "BaseDDSketch":
-        """Return a deep copy of this sketch."""
+        """Return a deep copy of this sketch.
+
+        The copy shares this sketch's mapping (mappings are immutable) and
+        owns copies of its stores.  Attributes are set directly, in
+        ``__init__``'s order, as :meth:`_decoded` sets them: a registry's
+        grouped ingest makes most of its new series as copies of one
+        factory sketch.
+        """
         new = type(self).__new__(type(self))
-        BaseDDSketch.__init__(
-            new,
-            mapping=self._mapping,
-            store=self._store.copy(),
-            negative_store=self._negative_store.copy(),
-            zero_count=self._zero_count,
-        )
+        new._mapping = self._mapping
+        new._store = self._store.copy()
+        new._negative_store = self._negative_store.copy()
+        new._zero_count = self._zero_count
         new._min = self._min
         new._max = self._max
         new._count = self._count

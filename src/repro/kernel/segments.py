@@ -270,23 +270,23 @@ def apply_segments(
     stores: Sequence,
     cells: "np.ndarray",
     min_keys: "np.ndarray",
+    row_starts: "np.ndarray",
     row_ends: "np.ndarray",
     totals: "np.ndarray",
 ) -> None:
     """Fan pre-binned rows out into stores via ``_add_binned_segment``.
 
-    ``cells`` is the grouped binning result: one row per store, laid end to
-    end.  Row ``i`` is ``cells[row_ends[i - 1]:row_ends[i]]`` (from 0 for
-    the first) and counts keys ``min_keys[i], min_keys[i] + 1, ...`` for
-    ``stores[i]``; ``totals[i]`` is that store's input-order weight total
-    from :func:`repro.store.grouped.group_totals`.  Each row spans exactly
-    its group's ``[min_key, max_key]``, so the store's
-    ``_add_binned_segment`` hook places the window and folds boundary keys
-    exactly as its ``add_batch`` would for the group's own keys.
+    ``cells`` is the grouped binning result: one row per group, laid end to
+    end.  Row ``i`` is ``cells[row_starts[i]:row_ends[i]]`` and counts keys
+    ``min_keys[i], min_keys[i] + 1, ...`` for ``stores[i]``; ``totals[i]``
+    is that store's input-order weight total from
+    :func:`repro.store.grouped.group_totals`.  Each row spans exactly its
+    group's ``[min_key, max_key]``, so the store's ``_add_binned_segment``
+    hook places the window and folds boundary keys exactly as its
+    ``add_batch`` would for the group's own keys.  Rows land in order, so a
+    store listed twice takes its rows one after the other.
     """
-    start = 0
-    for store, min_key, end, total in zip(
-        stores, min_keys.tolist(), row_ends.tolist(), totals.tolist()
+    for store, min_key, start, end, total in zip(
+        stores, min_keys.tolist(), row_starts.tolist(), row_ends.tolist(), totals.tolist()
     ):
         store._add_binned_segment(min_key, cells[start:end], total)
-        start = end

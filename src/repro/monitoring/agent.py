@@ -94,9 +94,12 @@ class MetricAgent:
     host:
         Identifier of the container/host this agent runs on.
     sketch_factory:
-        Zero-argument callable creating a fresh sketch for each series and
-        interval; defaults to the paper's configuration
-        (``DDSketch(relative_accuracy=0.01)``).
+        Zero-argument callable creating the sketch of a series the first
+        time it records in an interval; defaults to the paper's
+        configuration (``DDSketch(relative_accuracy=0.01)``).  As in
+        :class:`~repro.registry.SketchRegistry`, :meth:`record_grouped`
+        calls it once per call that creates series and makes that call's
+        other new series copies of its sketch.
     interval_length:
         Length of a flush interval in seconds (only recorded in the payload
         metadata; the agent itself is driven explicitly via :meth:`flush`).

@@ -51,7 +51,10 @@ class SketchRegistry:
     sketch_factory:
         Zero-argument callable creating the sketch for a series the first
         time it receives data; defaults to the paper's configuration
-        (``DDSketch(relative_accuracy=0.01)``).
+        (``DDSketch(relative_accuracy=0.01)``).  :meth:`ingest_grouped` and
+        :meth:`ingest_columns` call it once per call that creates series;
+        that call's other new series are copies of its sketch, taken before
+        the batch lands, so they share its mapping.
 
     Examples
     --------
@@ -190,10 +193,12 @@ class SketchRegistry:
         sample to a position in that list; the series that receive samples
         take the batch in one
         :meth:`~repro.core.BaseDDSketch.add_grouped_batch` (one
-        ``key_batch``, one combined ``bincount`` where possible).  A new
-        series is only stored once that call accepted the batch, so a
-        rejected batch changes no series and creates none (the contract of
-        :meth:`add`).  Returns the number of samples ingested.
+        ``key_batch``, one combined ``bincount`` where possible).  The
+        factory runs once if any listed series is new; the other new series
+        are copies of its sketch.  A new series is only stored once that
+        call accepted the batch, so a rejected batch changes no series and
+        creates none (the contract of :meth:`add`).  Returns the number of
+        samples ingested.
         """
         keys = [SeriesKey.of(entry) for entry in series]
         return self._ingest_keys(keys, group_indices, values, weights)
@@ -256,12 +261,21 @@ class SketchRegistry:
         stored = self._sketches
         new: Dict[SeriesKey, BaseDDSketch] = {}
         sketches = []
+        # One factory call per ingest that creates series; its other new
+        # series are copies of that sketch, taken before the batch lands.
+        template = None
         for position in present.tolist():
             key = keys[position]
-            # A series listed twice takes both groups into one sketch.
-            sketch = stored.get(key, new.get(key))
+            sketch = stored.get(key)
             if sketch is None:
-                sketch = new[key] = self._sketch_factory()
+                # A series listed twice takes both groups into one sketch.
+                sketch = new.get(key)
+                if sketch is None:
+                    if template is None:
+                        sketch = template = self._sketch_factory()
+                    else:
+                        sketch = template.copy()
+                    new[key] = sketch
             sketches.append(sketch)
         BaseDDSketch.add_grouped_batch(
             sketches, group_indices, values, weights, scratch=self._scratch

@@ -52,7 +52,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
     UnequalSketchParametersError,
 )
-from repro.registry.series import TagsLike
+from repro.registry.series import TagsLike, normalize_tags
 from repro.service import protocol
 
 _ERROR_KINDS = {
@@ -419,16 +419,19 @@ class ServiceClient:
         Mirrors :meth:`repro.registry.SketchRegistry.quantiles`: ``tags``
         addresses one exact series, ``tag_filter`` the merge of matching
         series, neither the whole metric.  Raises
-        :class:`~repro.exceptions.EmptySketchError` when nothing matches.
+        :class:`~repro.exceptions.EmptySketchError` when nothing matches, and
+        :class:`~repro.exceptions.IllegalArgumentError`, before any request,
+        for ``tags`` or ``tag_filter`` that
+        :func:`~repro.registry.series.normalize_tags` refuses.
         """
         body: Dict[str, Any] = {
             "metric": metric,
             "quantiles": [float(quantile) for quantile in quantiles],
         }
         if tags is not None:
-            body["tags"] = dict(tags) if not isinstance(tags, str) else tags
+            body["tags"] = dict(normalize_tags(tags))
         if tag_filter is not None:
-            body["tag_filter"] = dict(tag_filter) if not isinstance(tag_filter, str) else tag_filter
+            body["tag_filter"] = dict(normalize_tags(tag_filter))
         if window_start is not None:
             body["window_start"] = float(window_start)
         if window_end is not None:
@@ -453,7 +456,10 @@ class ServiceClient:
         over its merged registry or the window's buckets): the server
         prunes its series population from cheap sketch bounds and scans
         only the stragglers.  The reply carries the matching series
-        (string form), the population size, and the prune rate.
+        (string form), the population size, and the prune rate.  A
+        ``tag_filter`` that :func:`~repro.registry.series.normalize_tags`
+        refuses raises :class:`~repro.exceptions.IllegalArgumentError`
+        before any request.
         """
         body: Dict[str, Any] = {
             "metric": metric,
@@ -463,7 +469,7 @@ class ServiceClient:
         if not above:
             body["below"] = True
         if tag_filter is not None:
-            body["tag_filter"] = dict(tag_filter) if not isinstance(tag_filter, str) else tag_filter
+            body["tag_filter"] = dict(normalize_tags(tag_filter))
         if window_start is not None:
             body["window_start"] = float(window_start)
         if window_end is not None:

@@ -672,25 +672,25 @@ class AggregationServer:
         if not isinstance(quantiles, list) or not quantiles:
             raise IllegalArgumentError("query quantiles must be a non-empty array")
         try:
-            quantile_values = [float(quantile) for quantile in quantiles]
-        except (TypeError, ValueError):
+            quantile_values = [_number(quantile) for quantile in quantiles]
+        except (TypeError, OverflowError):
             raise IllegalArgumentError(
                 f"query quantiles must be numbers, got {quantiles!r}"
             ) from None
         window_start = body.get("window_start")
         window_end = body.get("window_end")
         try:
-            window_start = None if window_start is None else float(window_start)
-            window_end = None if window_end is None else float(window_end)
-        except (TypeError, ValueError):
+            window_start = None if window_start is None else _number(window_start)
+            window_end = None if window_end is None else _number(window_end)
+        except (TypeError, OverflowError):
             raise IllegalArgumentError(
                 "query window_start/window_end must be numbers, got "
                 f"{body.get('window_start')!r}/{body.get('window_end')!r}"
             ) from None
         if body.get("threshold") is not None:
             try:
-                threshold = float(body["threshold"])
-            except (TypeError, ValueError):
+                threshold = _number(body["threshold"])
+            except (TypeError, OverflowError):
                 raise IllegalArgumentError(
                     f"query threshold must be a number, got {body.get('threshold')!r}"
                 ) from None
@@ -815,6 +815,18 @@ class ServerThread:
     def __exit__(self, *exc_info) -> None:
         """Context-manager exit: stop the server."""
         self.stop()
+
+
+def _number(value: Any) -> float:
+    """A JSON number of a query body as a float.
+
+    Raises ``TypeError`` for anything else, a boolean included (``float``
+    would read ``true`` as 1.0 and ``"3"`` as 3.0), and ``OverflowError``
+    for an integer past the float range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
 
 
 def serve_in_thread(**kwargs) -> ServerThread:

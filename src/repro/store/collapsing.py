@@ -70,11 +70,9 @@ class _BoundedDenseStore(DenseStore):
         return store
 
     def copy(self) -> "_BoundedDenseStore":
-        new = type(self)(bin_limit=self._bin_limit, chunk_size=self._chunk_size)
-        new._bins = self._bins.copy()
-        new._offset = self._offset
-        new._count = self._count
-        new._num_positive = self._num_positive
+        """:meth:`DenseStore.copy`, bin limit and collapse flag included."""
+        new = super().copy()
+        new._bin_limit = self._bin_limit
         new._is_collapsed = self._is_collapsed
         return new
 

@@ -59,6 +59,10 @@ class DenseStore(Store):
     # ------------------------------------------------------------------ #
 
     def add(self, key: int, weight: float = 1.0) -> None:
+        """Add ``weight`` to ``key``'s counter, growing the window to cover it.
+
+        A zero weight is a no-op and a negative one a :meth:`remove`.
+        """
         weight = self._validate_weight(weight)
         if weight == 0.0:
             return
@@ -213,6 +217,11 @@ class DenseStore(Store):
             self.clear()
 
     def merge(self, other: Store) -> None:
+        """Add every bucket of ``other`` (Algorithm 4's bin-wise sum).
+
+        A dense source is added window to window (:meth:`_merge_dense`); any
+        other store bucket by bucket through :meth:`add`.
+        """
         if other.is_empty:
             return
         if isinstance(other, DenseStore):
@@ -292,7 +301,14 @@ class DenseStore(Store):
         return store
 
     def copy(self) -> "DenseStore":
-        new = type(self)(chunk_size=self._chunk_size)
+        """A deep copy: the same window, counters and settings, bins copied.
+
+        Attributes are set directly, in ``__init__``'s order, instead of
+        re-running the validating constructor: a registry's grouped ingest
+        makes most of its new series as copies of one factory sketch.
+        """
+        new = type(self).__new__(type(self))
+        new._chunk_size = self._chunk_size
         new._bins = self._bins.copy()
         new._offset = self._offset
         new._count = self._count
@@ -300,6 +316,7 @@ class DenseStore(Store):
         return new
 
     def clear(self) -> None:
+        """Drop every bin and the window: the store is as constructed."""
         self._bins = np.zeros(0, dtype=np.float64)
         self._offset = 0
         self._count = 0.0
@@ -311,10 +328,12 @@ class DenseStore(Store):
 
     @property
     def count(self) -> float:
+        """The running total of the weight added, kept in insertion order."""
         return self._count
 
     @property
     def min_key(self) -> int:
+        """The lowest key whose bin holds weight (one scan of the bins)."""
         indices = np.flatnonzero(self._bins > 0.0)
         if indices.size == 0:
             raise EmptySketchError("the store is empty")
@@ -322,12 +341,14 @@ class DenseStore(Store):
 
     @property
     def max_key(self) -> int:
+        """The highest key whose bin holds weight (one scan of the bins)."""
         indices = np.flatnonzero(self._bins > 0.0)
         if indices.size == 0:
             raise EmptySketchError("the store is empty")
         return int(indices[-1]) + self._offset
 
     def key_at_rank(self, rank: float, lower: bool = True) -> int:
+        """One rank through :meth:`key_at_rank_batch`."""
         if self.is_empty:
             raise EmptySketchError("cannot query the rank of an empty store")
         return int(self.key_at_rank_batch(np.array([rank], dtype=np.float64), lower)[0])
@@ -361,6 +382,7 @@ class DenseStore(Store):
         return np.clip(indices, first_positive, last_positive).astype(np.int64) + self._offset
 
     def key_at_reversed_rank(self, rank: float) -> int:
+        """One rank through :meth:`key_at_reversed_rank_batch`."""
         if self.is_empty:
             raise EmptySketchError("cannot query the rank of an empty store")
         return int(self.key_at_reversed_rank_batch(np.array([rank], dtype=np.float64))[0])
@@ -404,11 +426,13 @@ class DenseStore(Store):
         return self._offset, self._bins
 
     def nonzero_bins(self) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(keys, counts)`` of the bins holding weight, in key order."""
         indices = np.flatnonzero(self._bins > 0.0)
         return indices.astype(np.int64) + self._offset, self._bins[indices]
 
     @property
     def num_buckets(self) -> int:
+        """The number of bins holding weight (one scan of the bins)."""
         return int(np.count_nonzero(self._bins > 0.0))
 
     @property
@@ -417,8 +441,8 @@ class DenseStore(Store):
         return int(self._bins.size)
 
     def size_in_bytes(self) -> int:
-        # Model: 8 bytes per allocated counter plus fixed overhead, matching
-        # what a flat array-of-doubles implementation would use.
+        """Modelled footprint: 8 bytes per allocated bin plus 64 of overhead,
+        what a flat array-of-doubles implementation would use."""
         return 64 + 8 * int(self._bins.size)
 
     # ------------------------------------------------------------------ #

@@ -18,7 +18,9 @@ and both tail-collapsing stores (the default ``DDSketch``'s): each of them
 ingests a batch as one window placement over the batch's ``[min, max]`` key
 range plus one binning pass, and a row spanning exactly the group's own key
 range lands through ``_add_binned_segment`` in the same window and the same
-folded buckets as the group's keys would through ``add_batch``.  The
+folded buckets as the group's keys would through ``add_batch``.  A
+collapsing store with no bins allocated whose row fits its bin limit takes
+the row as its window directly, which is where that hook would put it.  The
 uniform-collapse store re-keys after the batch lands and the sparse store
 has no contiguous backing to fan a row into; for those — and for batches
 whose rows would exceed :data:`MAX_FLAT_CELLS` — the primitive falls back to
@@ -163,7 +165,9 @@ def add_grouped_batch(
     per-group rows fit :data:`MAX_FLAT_CELLS`, the per-group key ranges come
     from one :func:`repro.kernel.group_key_ranges` pass, all buckets are
     accumulated with **one** :func:`repro.kernel.bin_grouped` pass into the
-    rows, and the rows are fanned out store by store — ``O(n + sum of the
+    rows, and the rows are fanned out (:func:`_fan_out`: a fresh collapsing
+    store takes its row as its window in one step, every other store one
+    :func:`repro.kernel.apply_segments` segment add) — ``O(n + sum of the
     group spans)`` total.  Otherwise the batch is stable-sorted by group
     once and each group's slice goes through its store's own ``add_batch``,
     which preserves the uniform/sparse semantics exactly.
@@ -228,8 +232,67 @@ def _add_segments(
     )
     totals = group_totals(num_groups, group_indices, weights)[present]
     targets = [stores[group] for group in present.tolist()]
-    kernel.apply_segments(targets, cells, min_keys, row_ends, totals)
+    _fan_out(targets, cells, min_keys, row_ends - (max_keys - min_keys + 1), row_ends, totals)
     return True
+
+
+#: Store types whose fresh stores take a row of the combined pass in one
+#: step (:func:`_fan_out`).
+_INSTALL_TYPES = (CollapsingLowestDenseStore, CollapsingHighestDenseStore)
+
+
+def _fan_out(
+    targets: Sequence[Store],
+    cells: "np.ndarray",
+    min_keys: "np.ndarray",
+    row_starts: "np.ndarray",
+    row_ends: "np.ndarray",
+    totals: "np.ndarray",
+) -> None:
+    """Land row ``i`` of the combined pass in ``targets[i]``, as
+    :func:`repro.kernel.apply_segments` lands it, bit for bit.
+
+    A store of a type in :data:`_INSTALL_TYPES` with no bins allocated (a
+    fresh store, or a cleared one) whose row is no wider than its bin limit
+    takes the row in one step.  ``_add_binned_segment`` would allocate a
+    zeroed window exactly over the row (a bounded store's first window is
+    the batch's key range when that fits the limit) and add the row in.
+    So the store takes a copy of the row as its bins and the row's first
+    key as its offset, and adds the row total to its count and the row's
+    cells above zero, counted in one vectorized pass, to its positive bins.
+    Every other row goes through ``apply_segments``, the oracle and the
+    fallback, and so does every row when a store is listed twice.
+    """
+    widths = (row_ends - row_starts).tolist()
+    installs: List[int] = []
+    if len(set(map(id, targets))) == len(targets):
+        for index, (store, width) in enumerate(zip(targets, widths)):
+            if type(store) in _INSTALL_TYPES and not store._bins.size and width <= store._bin_limit:
+                installs.append(index)
+    if len(installs) < len(targets):
+        rest = np.ones(len(targets), dtype=bool)
+        rest[installs] = False
+        kernel.apply_segments(
+            [target for target, keep in zip(targets, rest.tolist()) if keep],
+            cells, min_keys[rest], row_starts[rest], row_ends[rest], totals[rest],
+        )
+    if not installs:
+        return
+    positives = np.add.reduceat(cells > 0.0, row_starts, dtype=np.int64)[installs]
+    for index, offset, start, end, total, positive in zip(
+        installs,
+        min_keys[installs].tolist(),
+        row_starts[installs].tolist(),
+        row_ends[installs].tolist(),
+        totals[installs].tolist(),
+        positives.tolist(),
+    ):
+        store = targets[index]
+        # astype copies; the NumPy backend bins unit weights as int64.
+        store._bins = cells[start:end].astype(np.float64)
+        store._offset = offset
+        store._count += total
+        store._num_positive += positive
 
 
 def merge_store_pairs(targets: Sequence[Store], sources: Sequence[Any]) -> None:

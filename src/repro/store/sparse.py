@@ -34,6 +34,8 @@ class SparseStore(Store):
     # ------------------------------------------------------------------ #
 
     def add(self, key: int, weight: float = 1.0) -> None:
+        """Add ``weight`` to ``key``'s entry; a zero weight is a no-op and a
+        negative one a :meth:`remove`."""
         weight = self._validate_weight(weight)
         if weight == 0.0:
             return
@@ -86,6 +88,7 @@ class SparseStore(Store):
         self._count += float(per_key.sum())
 
     def remove(self, key: int, weight: float = 1.0) -> None:
+        """Take up to ``weight`` from ``key``'s entry, dropping it once empty."""
         weight = self._validate_weight(weight)
         if weight < 0.0:
             raise IllegalArgumentError("cannot remove a negative weight")
@@ -101,6 +104,7 @@ class SparseStore(Store):
         self._count -= removed
 
     def merge(self, other: Store) -> None:
+        """Add every bucket of ``other``; a dense source in one :meth:`add_batch`."""
         if other.is_empty:
             return
         if isinstance(other, DenseStore):
@@ -114,12 +118,14 @@ class SparseStore(Store):
             self.add(bucket.key, bucket.count)
 
     def copy(self) -> "SparseStore":
+        """A deep copy: the same entries in a new dictionary."""
         new = type(self)()
         new._bins = dict(self._bins)
         new._count = self._count
         return new
 
     def clear(self) -> None:
+        """Drop every entry."""
         self._bins = {}
         self._count = 0.0
 
@@ -149,21 +155,25 @@ class SparseStore(Store):
 
     @property
     def count(self) -> float:
+        """The running total of the weight added."""
         return self._count
 
     @property
     def min_key(self) -> int:
+        """The lowest key with an entry."""
         if not self._bins:
             raise EmptySketchError("the store is empty")
         return min(self._bins)
 
     @property
     def max_key(self) -> int:
+        """The highest key with an entry."""
         if not self._bins:
             raise EmptySketchError("the store is empty")
         return max(self._bins)
 
     def key_at_rank(self, rank: float, lower: bool = True) -> int:
+        """Scan the entries in key order until the running count passes ``rank``."""
         if self.is_empty:
             raise EmptySketchError("cannot query the rank of an empty store")
         running = 0.0
@@ -226,13 +236,15 @@ class SparseStore(Store):
                 yield Bucket(key, value)
 
     def nonzero_bins(self) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(keys, counts)`` of every entry, in key order."""
         return self._sorted_arrays()
 
     @property
     def num_buckets(self) -> int:
+        """The number of entries."""
         return len(self._bins)
 
     def size_in_bytes(self) -> int:
-        # Model: each entry needs a key and a counter (8 bytes each) plus the
-        # hash-table load-factor overhead, approximated at 1.5x.
+        """Modelled footprint: a key and a counter (8 bytes each) per entry,
+        times 1.5 for the hash table's load factor, plus 64 of overhead."""
         return 64 + int(24 * len(self._bins))

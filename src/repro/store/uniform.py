@@ -139,10 +139,12 @@ class UniformCollapsingDenseStore(DenseStore):
     # ------------------------------------------------------------------ #
 
     def add(self, key: int, weight: float = 1.0) -> None:
+        """:meth:`DenseStore.add`, then collapse until the used span fits."""
         super().add(key, weight)
         self._collapse_if_needed()
 
     def add_batch(self, keys: "np.ndarray", weights: Optional["np.ndarray"] = None) -> None:
+        """:meth:`DenseStore.add_batch`, then collapse until the used span fits."""
         super().add_batch(keys, weights)
         self._collapse_if_needed()
 
@@ -178,15 +180,14 @@ class UniformCollapsingDenseStore(DenseStore):
         self._collapse_if_needed()
 
     def copy(self) -> "UniformCollapsingDenseStore":
-        new = type(self)(bin_limit=self._bin_limit, chunk_size=self._chunk_size)
-        new._bins = self._bins.copy()
-        new._offset = self._offset
-        new._count = self._count
-        new._num_positive = self._num_positive
+        """:meth:`DenseStore.copy`, bin limit and collapse count included."""
+        new = super().copy()
+        new._bin_limit = self._bin_limit
         new._collapse_count = self._collapse_count
         return new
 
     def clear(self) -> None:
+        """:meth:`DenseStore.clear`; the collapse count starts over too."""
         super().clear()
         self._collapse_count = 0
 
@@ -195,4 +196,5 @@ class UniformCollapsingDenseStore(DenseStore):
     # ------------------------------------------------------------------ #
 
     def size_in_bytes(self) -> int:
+        """The dense model, counting at most ``bin_limit`` bins."""
         return 64 + 8 * min(int(self._bins.size), self._bin_limit)

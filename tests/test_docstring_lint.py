@@ -1,10 +1,11 @@
 """Tier-1 wrapper for the docstring lint (``tools/check_docstrings.py``).
 
-The registry package and the grouped ingestion facade are the audited
-surface: every public module/class/function/method there must carry a
-docstring (the store/serialization convention from PR 1).  Running the lint
-inside the test suite means an undocumented public symbol fails tier-1
-locally, not just the dedicated CI step.
+The packages listed in the lint's ``DEFAULT_TARGETS`` (registry, core,
+store, service, query, kernel, serialization, mapping and monitoring, plus
+the benchmark artifact schema) are the audited surface: every public
+module/class/function/method there must carry a docstring.  Running the
+lint inside the test suite means an undocumented public symbol fails
+tier-1 locally, not just the dedicated CI step.
 """
 
 import ast

@@ -182,6 +182,20 @@ class TestThreadedAgents:
                     ({"metric": METRIC, "quantiles": [0.9], "threshold": 1.0, "below": "no"},
                      "below must be a boolean"),
                     ({"metric": [METRIC], "quantiles": [0.5]}, "metric must be a string"),
+                    # Only JSON numbers count as numbers: float() would
+                    # read true as 1.0 and "0.5" as 0.5.
+                    ({"metric": METRIC, "quantiles": [0.9], "threshold": True},
+                     "threshold must be a number"),
+                    ({"metric": METRIC, "quantiles": [0.9], "threshold": "2"},
+                     "threshold must be a number"),
+                    ({"metric": METRIC, "quantiles": [0.9], "threshold": 10**400},
+                     "threshold must be a number"),
+                    ({"metric": METRIC, "quantiles": [True]}, "quantiles must be numbers"),
+                    ({"metric": METRIC, "quantiles": ["0.5"]}, "quantiles must be numbers"),
+                    ({"metric": METRIC, "quantiles": [0.5], "window_start": True,
+                      "window_end": "3"}, "window_start/window_end must be numbers"),
+                    ({"metric": METRIC, "quantiles": [0.5], "window_end": False},
+                     "window_start/window_end must be numbers"),
                 ):
                     reply_type, reply = protocol.request(
                         sock, protocol.MSG_QUERY, json.dumps(body).encode("utf-8")
@@ -190,6 +204,30 @@ class TestThreadedAgents:
                     error = protocol.decode_json_body(reply)
                     assert error["kind"] == "IllegalArgumentError", (body, error)
                     assert message in error["message"], (body, error)
+
+
+    def test_client_refuses_bad_tags_before_any_request(self):
+        # The client builds its query body from normalize_tags, so tags the
+        # server would refuse raise the server's IllegalArgumentError on the
+        # client, and nothing is sent.
+        with serve_in_thread() as handle:
+            with ServiceClient(*handle.address) as client:
+                sent = []
+                send = client._request
+                client._request = lambda *args, **kwargs: sent.append(args) or send(*args, **kwargs)
+                for query in (
+                    lambda: client.query_quantiles(METRIC, [0.5], tags=5),
+                    lambda: client.query_quantiles(METRIC, [0.5], tag_filter=5),
+                    lambda: client.query_quantiles(METRIC, [0.5], tags={"a": 1}),
+                    lambda: client.query_threshold(METRIC, 0.9, 1.0, tag_filter=5),
+                    lambda: client.query_threshold(METRIC, 0.9, 1.0, tag_filter=[("a",)]),
+                ):
+                    with pytest.raises(IllegalArgumentError):
+                        query()
+                assert sent == []
+                with pytest.raises(EmptySketchError):
+                    client.query_quantiles(METRIC, [0.5], tags=[("endpoint", "/e0000")])
+                assert len(sent) == 1
 
 
 class TestRestart:

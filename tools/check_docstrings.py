@@ -26,15 +26,14 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Audited by default: the high-cardinality registry package (series keys,
-#: registry), the sketch core package, the grouped store-level primitives,
-#: the service tier, the benchmark artifact schema, the query engine, the
-#: ingest kernel, the wire codecs, the key mappings and the monitoring
-#: pipeline.
+#: registry), the sketch core package, the store package, the service tier,
+#: the benchmark artifact schema, the query engine, the ingest kernel, the
+#: wire codecs, the key mappings and the monitoring pipeline.
 DEFAULT_TARGETS = [
     REPO_ROOT / "src" / "repro" / "registry",
     REPO_ROOT / "src" / "repro" / "serialization",
     REPO_ROOT / "src" / "repro" / "core",
-    REPO_ROOT / "src" / "repro" / "store" / "grouped.py",
+    REPO_ROOT / "src" / "repro" / "store",
     REPO_ROOT / "src" / "repro" / "service",
     REPO_ROOT / "src" / "repro" / "evaluation" / "artifacts.py",
     REPO_ROOT / "src" / "repro" / "query",
