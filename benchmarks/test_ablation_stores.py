@@ -22,6 +22,9 @@ from repro.store import (
     SparseStore,
 )
 
+#: Timed passes per store; the ratio gate takes each store's best.
+GATE_ROUNDS = 5
+
 STORE_FACTORIES = {
     "dense (unbounded)": lambda: (DenseStore(), DenseStore()),
     "sparse": lambda: (SparseStore(), SparseStore()),
@@ -43,26 +46,29 @@ def test_ablation_store_speed_and_memory(benchmark, emit):
     values = [float(v) for v in get_dataset("span").generator(20_000, seed=0)]
 
     def measure():
-        results = {}
-        for store_name in STORE_FACTORIES:
-            # Best of three passes: the per-value loops run ~20 us of Python
-            # bytecode per value, where a noisy shared runner easily injects
-            # 2x jitter into a single pass.
-            elapsed = float("inf")
-            for _ in range(3):
-                sketch = build_sketch(store_name)
+        # Best of GATE_ROUNDS passes in thread CPU time, the stores taking
+        # turns round by round: the per-value loops run ~1-3 us of Python
+        # bytecode per value, and a process sharing the host's cores slows
+        # a wall-clock pass, or every pass of one store, by 2x or more.
+        elapsed = dict.fromkeys(STORE_FACTORIES, float("inf"))
+        sketches = {}
+        for _ in range(GATE_ROUNDS):
+            for store_name in STORE_FACTORIES:
+                sketch = sketches[store_name] = build_sketch(store_name)
                 add = sketch.add
-                start = time.perf_counter()
+                start = time.thread_time()
                 for value in values:
                     add(value)
-                elapsed = min(elapsed, time.perf_counter() - start)
-            results[store_name] = {
-                "ns_per_add": elapsed / len(values) * 1e9,
+                elapsed[store_name] = min(elapsed[store_name], time.thread_time() - start)
+        return {
+            store_name: {
+                "ns_per_add": elapsed[store_name] / len(values) * 1e9,
                 "bytes": sketch.size_in_bytes(),
                 "buckets": sketch.num_buckets,
                 "p99": sketch.get_quantile_value(0.99),
             }
-        return results
+            for store_name, sketch in sketches.items()
+        }
 
     results = run_once(benchmark, measure)
     rows = [

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -614,11 +614,13 @@ class BaseDDSketch:
         the collapsing and adaptive-accuracy (UDDSketch) variants, because it
         bounds the *estimate*, not the underlying data.
 
-        ``O(1)`` for dense stores and ``O(num_buckets)`` at worst for sparse
-        ones — far cheaper than a rank scan, which makes it the pruning
-        primitive for threshold queries ("which series have p99 > 500ms?"):
-        if ``upper <= threshold`` the series cannot match, and if
-        ``lower > threshold`` it must.
+        Each extreme key costs one scan: of the whole bin allocation for a
+        dense store (``min_key`` and ``max_key`` scan once each), of the
+        buckets for a sparse one.  No counts are accumulated, which makes
+        this the pruning primitive for threshold queries ("which series
+        have p99 > 500ms?"): if ``upper <= threshold`` the series cannot
+        match, and if ``lower > threshold`` it must.
+        :meth:`quantile_bound_columns` bounds many sketches in one pass.
 
         Raises
         ------
@@ -645,6 +647,39 @@ class BaseDDSketch:
             self._mapping.value(self._store.min_key),
             self._mapping.value(self._store.max_key),
         )
+
+    @staticmethod
+    def quantile_bound_columns(
+        sketches: Sequence["BaseDDSketch"], quantile: float
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """:meth:`quantile_bounds` of many sketches, as two columns, in one pass.
+
+        Returns ``float64`` arrays ``(lower, upper)``, one entry per sketch,
+        bit for bit the per-sketch loop ``bound_columns(sketches, lambda
+        sketch: sketch.quantile_bounds(quantile))``: a sketch for which
+        :meth:`quantile_bounds` raises
+        :class:`~repro.exceptions.EmptySketchError` reads ``(inf, -inf)``,
+        an interval nothing lies in.
+
+        Under a backend with :func:`repro.kernel.window_merges`, the counts
+        are read into arrays, each sketch's rank region is picked with
+        :meth:`quantile_bounds`' arithmetic, the region stores' lowest and
+        highest used keys come from one
+        :func:`repro.store.grouped.used_key_ranges` pass, and the keys
+        become values with one :meth:`~repro.mapping.KeyMapping.value_batch`
+        call per mapping object.  The loop runs instead, as the oracle and
+        fallback, under the NumPy backend, when a sketch's class overrides
+        :meth:`quantile_bounds`, and when a region store is outside
+        :data:`~repro.store.grouped.SEGMENT_STORE_TYPES` (sparse, uniform
+        and :class:`~repro.core.UDDSketch` stores).  Raises
+        :class:`IllegalArgumentError` for a quantile outside ``[0, 1]``.
+        """
+        if not 0 <= quantile <= 1:  # rejects NaN as well
+            raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
+        columns = _bounds_natively(sketches, quantile)
+        if columns is None:
+            columns = bound_columns(sketches, lambda sketch: sketch.quantile_bounds(quantile))
+        return columns
 
     # ------------------------------------------------------------------ #
     # Merging
@@ -993,6 +1028,97 @@ def _fold_natively(groups: Sequence[Sequence[BaseDDSketch]]) -> Optional[BaseDDS
     )
 
 
+def bound_columns(
+    sources: Sequence[Any], bounds: Callable[[Any], Tuple[float, float]]
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """``bounds(source)`` of every source as ``float64`` columns ``(lower, upper)``.
+
+    The per-series bounds loop: a source for which ``bounds`` raises
+    :class:`~repro.exceptions.EmptySketchError` (no data) reads ``(inf,
+    -inf)``, an interval nothing lies in, so every threshold prunes it.
+    """
+    lower = np.full(len(sources), math.inf)
+    upper = np.full(len(sources), -math.inf)
+    for index, source in enumerate(sources):
+        try:
+            lower[index], upper[index] = bounds(source)
+        except EmptySketchError:
+            pass
+    return lower, upper
+
+
+def _plain_bounds_class(cls: type) -> bool:
+    """Whether :meth:`BaseDDSketch.quantile_bound_columns` may bound a
+    ``cls`` sketch from its counts and stores."""
+    return issubclass(cls, BaseDDSketch) and cls.quantile_bounds is BaseDDSketch.quantile_bounds
+
+
+def _bounds_natively(
+    sketches: Sequence[BaseDDSketch], quantile: float
+) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
+    """:meth:`BaseDDSketch.quantile_bound_columns` through one used-edge
+    pass, or ``None`` for the loop."""
+    from repro.store.grouped import used_key_ranges
+
+    if not kernel.window_merges():
+        return None
+    if not all(_plain_bounds_class(cls) for cls in set(map(type, sketches))):
+        return None
+    size = len(sketches)
+    counts = np.fromiter(map(_COUNT, sketches), dtype=np.float64, count=size)
+    zero_counts = np.fromiter(map(_ZERO_COUNT, sketches), dtype=np.float64, count=size)
+    negatives = list(map(_NEGATIVE_STORE, sketches))
+    negative_counts = np.fromiter(map(_STORE_COUNT, negatives), dtype=np.float64, count=size)
+    # quantile_bounds' arithmetic, sketch by sketch: the rank, then the
+    # region it falls in.  A sketch without weight has no bounds.
+    ranks = np.maximum(quantile * (counts - 1), 0.0)
+    held = counts != 0
+    negative = ranks < negative_counts
+    zero = held & ~negative & (ranks < zero_counts + negative_counts)
+    lower = np.full(size, math.inf)
+    upper = np.full(size, -math.inf)
+    lower[zero] = upper[zero] = 0.0
+    rows = np.flatnonzero(held & ~zero)
+    picks = negative[rows]
+    stores = list(map(_STORE, sketches))
+    region = [
+        negatives[row] if pick else stores[row]
+        for row, pick in zip(rows.tolist(), picks.tolist())
+    ]
+    ranges = used_key_ranges(region)
+    if ranges is None:
+        return None
+    # A region store without a used bin raises EmptySketchError in
+    # quantile_bounds: its sketch keeps the empty interval.
+    used, min_keys, max_keys = ranges
+    rows, picks = rows[used], picks[used]
+    if not rows.size:
+        return lower, upper
+    mappings = [sketches[row]._mapping for row in rows.tolist()]
+    low, high = _values(mappings, np.stack([min_keys[used], max_keys[used]]))
+    lower[rows] = np.where(picks, -high, low)
+    upper[rows] = np.where(picks, -low, high)
+    return lower, upper
+
+
+def _values(mappings: Sequence[KeyMapping], keys: "np.ndarray") -> "np.ndarray":
+    """Column ``i`` of ``keys`` through ``mappings[i].value_batch``, one call
+    per distinct mapping object."""
+    first = mappings[0]
+    if all(mapping is first for mapping in mappings):
+        return first.value_batch(keys).reshape(keys.shape)
+    by_id = {id(mapping): mapping for mapping in mappings}
+    codes = {key: code for code, key in enumerate(by_id)}
+    columns = np.fromiter(
+        (codes[id(mapping)] for mapping in mappings), dtype=np.int64, count=len(mappings)
+    )
+    values = np.empty(keys.shape)
+    for code, mapping in enumerate(by_id.values()):
+        chosen = columns == code
+        values[:, chosen] = mapping.value_batch(keys[:, chosen]).reshape(2, -1)
+    return values
+
+
 def _positive_store_bin_limit(sketch: BaseDDSketch) -> int:
     """Maximum number of buckets per store before collapsing begins.
 
@@ -1008,8 +1134,11 @@ bin_limit_property = property(_positive_store_bin_limit)
 
 _MAPPING = attrgetter("_mapping")
 _SCALARS = attrgetter("_count", "_zero_count", "_sum", "_min", "_max")
+_COUNT = attrgetter("_count")
+_ZERO_COUNT = attrgetter("_zero_count")
 _STORE = attrgetter("_store")
 _NEGATIVE_STORE = attrgetter("_negative_store")
+_STORE_COUNT = attrgetter("count")
 
 
 class DDSketch(BaseDDSketch):

@@ -70,6 +70,7 @@ __all__ = [
     "native_available",
     "selection_from_keys",
     "set_backend",
+    "used_edges",
     "window_merges",
 ]
 
@@ -306,8 +307,11 @@ def window_merges() -> bool:
     Only the native backend does.  Under the NumPy backend every pair of a
     bulk merge (:func:`repro.store.grouped.merge_store_pairs`) goes through
     ``Store.merge``, the oracle :func:`merge_windows`, :func:`move_windows`
-    and :func:`fold_windows` must agree with, and every fold
-    (:meth:`repro.core.BaseDDSketch.fold`) takes the copy-first loop.
+    and :func:`fold_windows` must agree with, every fold
+    (:meth:`repro.core.BaseDDSketch.fold`) takes the copy-first loop, and
+    every bounds pass
+    (:meth:`repro.core.BaseDDSketch.quantile_bound_columns`) the
+    per-sketch ``quantile_bounds`` loop, the oracle of :func:`used_edges`.
     """
     return _backend().window_merges
 
@@ -388,6 +392,19 @@ def fold_windows(ends, heads, offsets, windows, counts, total_cells, group_cells
     return _backend().fold_windows(
         ends, heads, offsets, windows, counts, total_cells, group_cells
     )
+
+
+def used_edges(windows):
+    """The first and last used cell of many dense store windows, in one pass.
+
+    ``windows`` lists store bins (one-dimensional ``float64`` arrays), each
+    read in place.  Returns two ``int64`` arrays, one entry per window: the
+    index of its first and of its last cell holding weight (``> 0``), as
+    ``DenseStore.min_key`` and ``max_key`` find them before adding the
+    offset, or ``-1`` for both where no cell does.  Only for backends with
+    :func:`window_merges`.
+    """
+    return _backend().used_edges(windows)
 
 
 def encode_proto_bins(keys, counts) -> bytes:

@@ -652,6 +652,19 @@ static int64_t used_edge(const double *bins, int64_t size, int top)
     return -1;
 }
 
+/* The first and last used cell of each of n windows (each window's size and
+ * address in `windows`), as DenseStore.min_key and max_key find them: -1
+ * for both where no cell is positive.  Windows are read in place. */
+void repro_used_edges(int64_t n, const int64_t *sizes, const int64_t *addresses, int64_t *first,
+                      int64_t *last)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *bins = (const double *)(intptr_t)addresses[i];
+        first[i] = used_edge(bins, sizes[i], 0);
+        last[i] = first[i] < 0 ? -1 : used_edge(bins, sizes[i], 1);
+    }
+}
+
 /* float(numpy.sum(a[:n])) of a contiguous slice. */
 static double slice_sum(const double *a, int64_t n)
 {

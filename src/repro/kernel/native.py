@@ -173,6 +173,8 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_move_windows.restype = i64
     lib.repro_fold_windows.argtypes = [i64, p, p, p, p, p, i64, p, i64, p, p]
     lib.repro_fold_windows.restype = i64
+    lib.repro_used_edges.argtypes = [i64, p, p, p, p]
+    lib.repro_used_edges.restype = None
 
 
 def _ptr(array: Optional["np.ndarray"]):
@@ -613,6 +615,20 @@ class NativeBackend:
         first, size, positive, collapsed = out.tolist()
         return total[:size].copy(), first, positive, bool(collapsed), float(total_count[0])
 
+    def used_edges(self, windows: Sequence["np.ndarray"]) -> Tuple["np.ndarray", "np.ndarray"]:
+        """First and last used cells of store windows in one C pass; see
+        :func:`repro.kernel.used_edges`.
+
+        The pass reads each window in place through its address, so the
+        windows are checked as store bins (contiguous ``float64``).
+        """
+        count = len(windows)
+        sizes, addresses = _readable_windows(windows)
+        first = np.empty(count, dtype=np.int64)
+        last = np.empty(count, dtype=np.int64)
+        self._lib.repro_used_edges(count, _ptr(sizes), _ptr(addresses), _ptr(first), _ptr(last))
+        return first, last
+
     def pairwise_sum(self, values: "np.ndarray") -> float:
         """``float(values.sum())`` computed by the C pass (self-test hook)."""
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -639,7 +655,8 @@ def _self_test(backend: NativeBackend) -> None:
     Covers all four mapping families, both signs, zeros, denormal-adjacent
     magnitudes, window clipping, grouped binning, a codec round trip, the
     pairwise count totals, a small frame through the columnar codec, a
-    few store pairs through the bulk merge and a small fold.
+    few store pairs through the bulk merge, a small fold and a few windows
+    through the used-edge scan.
     A failure raises :class:`NativeKernelUnavailable` so the facade falls
     back to NumPy rather than ever serving non-reference bytes.
     """
@@ -721,6 +738,7 @@ def _self_test(backend: NativeBackend) -> None:
     _frame_self_test(backend, rng)
     _merge_self_test(backend)
     _fold_self_test(backend)
+    _edges_self_test(backend)
 
 
 @contextlib.contextmanager
@@ -862,6 +880,40 @@ def _fold_self_test(backend: "NativeBackend") -> None:
     ]
     if got is None or not _same_store(got, _fold_loop(sketches).store):
         raise NativeKernelUnavailable("self-test: fold mismatch")
+
+
+def _edges_self_test(backend: "NativeBackend") -> None:
+    """A few windows through the used-edge scan against ``DenseStore.min_key`` / ``max_key``.
+
+    An empty window, one of zero cells, one positive cell at either end,
+    interior zeros, a denormal between a zero and a negative zero, and a
+    window read in place inside a larger buffer.  Where the store's reads
+    raise, the scan must give -1 for both edges.
+    """
+    from repro.exceptions import EmptySketchError
+    from repro.store import DenseStore
+
+    cells = np.array([0.0, 4.0, 0.0, 0.0, 1.5, 0.0])
+    windows = [
+        np.zeros(0),
+        np.zeros(5),
+        np.array([2.5, 0.0, 0.0]),
+        np.array([0.0, 0.0, 0.5]),
+        np.array([7.0]),
+        np.array([0.0, 1.0, 0.0, 0.0, 3.0, 0.0]),
+        np.array([0.0, 5e-324, -0.0]),
+        cells[2:4],
+        cells[1:5],
+    ]
+    first, last = backend.used_edges(windows)
+    for bins, got in zip(windows, zip(first.tolist(), last.tolist())):
+        store = DenseStore._decoded(bins, -3, float(bins.sum()), 0, 0, False)
+        try:
+            want = (store.min_key + 3, store.max_key + 3)
+        except EmptySketchError:
+            want = (-1, -1)
+        if got != want:
+            raise NativeKernelUnavailable("self-test: used-edge mismatch")
 
 
 def _check_frame_columns(backend: "NativeBackend", rng) -> None:

@@ -12,13 +12,16 @@ dashboard scenario:
   independent of merge order and grouping — so caching and precomputation
   are pure latency optimizations.
 * **threshold queries** ("which series have p99 > 500ms?"): each candidate
-  series is first classified from cheap rank/count bounds
-  (:meth:`~repro.monitoring.SketchTimeSeries.quantile_bounds`) that cost a
-  scalar-summary pass, no merge.  Only series whose bounds straddle the
-  threshold are scanned with a real quantile estimate
-  (:func:`~repro.registry.registry.threshold_scan`); on selective
-  thresholds the vast majority of series is pruned without touching any
-  bucket data.
+  series is first classified from cheap bounds, with no merge.  Over an
+  aggregator they come from each series'
+  :meth:`~repro.monitoring.SketchTimeSeries.quantile_bounds` (a pass over
+  its intervals' scalar summaries, or the used-key scans of its one
+  interval's sketch); over a registry from one pass over every series
+  (:meth:`~repro.core.BaseDDSketch.quantile_bound_columns`: count columns
+  and one native scan for the region stores' used keys).  Only series
+  whose bounds straddle the threshold are scanned with a real quantile
+  estimate (:func:`~repro.registry.registry.threshold_scan`); on selective
+  thresholds the vast majority of series is pruned without a rank scan.
 
 A cache of merged answers is sound only where every write invalidates it,
 and the aggregator's hooks see every write.  A
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.ddsketch import BaseDDSketch
+from repro.core.ddsketch import BaseDDSketch, bound_columns
 from repro.exceptions import EmptySketchError, IllegalArgumentError
 from repro.query.cache import MergeCache
 from repro.query.cube import RollupCube
@@ -278,11 +281,15 @@ class QueryEngine:
         everything else built on the sketches.  Series holding no data in
         the window never match and are never scanned.
 
-        The bounds pass costs one scalar-summary sweep per series; only
-        series whose bounds straddle ``threshold`` pay a real merge+scan.
-        A ``threshold`` that is not finite raises
+        Each series is bounded by
+        :meth:`~repro.monitoring.SketchTimeSeries.quantile_bounds`: a sweep
+        of its intervals' scalar summaries, or, for a series with data in
+        one interval, that sketch's used-key scans.  Only series whose
+        bounds straddle ``threshold`` pay a real merge+scan.  A
+        ``threshold`` that is not finite raises
         :class:`~repro.exceptions.IllegalArgumentError`.  Over a registry
-        this is :meth:`~repro.registry.SketchRegistry.threshold_query`.
+        this is :meth:`~repro.registry.SketchRegistry.threshold_query`, one
+        bounds pass over every series.
         """
         registry = self._registry(start, end)
         if registry is not None:
@@ -290,15 +297,16 @@ class QueryEngine:
                 metric, quantile, threshold, above=above, tag_filter=tag_filter
             )
         aggregator = self._source
+        keys = aggregator.series_keys(metric, tag_filter)
+        population = [aggregator.series(key.metric, key.tags) for key in keys]
         return threshold_scan(
             metric,
             quantile,
             threshold,
             above,
-            [
-                (key, aggregator.series(key.metric, key.tags))
-                for key in aggregator.series_keys(metric, tag_filter)
-            ],
-            bounds=lambda series: series.quantile_bounds(quantile, start, end),
-            estimate=lambda series: series.rollup(start, end).quantile(quantile),
+            keys,
+            bounds=lambda: bound_columns(
+                population, lambda series: series.quantile_bounds(quantile, start, end)
+            ),
+            estimate=lambda index: population[index].rollup(start, end).quantile(quantile),
         )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
     Union,
 )
 
@@ -437,23 +437,27 @@ class SketchRegistry:
 
         With ``above=True`` a series of ``metric`` carrying every
         ``tag_filter`` tag matches when its estimate is ``> threshold``
-        (``< threshold`` with ``above=False``).  Each series is first
-        classified from :meth:`~repro.core.BaseDDSketch.quantile_bounds`,
-        and only one whose bounds straddle ``threshold`` is asked for its
-        estimate (:func:`threshold_scan`), so the
-        matches equal scanning every series' estimate.  A series without
-        data never matches.  Raises :class:`IllegalArgumentError` for a
-        quantile outside ``[0, 1]`` or a ``threshold`` that is not finite.
+        (``< threshold`` with ``above=False``).  Every selected series is
+        first classified from its
+        :meth:`~repro.core.BaseDDSketch.quantile_bounds`, all of them taken
+        in one :meth:`~repro.core.BaseDDSketch.quantile_bound_columns` pass
+        (count columns and one native scan for the used keys), and only a
+        series whose bounds straddle ``threshold`` is asked for its estimate
+        (:func:`threshold_scan`), so the matches equal scanning every
+        series' estimate.  A series without data never matches.  Raises
+        :class:`IllegalArgumentError` for a quantile outside ``[0, 1]`` or a
+        ``threshold`` that is not finite, before any series is read.
         """
-        sketches = self._sketches
+        keys = self.series_keys(metric, tag_filter)
+        sketches = list(map(self._sketches.__getitem__, keys))
         return threshold_scan(
             metric,
             quantile,
             threshold,
             above,
-            [(key, sketches[key]) for key in self.series_keys(metric, tag_filter)],
-            bounds=lambda sketch: sketch.quantile_bounds(quantile),
-            estimate=lambda sketch: sketch.quantile(quantile),
+            keys,
+            bounds=lambda: BaseDDSketch.quantile_bound_columns(sketches, quantile),
+            estimate=lambda index: sketches[index].quantile(quantile),
         )
 
     # ------------------------------------------------------------------ #
@@ -639,58 +643,50 @@ def threshold_scan(
     quantile: float,
     threshold: float,
     above: bool,
-    population: Sequence[Tuple[SeriesKey, Any]],
-    bounds: Callable[[Any], Tuple[float, float]],
-    estimate: Callable[[Any], float],
+    keys: Sequence[SeriesKey],
+    bounds: Callable[[], Tuple["np.ndarray", "np.ndarray"]],
+    estimate: Callable[[int], float],
 ) -> ThresholdResult:
-    """Classify every ``(key, source)`` of ``population`` against ``threshold``.
+    """Classify every series of ``keys`` against ``threshold``.
 
     The bounds-then-estimate cascade of Gan et al.'s moment sketch: cheap
     bounds decide most series, and only the rest pay for an estimate.
     A series matches when its ``quantile`` estimate is ``> threshold``
-    (``< threshold`` with ``above=False``).  ``bounds(source)`` returns
-    ``(lower, upper)`` enclosing that estimate, or raises
-    :class:`~repro.exceptions.EmptySketchError` for a series without data,
-    which then neither matches nor is scanned; ``estimate(source)`` is the
-    estimate itself, asked only of a series whose bounds straddle
-    ``threshold``.  Raises :class:`~repro.exceptions.IllegalArgumentError`
-    for a quantile outside ``[0, 1]`` or a ``threshold`` that is not
-    finite, before any series is read.
+    (``< threshold`` with ``above=False``).  ``bounds()`` returns two
+    ``float64`` columns ``(lower, upper)``, entry ``i`` enclosing the
+    estimate of ``keys[i]``, or ``(inf, -inf)`` for a series without data,
+    which then neither matches nor is scanned
+    (:func:`~repro.core.ddsketch.bound_columns` makes them from per-series
+    bounds).  ``estimate(i)`` is that estimate itself, asked only of a
+    series whose bounds straddle ``threshold``.  ``matches`` and
+    ``scanned`` keep the order of ``keys``.  Raises
+    :class:`~repro.exceptions.IllegalArgumentError` for a quantile outside
+    ``[0, 1]`` or a ``threshold`` that is not finite, before ``bounds`` is
+    called.
     """
     if not 0 <= quantile <= 1:  # rejects NaN as well
         raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
     threshold = float(threshold)
     if not math.isfinite(threshold):
         raise IllegalArgumentError(f"threshold must be finite, got {threshold!r}")
-    matches: List[SeriesKey] = []
-    scanned: List[SeriesKey] = []
-    for key, source in population:
-        try:
-            lower, upper = bounds(source)
-        except EmptySketchError:
-            continue  # no data: cannot match, nothing to scan
-        if above:
-            if upper <= threshold:
-                continue  # pruned out: estimate cannot exceed threshold
-            if lower > threshold:
-                matches.append(key)  # pruned in: estimate must exceed it
-                continue
-        else:
-            if lower >= threshold:
-                continue
-            if upper < threshold:
-                matches.append(key)
-                continue
-        scanned.append(key)
-        value = estimate(source)
+    lower, upper = bounds()
+    if above:
+        pruned = upper <= threshold  # the estimate cannot exceed threshold
+        matched = ~pruned & (lower > threshold)  # the estimate must exceed it
+    else:
+        pruned = lower >= threshold
+        matched = ~pruned & (upper < threshold)
+    straddling = np.flatnonzero(~(pruned | matched)).tolist()
+    for index in straddling:
+        value = estimate(index)
         if (value > threshold) if above else (value < threshold):
-            matches.append(key)
+            matched[index] = True
     return ThresholdResult(
         metric=metric,
         quantile=quantile,
         threshold=threshold,
         above=above,
-        matches=matches,
-        scanned=scanned,
-        total_series=len(population),
+        matches=[keys[index] for index in np.flatnonzero(matched).tolist()],
+        scanned=[keys[index] for index in straddling],
+        total_series=len(keys),
     )

@@ -526,15 +526,55 @@ def fold_store_groups(
     if folded is None:
         return None
     bins, offset, positive, collapsed, count = folded
+    # Attribute by attribute, in __init__'s order, as DenseStore.copy sets
+    # them: reading first.__dict__ would give both stores an instance dict,
+    # and every later attribute read on them would be slower.
     store = type(first).__new__(type(first))
-    store.__dict__.update(first.__dict__)
+    store._chunk_size = first._chunk_size
     store._bins = bins
     store._offset = offset
     store._count = count
     store._num_positive = positive
     if total_kind:
+        store._bin_limit = first._bin_limit
         store._is_collapsed = collapsed
     return store
+
+
+#: Keys past +-2**50 (no mapping makes them) are left to the stores' own
+#: reads, as the native merge passes leave them (``KEY_LIMIT`` in
+#: ``_kernel.c``).
+_KEY_LIMIT = 1 << 50
+
+
+def used_key_ranges(
+    stores: Sequence[Store],
+) -> Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
+    """Every store's lowest and highest used key, in one native pass, or ``None``.
+
+    Returns ``(used, min_keys, max_keys)``, one entry per store: whether
+    any of its bins holds weight and, where one does, the keys
+    ``min_key`` and ``max_key`` return (elsewhere, where they raise
+    :class:`~repro.exceptions.EmptySketchError`, the keys mean nothing).
+    The bins are read in place by one :func:`repro.kernel.used_edges`
+    call instead of two scans per store.
+
+    ``None`` leaves the reads to the stores: under a backend without
+    :func:`repro.kernel.window_merges`, for a store type outside
+    :data:`SEGMENT_STORE_TYPES`, and for window offsets past +-2**50.
+    """
+    if not kernel.window_merges():
+        return None
+    if any(cls not in _MERGE_KINDS for cls in set(map(type, stores))):
+        return None
+    try:
+        offsets = np.fromiter(map(_OFFSET, stores), dtype=np.int64, count=len(stores))
+    except OverflowError:
+        return None
+    if ((offsets < -_KEY_LIMIT) | (offsets > _KEY_LIMIT)).any():
+        return None
+    first, last = kernel.used_edges(list(map(_BINS, stores)))
+    return first >= 0, offsets + first, offsets + last
 
 
 _COUNT = attrgetter("_count")

@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from repro.core.ddsketch import DDSketch
+from repro.exceptions import EmptySketchError
 from repro.registry import SketchRegistry
 from repro.service.client import ServiceClient
 from repro.service.protocol import encode_push_envelope
@@ -280,7 +281,8 @@ def reference_threshold(registry, metric, quantile, threshold, above=True, tag_f
 
     Each series is classified from its sketch's ``quantile_bounds``, and
     only one whose bounds straddle ``threshold`` is estimated; a series
-    without data neither matches nor is scanned.
+    without data (``quantile_bounds`` raises ``EmptySketchError``) neither
+    matches nor is scanned.
     """
     def beyond(value):
         return value > threshold if above else value < threshold
@@ -289,9 +291,10 @@ def reference_threshold(registry, metric, quantile, threshold, above=True, tag_f
     matches, scanned = [], []
     for key in keys:
         sketch = registry.get(key)
-        if sketch.count == 0:
+        try:
+            lower, upper = sketch.quantile_bounds(quantile)
+        except EmptySketchError:
             continue
-        lower, upper = sketch.quantile_bounds(quantile)
         outer, inner = (upper, lower) if above else (lower, upper)
         if not beyond(outer):
             continue

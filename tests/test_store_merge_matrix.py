@@ -49,6 +49,7 @@ from repro.store import (
     UniformCollapsingDenseStore,
     merge_store_pairs,
 )
+from repro.store.grouped import SEGMENT_STORE_TYPES
 
 from _kernel_testkit import require_native_kernel
 
@@ -923,3 +924,38 @@ def test_fold_windows_checks_what_it_reads():
         for bad in bad_windows:
             with pytest.raises((TypeError, ValueError)):
                 kernel.fold_windows([2], heads, [0, 1], [windows[0], bad], [1.5, 2.0], 16, 0)
+
+
+#: One factory per exact type the fold pass takes.
+SEGMENT_FACTORIES = {
+    DenseStore: lambda: DenseStore(chunk_size=4),
+    CollapsingLowestDenseStore: lambda: CollapsingLowestDenseStore(bin_limit=12, chunk_size=4),
+    CollapsingHighestDenseStore: lambda: CollapsingHighestDenseStore(bin_limit=12, chunk_size=4),
+}
+
+
+@pytest.mark.parametrize("store_type", SEGMENT_STORE_TYPES, ids=lambda cls: cls.__name__)
+def test_a_folded_store_is_built_as_a_copy_is(store_type):
+    """The fold pass's result has the attribute names of the copy-first
+    loop's, in the same order, and the same values: it is set attribute by
+    attribute, not from the first store's instance dict."""
+    from repro.store.grouped import fold_store_groups
+
+    def build():
+        stores = []
+        for keys in ([1, 4], [9, 30], [-3, 2]):
+            store = SEGMENT_FACTORIES[store_type]()
+            for key in keys:
+                store.add(key, 0.25 + key % 3)
+            stores.append(store)
+        return stores
+
+    with backend("native"):
+        folded = fold_store_groups(build(), [2, 3], [True, True])
+    stores = build()
+    expected = stores[0].copy()
+    expected.merge(stores[1])
+    expected.merge(stores[2].copy())
+    assert folded is not None
+    assert list(vars(folded)) == list(vars(expected))
+    assert store_state(folded) == store_state(expected)
