@@ -32,6 +32,7 @@ import os
 import shutil
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -232,15 +233,25 @@ def _readable_windows(windows: Sequence["np.ndarray"]) -> Tuple["np.ndarray", "n
     arrays; the buffer protocol read refuses any other, and an empty window
     has address 0.
     """
-    for dtype, ndim in {(bins.dtype, bins.ndim) for bins in windows}:
-        if dtype != _FLOAT64 or ndim != 1:
-            raise ValueError(f"store bins must be one-dimensional float64, got {ndim}-d {dtype}")
+    dtypes = set(map(_DTYPE, windows))
+    dimensions = set(map(_NDIM, windows))
+    if dtypes - {_FLOAT64} or dimensions - {1}:
+        raise ValueError(
+            f"store bins must be one-dimensional float64, got {sorted(dimensions)}-d {dtypes}"
+        )
     addressof = ctypes.addressof
     from_buffer = ctypes.c_char.from_buffer
     count = len(windows)
     sizes = np.fromiter(map(len, windows), dtype=np.int64, count=count)
-    addresses = [addressof(from_buffer(bins)) if bins.size else 0 for bins in windows]
+    if sizes.all():
+        addresses = list(map(addressof, map(from_buffer, windows)))
+    else:
+        addresses = [addressof(from_buffer(bins)) if bins.size else 0 for bins in windows]
     return sizes, np.array(addresses, dtype=np.int64)
+
+
+_DTYPE = attrgetter("dtype")
+_NDIM = attrgetter("ndim")
 
 
 class NativeSignSplit(SignSplit):

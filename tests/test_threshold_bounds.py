@@ -417,3 +417,14 @@ def test_used_key_ranges_read_the_stores_keys():
         assert used_key_ranges(stores + [SparseStore()]) is None
     with backend("numpy"):
         assert used_key_ranges(stores) is None
+
+
+@pytest.mark.parametrize(
+    "window", [np.zeros(4, dtype=np.float32), np.zeros((2, 3)), np.arange(6.0)[::2]]
+)
+def test_used_edges_refuse_windows_that_are_not_store_bins(window):
+    """The scan reads float64 cells through the window's address: a window
+    of another dtype, shape or layout is refused before it."""
+    require_native_kernel()
+    with backend("native"), pytest.raises((ValueError, TypeError)):
+        kernel.used_edges([np.ones(3), window])
