@@ -36,7 +36,9 @@ import numpy as np
 
 from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.exceptions import EmptySketchError, IllegalArgumentError
-from repro.registry.series import SeriesKey, SeriesLike, TagsLike, normalize_tags, select_keys
+from repro.registry.series import (
+    SeriesKey, SeriesLike, TagsLike, matching_keys, normalize_tags, select_keys,
+)
 from repro.store.grouped import GroupedScratch
 
 if TYPE_CHECKING:
@@ -448,7 +450,9 @@ class SketchRegistry:
         :class:`IllegalArgumentError` for a quantile outside ``[0, 1]`` or a
         ``threshold`` that is not finite, before any series is read.
         """
-        keys = self.series_keys(metric, tag_filter)
+        # The series in storage order: threshold_scan sorts only the
+        # matches and the scanned series, not the whole selection.
+        keys = matching_keys(self._sketches, metric, tag_filter)
         sketches = list(map(self._sketches.__getitem__, keys))
         return threshold_scan(
             metric,
@@ -659,7 +663,8 @@ def threshold_scan(
     (:func:`~repro.core.ddsketch.bound_columns` makes them from per-series
     bounds).  ``estimate(i)`` is that estimate itself, asked only of a
     series whose bounds straddle ``threshold``.  ``matches`` and
-    ``scanned`` keep the order of ``keys``.  Raises
+    ``scanned`` come in sorted key order, whatever the order of ``keys``.
+    Raises
     :class:`~repro.exceptions.IllegalArgumentError` for a quantile outside
     ``[0, 1]`` or a ``threshold`` that is not finite, before ``bounds`` is
     called.
@@ -686,7 +691,9 @@ def threshold_scan(
         quantile=quantile,
         threshold=threshold,
         above=above,
-        matches=[keys[index] for index in np.flatnonzero(matched).tolist()],
-        scanned=[keys[index] for index in straddling],
+        matches=sorted(
+            map(keys.__getitem__, np.flatnonzero(matched).tolist()), key=SeriesKey.sort_key
+        ),
+        scanned=sorted(map(keys.__getitem__, straddling), key=SeriesKey.sort_key),
         total_series=len(keys),
     )

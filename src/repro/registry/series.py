@@ -182,7 +182,15 @@ class SeriesKey:
 def select_keys(
     keys: Iterable["SeriesKey"], metric: Optional[str] = None, tag_filter: TagsLike = None
 ) -> List["SeriesKey"]:
-    """The sorted ``keys`` that :meth:`SeriesKey.matches` accepts.
+    """The sorted ``keys`` that :meth:`SeriesKey.matches` accepts
+    (:func:`matching_keys`, sorted)."""
+    return sorted(matching_keys(keys, metric, tag_filter), key=SeriesKey.sort_key)
+
+
+def matching_keys(
+    keys: Iterable["SeriesKey"], metric: Optional[str] = None, tag_filter: TagsLike = None
+) -> List["SeriesKey"]:
+    """The ``keys`` that :meth:`SeriesKey.matches` accepts, in their given order.
 
     The filter is normalized once for every key, not once per key; it is
     validated only when some key has the metric, as ``matches`` validates
@@ -193,7 +201,7 @@ def select_keys(
         wanted = normalize_tags(tag_filter)
         if wanted:
             selected = [key for key in selected if key._carries(wanted)]
-    return sorted(selected, key=SeriesKey.sort_key)
+    return selected
 
 
 def _varint(value: int) -> bytes:
