@@ -278,17 +278,17 @@ def test_every_region_in_one_pass(backend_name, quantile):
     sketches = [sketch for _, sketch in registry]
     # Every bound and estimate as a threshold: a series whose bound equals
     # the threshold must be estimated, not decided from that bound.
-    thresholds = {-50.0, 1e-9, 1e6}
+    levels = {-50.0, 1e-9, 1e6}
     for sketch in sketches:
         try:
-            thresholds.update(sketch.quantile_bounds(quantile))
-            thresholds.add(sketch.quantile(quantile))
+            levels.update(sketch.quantile_bounds(quantile))
+            levels.add(sketch.quantile(quantile))
         except EmptySketchError:
             pass
     with backend(backend_name):
         columns = column_bounds(sketches, quantile)
         natively = _bounds_natively(sketches, quantile)
-        for threshold in sorted(thresholds):
+        for threshold in sorted(levels):
             for above in (True, False):
                 result = registry.threshold_query(METRIC, quantile, threshold, above=above)
                 assert outcome(result) == reference_threshold(
