@@ -63,8 +63,12 @@ __all__ = [
     "encode_bucket_pairs",
     "encode_frame_columns",
     "encode_proto_bins",
+    "fold_rows",
+    "fold_scalars",
     "fold_windows",
     "group_key_ranges",
+    "merge_entries",
+    "merge_rows",
     "merge_windows",
     "move_windows",
     "native_available",
@@ -312,6 +316,10 @@ def window_merges() -> bool:
     every bounds pass
     (:meth:`repro.core.BaseDDSketch.quantile_bound_columns`) the
     per-sketch ``quantile_bounds`` loop, the oracle of :func:`used_edges`.
+    The row forms (:func:`merge_entries`, :func:`merge_rows`,
+    :func:`fold_rows`) and :func:`fold_scalars` serve the service's
+    columnar window buckets (:mod:`repro.service.buckets`), which fall back
+    to the same oracles.
     """
     return _backend().window_merges
 
@@ -365,6 +373,62 @@ def move_windows(targets, pairs, sources, moves, arena):
     return _backend().move_windows(targets, pairs, sources, moves, arena)
 
 
+def merge_rows(
+    columns, counts, count_column, cells, tail, rows, signs, sources, totals, source_cells,
+    scratch,
+):
+    """``Store.merge`` of many store windows into the rows of a column store, in one pass.
+
+    The rows are :class:`~repro.service.buckets.BucketStore`'s: ``columns``
+    (``int64``, rows × 2 stores × 8) holds each store's key offset, kind,
+    bin limit (a plain store's chunk size), first cell and size in
+    ``cells``, positive cells, collapsed flag and chunk size, and
+    ``counts`` (``float64``, one row per row) each store's count in
+    columns ``count_column`` and ``count_column + 1``.  Source ``i`` (one
+    ``(key offset, first cell, size)`` row of ``sources`` over
+    ``source_cells``, holding ``totals[i]``) merges into store
+    ``signs[i]`` of row ``rows[i]``, as :func:`merge_windows` and then
+    :func:`move_windows` merge a pair: a window that stays takes the source
+    in place, and one that moves is built in ``scratch`` and appended at
+    the tail of ``cells`` (``tail`` is ``[cells in use, dead cells]``; the
+    old window's cells become dead).  Columns, counts and ``tail`` are
+    updated in place.  Returns one ``int64`` per pair: 0 where merged, 1
+    for a pair left to ``Store.merge`` (a target without weight or cells,
+    one the passes decline, or a moved window larger than ``scratch``),
+    and minus the cells needed for a moved window that found no room at
+    the tail, the pair left unchanged.  Only for backends with
+    :func:`window_merges`.
+    """
+    return _backend().merge_rows(
+        columns, counts, count_column, cells, tail, rows, signs, sources, totals, source_cells,
+        scratch,
+    )
+
+
+def merge_entries(
+    columns, floats, cells, tail, entries, rows, summaries, stores, totals, source_cells, scratch,
+):
+    """Fold decoded frame entries into the rows of a column store, in one pass.
+
+    ``columns``, ``cells`` and ``tail`` are :func:`merge_rows`'; ``floats``
+    holds each row's count, zero count, sum, min, max and two store counts.
+    Entry ``entries[i]`` of a decoded chunk (its header row in
+    ``summaries``, eight columns as
+    :class:`~repro.kernel.native.FrameColumns` gives them, its two store rows
+    in ``stores`` with ``totals``, windows in ``source_cells``) folds into
+    row ``rows[i]`` as ``BaseDDSketch.merge_checked_pairs`` folds a decoded
+    entry: nothing for a count ``<= 0``, else the scalars (sums added, min
+    and max by strict comparison), then each store holding weight as
+    :func:`merge_rows` merges it.  Returns an ``int64`` row per entry: each
+    store's :func:`merge_rows` result (0 for a store without weight).  Only
+    for backends with :func:`window_merges`.
+    """
+    return _backend().merge_entries(
+        columns, floats, cells, tail, entries, rows, summaries, stores, totals, source_cells,
+        scratch,
+    )
+
+
 def fold_windows(ends, heads, offsets, windows, counts, total_cells, group_cells):
     """Fold many dense store windows into one, as ``Store.merge`` folds them, in one pass.
 
@@ -392,6 +456,35 @@ def fold_windows(ends, heads, offsets, windows, counts, total_cells, group_cells
     return _backend().fold_windows(
         ends, heads, offsets, windows, counts, total_cells, group_cells
     )
+
+
+def fold_rows(ends, heads, rows, buffers, counts, total_cells, group_cells):
+    """:func:`fold_windows` over windows that lie inside a few buffers.
+
+    ``rows`` has one ``int64`` row per window: its key offset, buffer (an
+    index into ``buffers``, one-dimensional ``float64`` arrays), first cell
+    in that buffer and size; every window must lie inside its buffer.  The
+    rest, and the result, are :func:`fold_windows`'.  Only for backends with
+    :func:`window_merges`.
+    """
+    return _backend().fold_rows(ends, heads, rows, buffers, counts, total_cells, group_cells)
+
+
+def fold_scalars(ends, scalars):
+    """The scalars of :meth:`~repro.core.BaseDDSketch.fold`'s copy-first loop, in one pass.
+
+    Group ``g`` is rows ``ends[g - 1]`` to ``ends[g] - 1`` of ``scalars``
+    (from 0 for the first), a ``float64`` array whose first five columns
+    are each sketch's count, zero count, sum, min and max.  Each group
+    starts from its first row and adds every later row whose count is not
+    ``<= 0``; group 0's result starts the total, and every later group's is
+    added where its count is ``> 0``, min and max by strict comparison, in
+    the loop's order.  Returns ``(take, merged, total)``: whether each
+    row's stores take part in the fold, whether each group's result is
+    merged into the total, and the total's count, zero count, sum, min and
+    max.  Only for backends with :func:`window_merges`.
+    """
+    return _backend().fold_scalars(ends, scalars)
 
 
 def used_edges(windows):

@@ -976,6 +976,143 @@ int64_t repro_move_windows(int64_t n, const int64_t *targets, const int64_t *pai
     return moved;
 }
 
+/* Row columns of a store of a bucket row (repro.service.buckets): key
+ * offset, kind and bin limit (a plain store's chunk size), first cell and
+ * cells in the bucket's buffer, positive cells, collapsed flag and chunk
+ * size.  Source columns: the source window's key offset, first cell in
+ * `source_cells` and size. */
+enum { RC_OFFSET, RC_KIND, RC_LIMIT, RC_FIRST, RC_SIZE, RC_POSITIVE, RC_COLLAPSED, RC_COLS };
+enum { RS_OFFSET, RS_FIRST, RS_SIZE, RS_COLS };
+
+/* Store.merge of n source windows into bucket rows, as repro_merge_windows
+ * and then repro_move_windows would merge them: source i goes into store
+ * signs[i] of row rows[i] (columns at `columns`, RC_COLS-wide plus one
+ * chunk column per store, two stores per row; the store's count at
+ * counts[row * count_stride + count_column + sign]).  A window that stays
+ * takes the source in place in `cells`; one that moves is built in
+ * `scratch` and appended at the buffer's tail (tail[0] cells are in use of
+ * `capacity`; the old window's cells are added to the dead ones, tail[1]).
+ * The row's columns and count are updated as Store.merge leaves the store.
+ * left[i] is 0 for a merged pair, 1 for one left to Store.merge (a target
+ * without weight or cells, a pair the passes decline, or a window past the
+ * scratch), and minus the cells its moved window needs for one that found
+ * no room at the tail (nothing changed; the caller makes room and merges
+ * it again).  Returns the number of pairs merged. */
+/* Store.merge of the source window at `source` (from key source_offset,
+ * source_size cells, holding `total`) into the bucket store whose columns
+ * are `col` and whose count is *count, as repro_merge_rows describes.
+ * Returns 0 when merged, 1 for a pair left to Store.merge, or minus the
+ * cells a moved window needs that found no room at the tail. */
+static int64_t merge_row(int64_t *col, double *count, const double *source, int64_t source_offset,
+                         int64_t source_size, double total, double *cells, int64_t capacity,
+                         int64_t *tail, double *scratch, int64_t scratch_cells)
+{
+    if (!(*count > 0.0) || col[RC_SIZE] <= 0)
+        return 1; /* Store.merge re-anchors an emptied store */
+    Window t;
+    t.bins = cells + col[RC_FIRST];
+    t.size = t.capacity = col[RC_SIZE];
+    t.offset = col[RC_OFFSET];
+    t.kind = col[RC_KIND];
+    t.limit = col[RC_LIMIT];
+    t.positive = 0;
+    t.collapsed = 0;
+    t.count = 1.0;
+    if (merge_window(&t, source, source_offset, source_size, 0.0, STAY, NULL, 0)) {
+        col[RC_POSITIVE] += t.positive;
+    } else {
+        Window moved = t;
+        if (!merge_window(&moved, source, source_offset, source_size, 0.0, MOVE, scratch,
+                          scratch_cells))
+            return 1;
+        if (tail[0] + moved.size > capacity)
+            return -moved.size;
+        memcpy(cells + tail[0], scratch, (size_t)moved.size * sizeof(double));
+        tail[1] += col[RC_SIZE];
+        col[RC_FIRST] = tail[0];
+        tail[0] += moved.size;
+        col[RC_OFFSET] = moved.offset;
+        col[RC_SIZE] = moved.size;
+        /* A moved collapsing store counts its positive cells anew. */
+        col[RC_POSITIVE] = t.kind == MERGE_DENSE ? col[RC_POSITIVE] + moved.positive
+                                                 : moved.positive;
+        if (moved.collapsed)
+            col[RC_COLLAPSED] = 1;
+    }
+    *count += total;
+    return 0;
+}
+
+int64_t repro_merge_rows(int64_t n, const int64_t *rows, const int64_t *signs,
+                         int64_t *columns, double *counts, int64_t count_stride,
+                         int64_t count_column, double *cells, int64_t capacity, int64_t *tail,
+                         const int64_t *sources, const double *totals,
+                         const double *source_cells, double *scratch, int64_t scratch_cells,
+                         int64_t *left)
+{
+    int64_t merged = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *src = sources + i * RS_COLS;
+        left[i] = merge_row(columns + (rows[i] * 2 + signs[i]) * (RC_COLS + 1),
+                            counts + rows[i] * count_stride + count_column + signs[i],
+                            source_cells + src[RS_FIRST], src[RS_OFFSET], src[RS_SIZE],
+                            totals[i], cells, capacity, tail, scratch, scratch_cells);
+        merged += left[i] == 0;
+    }
+    return merged;
+}
+
+/* Row scalar columns, as repro.service.buckets keeps them, and the decoded
+ * sketch header columns of a frame entry (FrameColumns.floats). */
+enum { RF_COUNT, RF_ZERO, RF_SUM, RF_MIN, RF_MAX, RF_STORE_COUNT };
+enum { DF_ZERO = 3, DF_COUNT, DF_SUM, DF_MIN, DF_MAX, DF_COLS };
+
+/* Fold n decoded frame entries (entries[i] indexes a chunk's `summaries`,
+ * DF_COLS per entry, and its two store rows in `stores`, DE_COLS each,
+ * positive first, with their `totals`; windows in `source_cells`) into
+ * bucket rows rows[i], as BaseDDSketch.merge_checked_pairs folds a decoded
+ * entry: an entry whose count is <= 0 changes nothing; otherwise the row's
+ * scalars take the entry's (sums added, min and max by strict comparison)
+ * and each store holding weight merges as repro_merge_rows merges it, its
+ * result in status[2 * i + sign] (0 for a store without weight).  The row
+ * floats are `float_stride` apart, the store counts from RF_STORE_COUNT.
+ * Returns the number of entries taken. */
+int64_t repro_merge_entries(int64_t n, const int64_t *entries, const int64_t *rows,
+                            int64_t *columns, double *floats, int64_t float_stride,
+                            double *cells, int64_t capacity, int64_t *tail,
+                            const double *summaries, const int64_t *stores,
+                            const double *totals, const double *source_cells, double *scratch,
+                            int64_t scratch_cells, int64_t *status)
+{
+    int64_t taken = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *summary = summaries + entries[i] * DF_COLS;
+        double *row = floats + rows[i] * float_stride;
+        status[2 * i] = status[2 * i + 1] = 0;
+        if (summary[DF_COUNT] <= 0.0)
+            continue; /* merge_checked_pairs skips the entry */
+        row[RF_ZERO] += summary[DF_ZERO];
+        row[RF_COUNT] += summary[DF_COUNT];
+        row[RF_SUM] += summary[DF_SUM];
+        if (summary[DF_MIN] < row[RF_MIN])
+            row[RF_MIN] = summary[DF_MIN];
+        if (summary[DF_MAX] > row[RF_MAX])
+            row[RF_MAX] = summary[DF_MAX];
+        for (int64_t sign = 0; sign < 2; sign++) {
+            int64_t store = 2 * entries[i] + sign;
+            const int64_t *col = stores + store * DE_COLS;
+            if (!(totals[store] > 0.0))
+                continue; /* a store without weight merges nothing */
+            status[2 * i + sign] = merge_row(
+                columns + (rows[i] * 2 + sign) * (RC_COLS + 1),
+                row + RF_STORE_COUNT + sign, source_cells + col[DE_CELL_START], col[DE_LO],
+                col[DE_SIZE], totals[store], cells, capacity, tail, scratch, scratch_cells);
+        }
+        taken++;
+    }
+    return taken;
+}
+
 /* Fold columns: one row per window (its key offset, size and address) and
  * one per group, for the store the group starts from (its kind, bin limit
  * or a plain dense store's chunk size, positive cells and collapse flag)
@@ -1065,4 +1202,54 @@ int64_t repro_fold_windows(int64_t ngroups, const int64_t *ends, const int64_t *
     out[3] = total.collapsed;
     count[0] = total.count;
     return 0;
+}
+
+/* The scalars of BaseDDSketch.fold's copy-first loop, in its order: group g
+ * holds rows [ends[g - 1], ends[g]) of `scalars` (from 0 for g = 0), each
+ * row's first five doubles, `stride` apart, being a sketch's count, zero
+ * count, sum, min and max.  Each group starts from its first row; a later
+ * row adds in only where its count is not <= 0.  Group 0's result is the
+ * total, and a later group's is added in where its count is > 0.  take[i]
+ * says whether row i's stores take part in the fold (group heads always),
+ * merged[g] whether group g's count is > 0, and total gets the folded
+ * count, zero count, sum, min and max. */
+void repro_fold_scalars(int64_t ngroups, const int64_t *ends, const double *scalars,
+                        int64_t stride, int8_t *take, int8_t *merged, double *total)
+{
+    int64_t begin = 0;
+    for (int64_t g = 0; g < ngroups; g++) {
+        const double *head = scalars + begin * stride;
+        double count = head[0], zero = head[1], sum = head[2], low = head[3], high = head[4];
+        take[begin] = 1;
+        for (int64_t i = begin + 1; i < ends[g]; i++) {
+            const double *row = scalars + i * stride;
+            take[i] = !(row[0] <= 0.0);
+            if (!take[i])
+                continue;
+            count += row[0];
+            zero += row[1];
+            sum += row[2];
+            if (row[3] < low)
+                low = row[3];
+            if (row[4] > high)
+                high = row[4];
+        }
+        if (g == 0) {
+            total[0] = count;
+            total[1] = zero;
+            total[2] = sum;
+            total[3] = low;
+            total[4] = high;
+        } else if (count > 0.0) {
+            total[0] += count;
+            total[1] += zero;
+            total[2] += sum;
+            if (low < total[3])
+                total[3] = low;
+            if (high > total[4])
+                total[4] = high;
+        }
+        merged[g] = count > 0.0;
+        begin = ends[g];
+    }
 }

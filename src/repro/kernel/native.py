@@ -176,6 +176,12 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_fold_windows.restype = i64
     lib.repro_used_edges.argtypes = [i64, p, p, p, p]
     lib.repro_used_edges.restype = None
+    lib.repro_merge_rows.argtypes = [i64, p, p, p, p, i64, i64, p, i64, p, p, p, p, p, i64, p]
+    lib.repro_merge_rows.restype = i64
+    lib.repro_merge_entries.argtypes = [i64, p, p, p, p, i64, p, i64, p, p, p, p, p, p, i64, p]
+    lib.repro_merge_entries.restype = i64
+    lib.repro_fold_scalars.argtypes = [i64, p, p, i64, p, p, p]
+    lib.repro_fold_scalars.restype = None
 
 
 def _ptr(array: Optional["np.ndarray"]):
@@ -185,29 +191,60 @@ def _ptr(array: Optional["np.ndarray"]):
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _checked_pairs(targets, pairs, sources):
-    """``(target windows, pairs, source addresses, source buffers)`` for a
-    bulk-merge pass, every slice the pass may touch checked; the buffers
-    must stay referenced while the pass runs."""
-    count = len(targets)
+def _checked_pairs(windows: "np.ndarray", pairs, sources):
+    """``(pairs, source addresses, source buffers)`` for a bulk-merge pass
+    into the targets ``windows`` (``(address, cell count)`` rows), every
+    source slice the pass may read checked; the buffers must stay
+    referenced while the pass runs."""
+    count = len(windows)
     pairs = np.ascontiguousarray(pairs, dtype=np.int64)
     if pairs.shape != (count, MERGE_PAIR_COLUMNS):
         raise ValueError(f"expected {count} pair rows of {MERGE_PAIR_COLUMNS} columns")
     buffers = [np.ascontiguousarray(source, dtype=np.float64) for source in sources]
     if any(buffer.ndim != 1 for buffer in buffers):
         raise ValueError("source buffers must be one-dimensional")
-    # The last three columns: each source window's buffer, first cell and size.
-    named = pairs[:, -3]
-    if count and ((named < 0) | (named >= len(buffers))).any():
-        raise ValueError("a source window names no source buffer")
-    starts = pairs[:, -2]
-    ends = starts + pairs[:, -1]
-    lengths = np.array([buffer.size for buffer in buffers], dtype=np.int64)
-    if count and ((starts < 0) | (ends < starts) | (ends > lengths[named])).any():
-        raise ValueError("a source window lies outside its source buffer")
-    windows = _writable_windows(targets)
+    if count:
+        # The last three columns: each source window's buffer, first cell and size.
+        named, starts, sizes = pairs[:, -3:].T
+        if named.min() < 0 or named.max() >= len(buffers):
+            raise ValueError("a source window names no source buffer")
+        lengths = np.array([buffer.size for buffer in buffers], dtype=np.int64)
+        if starts.min() < 0 or sizes.min() < 0 or (starts + sizes > lengths[named]).any():
+            raise ValueError("a source window lies outside its source buffer")
     addresses = np.array([buffer.ctypes.data for buffer in buffers], dtype=np.int64)
-    return windows, pairs, addresses, buffers
+    return pairs, addresses, buffers
+
+
+#: Columns of a decoded store row (FrameColumns.stores) locating its window.
+_CELL_SIZE, _CELL_START = 6, 9
+
+
+def _check_rows(columns, counts, count_column, cells, tail, scratch, rows, signs) -> None:
+    """Refuse bucket row arrays a row pass cannot safely address: each must
+    be a writable, contiguous array of its dtype and shape, every target
+    store must exist, and its window lie in the cells in use."""
+    for name, array, dtype, ndim in (
+        ("columns", columns, np.int64, 3), ("counts", counts, np.float64, 2),
+        ("cells", cells, np.float64, 1), ("tail", tail, np.int64, 1),
+        ("scratch", scratch, np.float64, 1),
+    ):
+        if array.dtype != dtype or array.ndim != ndim or not array.flags.c_contiguous:
+            raise ValueError(f"{name} must be a contiguous {ndim}-d {np.dtype(dtype)} array")
+        if not array.flags.writeable:
+            raise ValueError(f"{name} must be writable")
+    if columns.shape[1:] != (2, 8) or count_column + 2 > counts.shape[1] or tail.shape != (2,):
+        raise ValueError("expected row columns of two stores by 8, two counts and a tail pair")
+    used = int(tail[0])
+    if not 0 <= used <= cells.size:
+        raise ValueError("the tail lies outside the cells")
+    if len(rows):
+        if rows.min() < 0 or rows.max() >= min(len(columns), len(counts)):
+            raise ValueError("a target names no row")
+        if signs.min() < 0 or signs.max() > 1:
+            raise ValueError("a target names no store")
+        places = columns[rows, signs, 3:5]
+        if places.min() < 0 or (places[:, 0] + places[:, 1]).max() > used:
+            raise ValueError("a target window lies outside the cells in use")
 
 
 def _writable_windows(targets: Sequence["np.ndarray"]) -> "np.ndarray":
@@ -307,7 +344,10 @@ class FrameColumns(NamedTuple):
       first window cell;
     * ``totals`` — each store's ``float(counts.sum())``;
     * ``keys`` / ``counts`` — every store's buckets end to end;
-    * ``cells`` — the dense stores' windows end to end, already binned.
+    * ``cells`` — the dense stores' windows end to end, already binned;
+    * ``float_table``, ``store_table`` and ``total_table`` — ``floats``,
+      ``stores`` and ``totals`` as the arrays they were read from (one row
+      per entry, per store, per store), for column-wise readers.
     """
 
     end: int
@@ -319,6 +359,9 @@ class FrameColumns(NamedTuple):
     keys: "np.ndarray"
     counts: "np.ndarray"
     cells: "np.ndarray"
+    float_table: "np.ndarray"
+    store_table: "np.ndarray"
+    total_table: "np.ndarray"
 
 
 class NativeBackend:
@@ -459,7 +502,9 @@ class NativeBackend:
 
         ``None`` means the C pass met a value it does not encode byte for
         byte (a negative count or code); the caller then encodes with the
-        per-sketch loop, which raises the loop's exact error.
+        per-sketch loop, which raises the loop's exact error.  A store whose
+        window or buckets lie outside ``cells`` or ``keys``/``counts`` is
+        refused with ``ValueError``.
         """
         key_ends = np.ascontiguousarray(key_ends, dtype=np.int64)
         ints = np.ascontiguousarray(ints, dtype=np.int64)
@@ -469,9 +514,17 @@ class NativeBackend:
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.float64)
         entries = key_ends.size
+        # The pass reads each store's window from `cells` (its buckets from
+        # `keys`/`counts`) at its first cell and length, unchecked.
+        table = stores.reshape(-1, 7)
+        firsts, lengths = table[:, 5], table[:, 6]
+        limits = np.where(table[:, 3] != 0, cells.size, min(keys.size, counts.size))
+        if table.size and ((firsts < 0) | (lengths < 0) | (firsts + lengths > limits)).any():
+            raise ValueError("a store's cells or buckets lie outside their buffer")
+        # Each store writes at most one pair per cell or bucket it lists.
+        listed = int(lengths.sum())
         out = np.empty(
-            len(key_bytes) + entries * _MAX_ENTRY_OVERHEAD
-            + _MAX_PAIR_BYTES * (cells.size + keys.size),
+            len(key_bytes) + entries * _MAX_ENTRY_OVERHEAD + _MAX_PAIR_BYTES * listed,
             dtype=np.uint8,
         )
         written = self._lib.repro_encode_frame_columns(
@@ -526,6 +579,9 @@ class NativeBackend:
             keys=keys,
             counts=counts,
             cells=cells,
+            float_table=floats,
+            store_table=stores,
+            total_table=totals,
         )
 
     def merge_windows(
@@ -545,10 +601,11 @@ class NativeBackend:
         contiguous ``float64`` array, and every source slice must lie inside
         the buffer it names.
         """
-        windows, pairs, addresses, buffers = _checked_pairs(targets, pairs, sources)
-        out = np.empty(len(targets), dtype=np.int64)
+        windows = _writable_windows(targets)
+        pairs, addresses, buffers = _checked_pairs(windows, pairs, sources)
+        out = np.empty(len(windows), dtype=np.int64)
         self._lib.repro_merge_windows(
-            len(targets), _ptr(windows), _ptr(pairs), _ptr(addresses), _ptr(out)
+            len(windows), _ptr(windows), _ptr(pairs), _ptr(addresses), _ptr(out)
         )
         return out
 
@@ -567,8 +624,101 @@ class NativeBackend:
         (``moves``) must lie inside ``arena``, a contiguous writable
         ``float64`` array.
         """
-        windows, pairs, addresses, buffers = _checked_pairs(targets, pairs, sources)
-        count = len(targets)
+        return self._move(_writable_windows(targets), pairs, sources, moves, arena)
+
+    def merge_rows(
+        self,
+        columns: "np.ndarray",
+        counts: "np.ndarray",
+        count_column: int,
+        cells: "np.ndarray",
+        tail: "np.ndarray",
+        rows: "np.ndarray",
+        signs: "np.ndarray",
+        sources: "np.ndarray",
+        totals: "np.ndarray",
+        source_cells: "np.ndarray",
+        scratch: "np.ndarray",
+    ) -> "np.ndarray":
+        """Merge store windows into bucket rows in one C pass; see
+        :func:`repro.kernel.merge_rows`.
+
+        The pass reads and writes the row columns, the counts, the cells and
+        the scratch through their addresses, so each must be a writable,
+        contiguous array of its dtype; every target's window must lie in
+        the cells in use and every source's in ``source_cells``.
+        """
+        count = len(rows)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        signs = np.ascontiguousarray(signs, dtype=np.int64)
+        sources = np.ascontiguousarray(sources, dtype=np.int64)
+        totals = np.ascontiguousarray(totals, dtype=np.float64)
+        source_cells = np.ascontiguousarray(source_cells, dtype=np.float64)
+        if (signs.shape, sources.shape, totals.shape) != ((count,), (count, 3), (count,)):
+            raise ValueError(f"expected {count} signs, source rows and totals")
+        _check_rows(columns, counts, count_column, cells, tail, scratch, rows, signs)
+        if count and (
+            sources[:, 1:].min() < 0 or (sources[:, 1] + sources[:, 2]).max() > source_cells.size
+        ):
+            raise ValueError("a source window lies outside its cells")
+        left = np.empty(count, dtype=np.int64)
+        self._lib.repro_merge_rows(
+            count, _ptr(rows), _ptr(signs), _ptr(columns), _ptr(counts), counts.shape[1],
+            count_column, _ptr(cells), cells.size, _ptr(tail), _ptr(sources), _ptr(totals),
+            _ptr(source_cells), _ptr(scratch), scratch.size, _ptr(left),
+        )
+        return left
+
+    def merge_entries(
+        self,
+        columns: "np.ndarray",
+        floats: "np.ndarray",
+        cells: "np.ndarray",
+        tail: "np.ndarray",
+        entries: "np.ndarray",
+        rows: "np.ndarray",
+        summaries: "np.ndarray",
+        stores: "np.ndarray",
+        totals: "np.ndarray",
+        source_cells: "np.ndarray",
+        scratch: "np.ndarray",
+    ) -> "np.ndarray":
+        """Fold decoded frame entries into bucket rows in one C pass; see
+        :func:`repro.kernel.merge_entries`.  Checked as :meth:`merge_rows`
+        checks its arguments, every entry's store windows inside
+        ``source_cells``."""
+        count = len(rows)
+        entries = np.ascontiguousarray(entries, dtype=np.int64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        summaries = np.ascontiguousarray(summaries, dtype=np.float64)
+        stores = np.ascontiguousarray(stores, dtype=np.int64)
+        totals = np.ascontiguousarray(totals, dtype=np.float64)
+        source_cells = np.ascontiguousarray(source_cells, dtype=np.float64)
+        chunk = len(summaries)
+        if (
+            entries.shape != (count,) or summaries.shape[1:] != (8,)
+            or stores.shape != (2 * chunk, DECODED_STORE_COLUMNS) or totals.shape != (2 * chunk,)
+        ):
+            raise ValueError(f"expected {count} entries and a chunk's entry and store columns")
+        _check_rows(columns, floats, 5, cells, tail, scratch, np.repeat(rows, 2),
+                    np.tile(np.arange(2), count))
+        if count:
+            if entries.min() < 0 or entries.max() >= chunk:
+                raise ValueError("an entry names no decoded entry")
+            windows = stores.reshape(chunk, 2, -1)[entries][:, :, [_CELL_START, _CELL_SIZE]]
+            if windows.min() < 0 or windows.sum(axis=2).max() > source_cells.size:
+                raise ValueError("a source window lies outside its cells")
+        status = np.empty((count, 2), dtype=np.int64)
+        self._lib.repro_merge_entries(
+            count, _ptr(entries), _ptr(rows), _ptr(columns), _ptr(floats), floats.shape[1],
+            _ptr(cells), cells.size, _ptr(tail), _ptr(summaries), _ptr(stores), _ptr(totals),
+            _ptr(source_cells), _ptr(scratch), scratch.size, _ptr(status),
+        )
+        return status
+
+    def _move(self, windows: "np.ndarray", pairs, sources, moves, arena):
+        pairs, addresses, buffers = _checked_pairs(windows, pairs, sources)
+        count = len(windows)
         moves = np.ascontiguousarray(moves, dtype=np.int64)
         if moves.shape != (count, 2):
             raise ValueError(f"expected {count} move rows of 2 columns")
@@ -602,17 +752,58 @@ class NativeBackend:
         groups must split the windows into non-empty runs.
         """
         count = len(windows)
+        table = np.empty((count, 3), dtype=np.int64)
+        table[:, 0] = offsets if len(offsets) == count else 0
+        table[:, 1], table[:, 2] = _readable_windows(windows)
+        return self._fold(ends, heads, table, len(offsets), counts, total_cells, group_cells)
+
+    def fold_rows(
+        self,
+        ends: Sequence[int],
+        heads: Sequence[int],
+        rows: "np.ndarray",
+        buffers: Sequence["np.ndarray"],
+        counts: Sequence[float],
+        total_cells: int,
+        group_cells: int,
+    ):
+        """:meth:`fold_windows` over windows inside buffers; see :func:`repro.kernel.fold_rows`.
+
+        Every window must lie inside the buffer it names, each buffer being
+        a one-dimensional, contiguous, writable ``float64`` array.
+        """
+        rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, 4)
+        offsets, named, firsts, sizes = rows.T
+        if rows.size and ((named < 0) | (named >= len(buffers))).any():
+            raise ValueError("a window names no buffer")
+        bases = np.zeros(len(buffers), dtype=np.int64)
+        lengths = np.zeros(len(buffers), dtype=np.int64)
+        for index, buffer in enumerate(buffers):
+            if buffer.dtype != _FLOAT64 or buffer.ndim != 1:
+                raise ValueError("buffers must be one-dimensional float64 arrays")
+            lengths[index] = buffer.size
+            if buffer.size:
+                bases[index] = ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+        if rows.size and ((firsts < 0) | (sizes < 0) | (firsts + sizes > lengths[named])).any():
+            raise ValueError("a window lies outside its buffer")
+        table = np.empty((len(rows), 3), dtype=np.int64)
+        table[:, 0] = offsets
+        table[:, 1] = sizes
+        table[:, 2] = np.where(sizes > 0, bases[named] + 8 * firsts, 0)
+        return self._fold(ends, heads, table, len(rows), counts, total_cells, group_cells)
+
+    def _fold(self, ends, heads, table, offsets, counts, total_cells, group_cells):
+        """The C fold over ``(offset, size, address)`` window rows; ``offsets``
+        is how many window offsets the caller gave."""
+        count = len(table)
         ends = np.ascontiguousarray(ends, dtype=np.int64)
         groups = ends.size
         if not groups or int(ends[-1]) != count or (np.diff(ends, prepend=0) <= 0).any():
             raise ValueError(f"the groups must split the {count} windows into non-empty runs")
         heads = np.ascontiguousarray(heads, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.float64)
-        if heads.size != groups * FOLD_HEAD_COLUMNS or not len(offsets) == counts.size == count:
+        if heads.size != groups * FOLD_HEAD_COLUMNS or not offsets == counts.size == count:
             raise ValueError(f"expected {groups} head rows and {count} window offsets and counts")
-        table = np.empty((count, 3), dtype=np.int64)
-        table[:, 0] = offsets
-        table[:, 1], table[:, 2] = _readable_windows(windows)
         total = np.empty(total_cells)
         group = np.empty(group_cells)
         out = np.empty(4, dtype=np.int64)
@@ -625,6 +816,25 @@ class NativeBackend:
             return None
         first, size, positive, collapsed = out.tolist()
         return total[:size].copy(), first, positive, bool(collapsed), float(total_count[0])
+
+    def fold_scalars(self, ends: "np.ndarray", scalars: "np.ndarray"):
+        """The copy-first fold's scalars in one C pass; see :func:`repro.kernel.fold_scalars`."""
+        ends = np.ascontiguousarray(ends, dtype=np.int64)
+        if scalars.dtype != _FLOAT64 or scalars.ndim != 2 or scalars.shape[1] < 5:
+            raise ValueError("scalars must be a float64 array of at least five columns")
+        if not scalars.flags.c_contiguous:
+            scalars = np.ascontiguousarray(scalars)
+        count = len(scalars)
+        if not ends.size or int(ends[-1]) != count or (np.diff(ends, prepend=0) <= 0).any():
+            raise ValueError(f"the groups must split the {count} rows into non-empty runs")
+        take = np.empty(count, dtype=np.int8)
+        merged = np.empty(ends.size, dtype=np.int8)
+        total = np.empty(5)
+        self._lib.repro_fold_scalars(
+            ends.size, _ptr(ends), _ptr(scalars), scalars.shape[1], _ptr(take), _ptr(merged),
+            _ptr(total),
+        )
+        return take.view(bool), merged.view(bool), total.tolist()
 
     def used_edges(self, windows: Sequence["np.ndarray"]) -> Tuple["np.ndarray", "np.ndarray"]:
         """First and last used cells of store windows in one C pass; see
@@ -666,8 +876,8 @@ def _self_test(backend: NativeBackend) -> None:
     Covers all four mapping families, both signs, zeros, denormal-adjacent
     magnitudes, window clipping, grouped binning, a codec round trip, the
     pairwise count totals, a small frame through the columnar codec, a
-    few store pairs through the bulk merge, a small fold and a few windows
-    through the used-edge scan.
+    few store pairs through the bulk merge and the row passes, a small fold
+    and its scalars, and a few windows through the used-edge scan.
     A failure raises :class:`NativeKernelUnavailable` so the facade falls
     back to NumPy rather than ever serving non-reference bytes.
     """
@@ -748,6 +958,7 @@ def _self_test(backend: NativeBackend) -> None:
             raise NativeKernelUnavailable("self-test: pairwise sum mismatch")
     _frame_self_test(backend, rng)
     _merge_self_test(backend)
+    _entries_self_test(backend)
     _fold_self_test(backend)
     _edges_self_test(backend)
 
@@ -837,12 +1048,96 @@ def _merge_self_test(backend: "NativeBackend") -> None:
         )
         for index, source in enumerate(sources)
     ]
+    # The same pairs as rows of one column store through the row pass.
+    kinds = {DenseStore: 0, CollapsingLowestDenseStore: 1, CollapsingHighestDenseStore: 2}
+    rows = [build(factory, keys) for factory, keys, _ in pairs]
+    sizes = np.array([store._bins.size for store in rows])
+    columns = np.zeros((len(rows), 2, 8), dtype=np.int64)
+    counts = np.zeros((len(rows), 2))
+    for index, (store, first) in enumerate(zip(rows, np.cumsum(sizes) - sizes)):
+        kind = kinds[type(store)]
+        columns[index, 0] = (
+            store._offset, kind, store._bin_limit if kind else store._chunk_size, first,
+            store._bins.size, store._num_positive, getattr(store, "_is_collapsed", False),
+            store._chunk_size,
+        )
+        counts[index, 0] = store._count
+    cells = np.concatenate([store._bins for store in rows] + [np.zeros(32 * len(rows))])
+    tail = np.array([sizes.sum(), 0])
+    source_sizes = np.array([source._bins.size for source in sources])
+    table = np.stack([[source._offset for source in sources],
+                      np.cumsum(source_sizes) - source_sizes, source_sizes], axis=1)
+    left = backend.merge_rows(
+        columns, counts, 0, cells, tail, np.arange(len(rows)), np.zeros(len(rows), dtype=np.int64),
+        table, np.array([source._count for source in sources]),
+        np.concatenate([source._bins for source in sources]), np.empty(32),
+    )
+    row_stores = []
+    for store, (offset, kind, limit, first, size, positive, collapsed, chunk), count in zip(
+        rows, columns[:, 0].tolist(), counts[:, 0].tolist()
+    ):
+        store._bins, store._offset, store._count = cells[first : first + size].copy(), offset, count
+        store._num_positive, store._chunk_size = positive, chunk
+        if kind:
+            store._bin_limit, store._is_collapsed = limit, bool(collapsed)
+        row_stores.append(store)
     with _serving(backend):
         merge_store_pairs(targets, windows)
     for target, source in zip(expected, sources):
         target.merge(source)
     if not all(_same_store(got, want) for got, want in zip(targets, expected)):
         raise NativeKernelUnavailable("self-test: bulk merge mismatch")
+    merged = [index for index, code in enumerate(left.tolist()) if code == 0]
+    if len(merged) < 8 or not all(
+        _same_store(row_stores[index], expected[index]) for index in merged
+    ):
+        raise NativeKernelUnavailable("self-test: row merge mismatch")
+
+
+def _entries_self_test(backend: "NativeBackend") -> None:
+    """Two decoded entries through the entry pass against the pair pass and
+    ``merge_checked_pairs``' scalar rule: one skipped (count 0); one whose
+    min ties at -0.0, whose positive store stays and whose negative one
+    grows, moving to the tail."""
+    columns = np.zeros((2, 2, 8), dtype=np.int64)
+    for row in range(2):
+        for sign in range(2):  # a plain store of chunk 4 at key 0, one cell used
+            columns[row, sign] = (0, 0, 4, 4 * (2 * row + sign), 4, 1, 0, 4)
+    floats = np.array([[3.0, 1.0, 5.0, 0.0, 9.0, 1.0, 1.0]] * 2)
+    cells = np.zeros(64)
+    cells[[0, 4, 8, 12]] = 1.0
+    summaries = np.array([
+        [0.0, 0.0, 0.0, 0.5, 0.0, 2.0, -1.0, 1.0], [0.0, 0.0, 0.0, 0.5, 3.0, 2.0, -0.0, 12.0],
+    ])
+    stores = np.zeros((4, DECODED_STORE_COLUMNS), dtype=np.int64)
+    stores[:, 5], stores[:, 6], stores[:, _CELL_START] = [1, 1, 2, 6], 1, [0, 1, 2, 3]
+    totals, source_cells = np.ones(4), np.ones(4)
+    want = [columns.copy(), floats.copy(), cells.copy(), np.array([16, 0])]
+    for entry in (0, 1):
+        zero, count, total, low, high = summaries[entry, 3:].tolist()
+        if count <= 0:
+            continue
+        scalars = want[1][entry]
+        scalars[1] += zero
+        scalars[0] += count
+        scalars[2] += total
+        scalars[3] = low if low < scalars[3] else scalars[3]
+        scalars[4] = high if high > scalars[4] else scalars[4]
+        for sign in (0, 1):
+            store = 2 * entry + sign
+            backend.merge_rows(
+                want[0], want[1], 5, want[2], want[3], np.array([entry]), np.array([sign]),
+                stores[[store]][:, [5, _CELL_START, 6]], totals[[store]], source_cells,
+                np.empty(64),
+            )
+    got = [columns, floats, cells, np.array([16, 0])]
+    status = backend.merge_entries(
+        *got, np.arange(2), np.arange(2), summaries, stores, totals, source_cells, np.empty(64)
+    )
+    if status.tolist() != [[0, 0], [0, 0]] or not all(
+        a.tobytes() == b.tobytes() for a, b in zip(got, want)
+    ) or got[3][1] != 4:
+        raise NativeKernelUnavailable("self-test: entry merge mismatch")
 
 
 def _fold_self_test(backend: "NativeBackend") -> None:
@@ -891,6 +1186,19 @@ def _fold_self_test(backend: "NativeBackend") -> None:
     ]
     if got is None or not _same_store(got, _fold_loop(sketches).store):
         raise NativeKernelUnavailable("self-test: fold mismatch")
+    # The scalar pass, in the loop's two-level order: a group whose later
+    # sketch holds no weight, a -0.0 minimum tie, a group merged without
+    # weight and a NaN count taken in.
+    scalars = np.array([
+        [2.0, 0.5, 3.0, 0.0, 4.0], [0.0, 0.0, 0.0, -1.0, 9.0], [1.5, 0.0, 0.1, -0.0, 4.0],
+        [0.0, 0.0, 0.0, np.inf, -np.inf], [np.nan, 0.0, 0.2, -3.0, 3.0],
+    ])
+    take, merged, total = backend.fold_scalars([3, 5], scalars)
+    want = (3.5, 0.5, 3.1, 0.0, 4.0)
+    if (take.tolist(), merged.tolist()) != ([1, 0, 1, 1, 1], [1, 0]) or any(
+        np.float64(a).tobytes() != np.float64(b).tobytes() for a, b in zip(total, want)
+    ):
+        raise NativeKernelUnavailable("self-test: scalar fold mismatch")
 
 
 def _edges_self_test(backend: "NativeBackend") -> None:

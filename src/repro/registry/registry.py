@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.exceptions import EmptySketchError, IllegalArgumentError
 from repro.registry.series import (
-    SeriesKey, SeriesLike, TagsLike, matching_keys, normalize_tags, select_keys,
+    SeriesKey, SeriesLike, TagsLike, matching_keys, normalize_tags,
 )
 from repro.store.grouped import GroupedScratch
 
@@ -75,6 +75,9 @@ class SketchRegistry:
     def __init__(self, sketch_factory: Optional[Callable[[], BaseDDSketch]] = None) -> None:
         self._sketch_factory = sketch_factory or (lambda: DDSketch(relative_accuracy=0.01))
         self._sketches: Dict[SeriesKey, BaseDDSketch] = {}
+        # Every stored key in sorted order, kept until a series is added or
+        # the registry is cleared (only this module writes _sketches).
+        self._sorted: Optional[List[SeriesKey]] = None
         # The grouped pass's reusable flat-index scratch: a registry has one
         # writer, as GroupedScratch requires.
         self._scratch = GroupedScratch()
@@ -89,6 +92,7 @@ class SketchRegistry:
         sketch = self._sketches.get(key)
         if sketch is None:
             sketch = self._sketches[key] = self._sketch_factory()
+            self._sorted = None
         return sketch
 
     def get(self, series: SeriesLike, tags: TagsLike = None) -> BaseDDSketch:
@@ -100,8 +104,14 @@ class SketchRegistry:
         return sketch
 
     def series_keys(self, metric: Optional[str] = None, tag_filter: TagsLike = None) -> List[SeriesKey]:
-        """Sorted keys of the stored series, optionally filtered."""
-        return select_keys(self._sketches, metric, tag_filter)
+        """Sorted keys of the stored series, optionally filtered.
+
+        The sorted key list is kept until a series is added or the registry
+        is cleared, so a read filters it instead of sorting its selection.
+        """
+        if self._sorted is None:
+            self._sorted = sorted(self._sketches, key=SeriesKey.sort_key)
+        return matching_keys(self._sorted, metric, tag_filter)
 
     def metrics(self) -> List[str]:
         """Sorted names of the metrics with at least one series."""
@@ -134,6 +144,7 @@ class SketchRegistry:
     def clear(self) -> None:
         """Drop every series."""
         self._sketches = {}
+        self._sorted = None
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -160,6 +171,7 @@ class SketchRegistry:
         sketch = self._sketch_factory()
         sketch.add(value, weight)
         self._sketches[key] = sketch
+        self._sorted = None
 
     def add_batch(
         self,
@@ -181,6 +193,7 @@ class SketchRegistry:
         sketch.add_batch(values, weights)
         if sketch.count > 0:
             self._sketches[key] = sketch
+            self._sorted = None
 
     def ingest_grouped(
         self,
@@ -282,7 +295,9 @@ class SketchRegistry:
         BaseDDSketch.add_grouped_batch(
             sketches, group_indices, values, weights, scratch=self._scratch
         )
-        stored.update(new)
+        if new:
+            stored.update(new)
+            self._sorted = None
         return int(values.size)
 
     def merge_series(
@@ -304,6 +319,7 @@ class SketchRegistry:
         stored = self._sketches.get(key)
         if stored is None:
             self._sketches[key] = sketch.copy() if copy else sketch
+            self._sorted = None
         else:
             stored.merge(sketch)
 
@@ -337,12 +353,7 @@ class SketchRegistry:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def rollup(
-        self,
-        metric: str,
-        tag_filter: TagsLike = None,
-        windows: Optional[Sequence["SketchRegistry"]] = None,
-    ) -> BaseDDSketch:
+    def rollup(self, metric: str, tag_filter: TagsLike = None) -> BaseDDSketch:
         """Merge every matching series into a new sketch.
 
         With no filter this is the metric-level rollup; with a filter it is
@@ -350,33 +361,11 @@ class SketchRegistry:
         through one :meth:`~repro.core.BaseDDSketch.fold`, and the stored
         per-series sketches are not modified.  Raises
         :class:`EmptySketchError` when nothing matches.
-
-        ``windows`` answers over time windows instead: registries holding
-        some of this registry's series (every key they hold is one of this
-        registry's), oldest first.  Each matching series is then folded
-        over the windows that hold it before the series merge, the same
-        sketch as merging the windows into one registry and rolling that
-        up, without building it.
         """
         selected = self.series_keys(metric, tag_filter)
-        groups = self._series_groups(selected, windows)
-        if not groups:
-            raise EmptySketchError(
-                f"no data for metric {metric!r}"
-                + (f" with tags {dict(normalize_tags(tag_filter))}" if tag_filter else "")
-            )
-        return BaseDDSketch.fold(groups)
-
-    def _series_groups(
-        self, keys: Sequence[SeriesKey], windows: Optional[Sequence["SketchRegistry"]]
-    ) -> List[List[BaseDDSketch]]:
-        """Each key's sketches to fold: its own, or one per window holding it
-        (keys no window holds are left out)."""
-        if windows is None:
-            return [[sketch] for sketch in map(self._sketches.get, keys)]
-        columns = [list(map(window._sketches.get, keys)) for window in windows]
-        groups = ([sketch for sketch in row if sketch is not None] for row in zip(*columns))
-        return [group for group in groups if group]
+        if not selected:
+            raise no_data(metric, tag_filter)
+        return BaseDDSketch.fold([[sketch] for sketch in map(self._sketches.get, selected)])
 
     def quantile(
         self,
@@ -400,32 +389,11 @@ class SketchRegistry:
         quantiles: Sequence[float],
         tags: TagsLike = None,
         tag_filter: TagsLike = None,
-        windows: Optional[Sequence["SketchRegistry"]] = None,
     ) -> List[float]:
-        """Several quantiles from one merged read (single cumulative pass).
-
-        ``windows`` reads over time windows, as :meth:`rollup` takes them;
-        an exact series is then folded over the windows that hold it.
-        """
-        for quantile in quantiles:
-            if not 0 <= quantile <= 1:  # rejects NaN as well
-                raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
-        if tags is not None and tag_filter is not None:
-            raise IllegalArgumentError("pass either tags (exact series) or tag_filter, not both")
-        if tags is None:
-            sketch = self.rollup(metric, tag_filter, windows)
-        elif windows is None:
-            sketch = self.get(metric, tags)
-        else:
-            key = SeriesKey.of(metric, tags)
-            groups = self._series_groups([key], windows)
-            if not groups:
-                raise EmptySketchError(f"no data for series {key}")
-            sketch = BaseDDSketch.fold(groups)
-        values = sketch.get_quantiles(quantiles)
-        if any(value is None for value in values):
-            raise EmptySketchError(f"no data for metric {metric!r}")
-        return [float(value) for value in values]
+        """Several quantiles from one merged read (single cumulative pass)."""
+        check_quantile_read(quantiles, tags, tag_filter)
+        sketch = self.rollup(metric, tag_filter) if tags is None else self.get(metric, tags)
+        return quantile_values(sketch, metric, quantiles)
 
     def threshold_query(
         self,
@@ -523,7 +491,9 @@ class SketchRegistry:
 Entries = Union["DecodedFrame", Iterable[Tuple[SeriesLike, BaseDDSketch]]]
 
 
-def check_entries(registries: Sequence[SketchRegistry], entries: "Entries") -> None:
+def check_entries(
+    registries: Sequence[SketchRegistry], entries: "Entries"
+) -> List[List[Optional[BaseDDSketch]]]:
     """Raise what merging ``entries`` into each registry would raise.
 
     Changes nothing.  ``entries`` is a
@@ -532,13 +502,17 @@ def check_entries(registries: Sequence[SketchRegistry], entries: "Entries") -> N
     registry or series raises
     :class:`~repro.exceptions.IllegalArgumentError`, and a sketch that a
     registry's stored series cannot merge raises what
-    :meth:`~repro.core.BaseDDSketch.check_mergeable` raises.
+    :meth:`~repro.core.BaseDDSketch.check_mergeable` raises.  Returns each
+    registry's stored sketch per entry (``None`` for a new series), which
+    :func:`merge_entries_into` takes as ``checked`` for the same entries.
     """
-    _checked_targets(registries, _frame_of(entries))
+    return _checked_targets(registries, _frame_of(entries))
 
 
 def merge_entries_into(
-    destinations: Sequence[Tuple[SketchRegistry, bool]], entries: "Entries"
+    destinations: Sequence[Tuple[SketchRegistry, bool]],
+    entries: "Entries",
+    checked: Optional[List[List[Optional[BaseDDSketch]]]] = None,
 ) -> None:
     """Fold ``entries`` into every ``(registry, copy)`` destination in one bulk merge.
 
@@ -556,10 +530,14 @@ def merge_entries_into(
     builds no sketch for a decoded entry whose stores are dense windows.  A
     sketch both stored and merged from (a registry merged into itself,
     say) sends the entries through the loop above instead, which keeps
-    every read after the writes before it.
+    every read after the writes before it.  ``checked`` is what
+    :func:`check_entries` returned for these registries and entries, when
+    the caller has checked them already and changed nothing since.
     """
     frame = _frame_of(entries)
-    found = _checked_targets([registry for registry, _ in destinations], frame)
+    found = checked
+    if found is None:
+        found = _checked_targets([registry for registry, _ in destinations], frame)
     targets: List[BaseDDSketch] = []
     indices: List[int] = []
     for stored in found:
@@ -605,6 +583,33 @@ def _checked_targets(
         frame.check_targets(stored)
         found.append(stored)
     return found
+
+
+def check_quantile_read(quantiles: Sequence[float], tags: TagsLike, tag_filter: TagsLike) -> None:
+    """Refuse a quantile read's arguments as :meth:`SketchRegistry.quantiles`
+    does: a quantile outside ``[0, 1]``, or both ``tags`` and ``tag_filter``."""
+    for quantile in quantiles:
+        if not 0 <= quantile <= 1:  # rejects NaN as well
+            raise IllegalArgumentError(f"quantile must be in [0, 1], got {quantile!r}")
+    if tags is not None and tag_filter is not None:
+        raise IllegalArgumentError("pass either tags (exact series) or tag_filter, not both")
+
+
+def no_data(metric: str, tag_filter: TagsLike) -> EmptySketchError:
+    """The error of a rollup that selects no series."""
+    return EmptySketchError(
+        f"no data for metric {metric!r}"
+        + (f" with tags {dict(normalize_tags(tag_filter))}" if tag_filter else "")
+    )
+
+
+def quantile_values(sketch: BaseDDSketch, metric: str, quantiles: Sequence[float]) -> List[float]:
+    """A read's answer: ``sketch``'s quantiles, or :class:`EmptySketchError`
+    when it holds no weight."""
+    values = sketch.get_quantiles(quantiles)
+    if any(value is None for value in values):
+        raise EmptySketchError(f"no data for metric {metric!r}")
+    return [float(value) for value in values]
 
 
 @dataclass(frozen=True)

@@ -384,10 +384,15 @@ def encode_frame(
         body = _encode_columns(entries, kernel.encode_frame_columns)
     if body is None:
         body = _encode_entries(entries)
-    frame = _MAGIC + encode_varint(_FRAME_VERSION) + encode_varint(len(entries)) + body
+    frame = frame_bytes(len(entries), body)
     if compression == "none":
         return frame
     return compress_frame(frame, compression)
+
+
+def frame_bytes(count: int, body: bytes) -> bytes:
+    """A plain frame of ``count`` entries whose encoded entries are ``body``."""
+    return _MAGIC + encode_varint(_FRAME_VERSION) + encode_varint(count) + body
 
 
 def split_for_push(
@@ -742,18 +747,22 @@ class DecodedFrame:
         if self._mappings is None:
             sources = [self._sketches[index] for index in indices]
         else:
-            if self._states is None and targets:
-                self._states = [
-                    state for columns, builder in self._chunks
-                    for state in _decoded_states(columns, builder.store_at)
-                ]
-            states = self._states
+            states = self._merge_states() if targets else []
             sketch = self.sketch
             sources = [
                 (type(target).merge is _BASE_MERGE and states[index]) or sketch(index)
                 for target, index in zip(targets, indices)
             ]
         BaseDDSketch.merge_checked_pairs(targets, sources)
+
+    def _merge_states(self) -> List[Any]:
+        """Each entry's state as :meth:`merge_into` merges it (computed once)."""
+        if self._states is None:
+            self._states = [
+                state for columns, builder in self._chunks
+                for state in _decoded_states(columns, builder.store_at)
+            ]
+        return self._states
 
     def _build(self, index: int) -> Any:
         """Entry ``index``'s sketch from its columns, in its per-sketch decode state."""

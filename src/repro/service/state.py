@@ -9,8 +9,10 @@ extended across process restarts).  It holds:
 
 * the **merged registry** — every accepted frame folded into one
   :class:`~repro.registry.SketchRegistry` (the all-time quantile surface);
-* **windowed retention** — one registry per flush-interval bucket, bounded
-  to the newest ``retention_intervals`` buckets, for "p99 over the last N
+* **windowed retention** — one columnar bucket store per flush-interval
+  bucket (:class:`~repro.service.buckets.BucketStore`: every series' store
+  windows in one cell buffer, one row of columns per series), bounded to
+  the newest ``retention_intervals`` buckets, for "p99 over the last N
   intervals" queries without keeping unbounded history;
 * the **deduplication table** — a per-host high-watermark (every 1-based
   sequence ``<= watermark`` was applied) plus a bounded set of
@@ -34,15 +36,18 @@ import math
 import struct
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.exceptions import DeserializationError, IllegalArgumentError
+from repro.exceptions import DeserializationError, EmptySketchError, IllegalArgumentError
 from repro.registry import SketchRegistry, ThresholdResult, check_entries, merge_entries_into
-from repro.registry.registry import Entries
-from repro.registry.series import TagsLike
+from repro.registry.registry import (
+    Entries, check_quantile_read, no_data, quantile_values,
+)
+from repro.registry.series import SeriesKey, TagsLike
 from repro.serialization.encoding import (
     VarintReader,
     encode_varint,
     encode_zigzag,
 )
+from repro.service.buckets import BucketStore, fold_series
 from repro.service.protocol import PushEnvelope, decode_push_envelope
 
 _SNAPSHOT_STATE_VERSION = 2
@@ -102,7 +107,7 @@ class ServiceState:
         self._retention_intervals = int(retention_intervals)
         self._dedup_window = int(dedup_window)
         self.registry = SketchRegistry()
-        self._windows: Dict[int, SketchRegistry] = {}
+        self._windows: Dict[int, BucketStore] = {}
         self._max_bucket: Optional[int] = None
         # Dedup table: per-host contiguous-prefix watermark + the applied
         # sequences above it (out-of-order arrivals awaiting their gap).
@@ -181,12 +186,18 @@ class ServiceState:
         (:func:`~repro.serialization.frame.read_frame`, a
         :class:`~repro.serialization.frame.DecodedFrame`), so the frame is
         not decoded a second time; ``(series, sketch)`` pairs are taken as
-        well.  The state adopts those sketches — a window bucket keeps them
-        without copying — so they must reach exactly one ``apply`` and not
-        be used after it.  Without ``entries`` the frame is decoded here.
-        The merged registry and the window bucket take the entries in one
-        bulk merge (:func:`~repro.registry.merge_entries_into`), which
-        builds no sketch for a decoded entry of a series both already hold.
+        well.  The state may adopt those sketches — a window bucket keeps a
+        new series of a family its rows cannot hold without copying — so
+        they must reach exactly one ``apply`` and not be used after it.
+        Without ``entries`` the frame is decoded here.  Every entry is
+        checked against both destinations first.  The window bucket then
+        takes a decoded frame in native passes over its rows
+        (:meth:`~repro.service.buckets.BucketStore.merge`), and the merged
+        registry in one bulk merge
+        (:func:`~repro.registry.merge_entries_into`); neither builds a
+        sketch for a decoded entry of a series it already holds.  Loose
+        ``(series, sketch)`` pairs go into both destinations entry by
+        entry, since a pair's sketch may be one the state holds.
         """
         from repro.serialization.frame import DecodedFrame, read_frame
 
@@ -196,12 +207,18 @@ class ServiceState:
             return 0
         frame = read_frame(envelope.frame) if entries is None else DecodedFrame.of(entries)
         window = self._window_target(bucket)
-        destinations = [(self.registry, True)]
+        checked = check_entries([self.registry], frame)
         if window is not None:
-            # The decoded sketches are exclusively owned: the window bucket
-            # adopts them, while the merged registry copies new series.
-            destinations.append((window, False))
-        merge_entries_into(destinations, frame)
+            window.check(frame)
+        if frame.decoded:
+            if window is not None:
+                window.merge(frame)
+            merge_entries_into([(self.registry, True)], frame, checked=checked)
+        else:
+            for key, sketch in frame:
+                self.registry.merge_series(key, sketch)
+                if window is not None:
+                    window.merge(DecodedFrame.of([(key, sketch)]))
         self._mark_applied(envelope.host, envelope.sequence)
         if window is not None:
             self._keep_window(bucket, window)
@@ -219,11 +236,13 @@ class ServiceState:
         before it logs a push, so a push that cannot merge is refused with
         nothing logged.
         """
-        registries = [self.registry]
+        from repro.serialization.frame import DecodedFrame
+
         window = self._windows.get(self.envelope_bucket(envelope))
+        frame = DecodedFrame.of(entries)
+        check_entries([self.registry], frame)
         if window is not None:
-            registries.append(window)
-        check_entries(registries, entries)
+            window.check(frame)
 
     def apply_envelope_bytes(self, payload: bytes) -> int:
         """Decode a serialized envelope and apply it (the replay path)."""
@@ -248,11 +267,11 @@ class ServiceState:
     def _bucket_of(self, interval_start: float) -> int:
         return int(math.floor(interval_start / self._interval_length))
 
-    def _window_target(self, bucket: int) -> Optional[SketchRegistry]:
-        """The registry bucket an envelope lands in, changing nothing.
+    def _window_target(self, bucket: int) -> Optional[BucketStore]:
+        """The bucket store an envelope lands in, changing nothing.
 
         ``None`` when windows are off or the bucket is older than the
-        retention horizon; a new, not yet retained registry when the bucket
+        retention horizon; a new, not yet retained store when the bucket
         holds nothing so far (:meth:`_keep_window` retains it).
         """
         if self._retention_intervals == 0:
@@ -261,11 +280,11 @@ class ServiceState:
             return None  # older than the retention horizon: merged-only
         window = self._windows.get(bucket)
         if window is None:
-            window = SketchRegistry()
+            window = BucketStore()
         return window
 
-    def _keep_window(self, bucket: int, window: SketchRegistry) -> None:
-        """Retain ``window`` as ``bucket``'s registry, evicting what falls
+    def _keep_window(self, bucket: int, window: BucketStore) -> None:
+        """Retain ``window`` as ``bucket``'s store, evicting what falls
         behind the retention horizon."""
         if self._max_bucket is None or bucket > self._max_bucket:
             self._max_bucket = bucket
@@ -305,22 +324,29 @@ class ServiceState:
         bounds, each selected series is folded over the retained interval
         buckets intersecting ``[window_start, window_end)``, oldest first,
         and the series are then merged in sorted key order
-        (:meth:`~repro.registry.SketchRegistry.quantiles` with
-        ``windows``): the same answer as merging those buckets into one
+        (:func:`~repro.service.buckets.fold_series`, from the buckets' row
+        columns): the same answer as merging those buckets into one
         registry first, without building it.  The merged registry indexes
         the series, since every series a bucket holds is one of its own.
         Raises :class:`~repro.exceptions.EmptySketchError` when nothing
         matches — never ``KeyError`` (the repository-wide unknown-series
         contract) — and :class:`~repro.exceptions.IllegalArgumentError` for
-        a window bound that is not finite.
+        a window bound that is not finite, before anything else.
         """
-        windows = None
-        if window_start is not None or window_end is not None:
-            buckets = self._buckets_in(window_start, window_end)
-            windows = [self._windows[bucket] for bucket in buckets]
-        return self.registry.quantiles(
-            metric, quantiles, tags=tags, tag_filter=tag_filter, windows=windows
-        )
+        if window_start is None and window_end is None:
+            return self.registry.quantiles(metric, quantiles, tags=tags, tag_filter=tag_filter)
+        buckets = [self._windows[bucket] for bucket in self._buckets_in(window_start, window_end)]
+        check_quantile_read(quantiles, tags, tag_filter)
+        if tags is None:
+            sketch = fold_series(buckets, self.registry.series_keys(metric, tag_filter))
+            if sketch is None:
+                raise no_data(metric, tag_filter)
+        else:
+            key = SeriesKey.of(metric, tags)
+            sketch = fold_series(buckets, [key])
+            if sketch is None:
+                raise EmptySketchError(f"no data for series {key}")
+        return quantile_values(sketch, metric, quantiles)
 
     def threshold_query(
         self,
@@ -366,14 +392,16 @@ class ServiceState:
     ) -> SketchRegistry:
         """The merged registry, or the window's buckets merged into a new one.
 
-        One bulk ``merge`` per bucket: the cheapest way, so far, to give a
-        windowed threshold query one sketch per series.
+        One bulk merge per bucket, its rows read in place as merge sources
+        (:meth:`~repro.service.buckets.BucketStore.entries`): the cheapest
+        way, so far, to give a windowed threshold query one sketch per
+        series.
         """
         if window_start is None and window_end is None:
             return self.registry
         merged = SketchRegistry()
         for bucket in self._buckets_in(window_start, window_end):
-            merged.merge(self._windows[bucket])
+            merge_entries_into([(merged, False)], self._windows[bucket].entries())
         return merged
 
     # ------------------------------------------------------------------ #
@@ -424,9 +452,16 @@ class ServiceState:
 
         Raises :class:`~repro.exceptions.DeserializationError` for any
         malformed payload (the snapshot file's CRC catches disk corruption
-        first; this guards the structure itself).  Snapshot frames decode
-        without the push bin budget: the server's own state may
-        legitimately hold more bins than one pushed frame may decode to.
+        first; this guards the structure itself), a bucket above the
+        snapshot's newest one included.  Snapshot frames decode without the
+        push bin budget: the server's own state may legitimately hold more
+        bins than one pushed frame may decode to.
+
+        ``retention_intervals`` may differ from the snapshotted state's
+        (``repro serve --retention`` can change between restarts): only the
+        buckets within its horizon of the newest one are restored, as
+        :meth:`apply` would have kept them, and none with windows off, which
+        also forgets the newest bucket, as a state built so never knew it.
         """
         state = cls(
             interval_length=interval_length,
@@ -444,18 +479,25 @@ class ServiceState:
             state.registry.merge_frame(reader.read_bytes(merged_length))
             max_bucket = reader.read_zigzag()
             has_bucket = reader.read_varint()
-            state._max_bucket = max_bucket if has_bucket else None
+            retention = state._retention_intervals
+            state._max_bucket = max_bucket if has_bucket and retention else None
             num_windows = reader.read_varint()
             if num_windows > reader.remaining:
                 raise DeserializationError("snapshot window count exceeds the payload")
+            if num_windows and not has_bucket:
+                raise DeserializationError("snapshot lists window buckets but no newest bucket")
             for _ in range(num_windows):
                 bucket = reader.read_zigzag()
                 frame_length = reader.read_varint()
                 if frame_length > reader.remaining:
                     raise DeserializationError("snapshot window frame exceeds the payload")
-                window = SketchRegistry()
-                window.merge_frame(reader.read_bytes(frame_length))
-                state._windows[bucket] = window
+                if bucket > max_bucket:
+                    raise DeserializationError(
+                        f"snapshot window bucket {bucket} is above its newest bucket {max_bucket}"
+                    )
+                window = BucketStore.from_frame(reader.read_bytes(frame_length))
+                if retention and bucket > max_bucket - retention:
+                    state._windows[bucket] = window
             num_hosts = reader.read_varint()
             if num_hosts > reader.remaining:
                 raise DeserializationError("snapshot host count exceeds the payload")

@@ -509,11 +509,34 @@ def fold_store_groups(
     except OverflowError:
         return None
     windows = list(map(_BINS, stores))
+    sizes = None
+    if not total_kind or dense_chunk:
+        sizes = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
+    cells = fold_cells(total_kind, total_limit, group_cells, dense_chunk, offsets, sizes)
+    if cells is None:
+        return None
+    folded = kernel.fold_windows(ends, heads, offsets, windows, counts, *cells)
+    if folded is None:
+        return None
+    return folded_store(type(first), first._chunk_size, total_limit, folded)
+
+
+def fold_cells(
+    total_kind: int, total_limit: int, group_cells: int, dense_chunk: int,
+    offsets: "np.ndarray", sizes: Optional["np.ndarray"],
+) -> Optional[Tuple[int, int]]:
+    """The scratch cells of a fold pass, ``(total_cells, group_cells)``, or
+    ``None`` past :data:`MAX_MOVED_CELLS`.
+
+    Group 0's result starts from a store of kind ``total_kind`` and limit
+    ``total_limit``; ``group_cells`` is the largest bin limit of the later
+    groups' collapsing heads and ``dense_chunk`` the largest chunk of their
+    plain heads.  A plain store's window stays within the union of every
+    window, widened by one chunk on each side: ``sizes`` (the windows'
+    cells, from key ``offsets``) is needed only where a plain store is.
+    """
     total_cells = total_limit
     if not total_kind or dense_chunk:
-        # A plain store's window stays within the union of every window,
-        # widened by one chunk on each side.
-        sizes = np.fromiter(map(len, windows), dtype=np.int64, count=len(windows))
         used = sizes > 0
         span = int((offsets + sizes)[used].max() - offsets[used].min()) if used.any() else 0
         if not total_kind:
@@ -522,21 +545,28 @@ def fold_store_groups(
             group_cells = max(group_cells, span + 2 * dense_chunk)
     if total_cells > MAX_MOVED_CELLS or group_cells > MAX_MOVED_CELLS:
         return None
-    folded = kernel.fold_windows(ends, heads, offsets, windows, counts, total_cells, group_cells)
-    if folded is None:
-        return None
+    return total_cells, group_cells
+
+
+def folded_store(store_type: type, chunk_size: int, limit: int, folded) -> Store:
+    """A ``store_type`` store holding what a fold pass returned.
+
+    ``folded`` is :func:`repro.kernel.fold_windows`' result; ``chunk_size``
+    and ``limit`` are the first store's (``limit`` is a bounded store's bin
+    limit).  Set attribute by attribute, in ``__init__``'s order, as
+    :meth:`~repro.store.dense.DenseStore.copy` sets them: reading the first
+    store's ``__dict__`` would give both stores an instance dict, and every
+    later attribute read on them would be slower.
+    """
     bins, offset, positive, collapsed, count = folded
-    # Attribute by attribute, in __init__'s order, as DenseStore.copy sets
-    # them: reading first.__dict__ would give both stores an instance dict,
-    # and every later attribute read on them would be slower.
-    store = type(first).__new__(type(first))
-    store._chunk_size = first._chunk_size
+    store = store_type.__new__(store_type)
+    store._chunk_size = chunk_size
     store._bins = bins
     store._offset = offset
     store._count = count
     store._num_positive = positive
-    if total_kind:
-        store._bin_limit = first._bin_limit
+    if store_type is not DenseStore:
+        store._bin_limit = limit
         store._is_collapsed = collapsed
     return store
 

@@ -808,3 +808,69 @@ class TestSketchRegistry:
         with pytest.raises(IllegalArgumentError, match="one series twice"):
             target.merge_entries(entries)
         assert target.to_frame() == before
+
+
+class TestSortedKeysAfterEveryWrite:
+    """``series_keys`` filters a sorted key list the registry keeps between
+    writes: a read after each way a key can arrive lists it in order."""
+
+    @staticmethod
+    def _sketch(value):
+        sketch = DDSketch(0.02)
+        sketch.add(value)
+        return sketch
+
+    ARRIVALS = {
+        "sketch": lambda registry, key: registry.sketch(key),
+        "add": lambda registry, key: registry.add(key, 1.0),
+        "add_batch": lambda registry, key: registry.add_batch(key, np.array([1.0, 2.0])),
+        "ingest_grouped": lambda registry, key: registry.ingest_grouped(
+            [key, SeriesKey.of("m", {"k": "a"})], np.array([0, 1]), np.array([1.0, 2.0])
+        ),
+        "ingest_columns": lambda registry, key: registry.ingest_columns(
+            [key, key], np.array([1.0, 2.0])
+        ),
+        "merge_series": lambda registry, key: registry.merge_series(
+            key, TestSortedKeysAfterEveryWrite._sketch(3.0)
+        ),
+        "merge_entries": lambda registry, key: registry.merge_entries(
+            [(key, TestSortedKeysAfterEveryWrite._sketch(3.0))]
+        ),
+        "merge_frame": lambda registry, key: registry.merge_frame(_frame_of(key)),
+    }
+
+    @pytest.mark.parametrize("arrival", sorted(ARRIVALS))
+    def test_a_new_key_is_read_in_sorted_order(self, arrival):
+        registry = SketchRegistry()
+        for tag in ("c", "e", "a"):
+            registry.add(SeriesKey.of("m", {"k": tag}), 1.0)
+        assert registry.series_keys("m") == sorted(registry.series_keys("m"))
+        for tag in ("d", "b", "f"):
+            key = SeriesKey.of("m", {"k": tag})
+            self.ARRIVALS[arrival](registry, key)
+            keys = registry.series_keys()
+            assert key in keys
+            assert keys == sorted(registry._sketches, key=SeriesKey.sort_key)
+            assert registry.series_keys("m", {"k": tag}) == [key]
+            assert [found for found, _ in registry] == keys
+
+    def test_clear_forgets_the_keys(self):
+        registry = SketchRegistry()
+        registry.add("b", 1.0)
+        assert registry.series_keys() == [SeriesKey.of("b")]
+        registry.clear()
+        assert registry.series_keys() == []
+        registry.add("a", 1.0)
+        assert registry.series_keys() == [SeriesKey.of("a")]
+
+    def test_a_read_returns_a_fresh_list(self):
+        registry = SketchRegistry()
+        registry.add("a", 1.0)
+        registry.series_keys().append(SeriesKey.of("z"))
+        assert registry.series_keys() == [SeriesKey.of("a")]
+
+
+def _frame_of(key):
+    registry = SketchRegistry()
+    registry.add(key, 4.0)
+    return registry.to_frame()

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from _service_testkit import make_envelope, reference_state
 from repro.core.uddsketch import UDDSketch
 from repro.registry import SketchRegistry
-from repro.exceptions import DeserializationError, IllegalArgumentError
+from repro.exceptions import DeserializationError, EmptySketchError, IllegalArgumentError
 from repro.service import AggregationServer, SegmentLog, ServiceState
 from repro.service.protocol import decode_push_envelope, encode_push_envelope
 
@@ -371,3 +371,48 @@ class TestProductionSizeFrames:
             assert state._windows[bucket].to_frame() == reference._windows[bucket].to_frame()
         assert state.to_snapshot() == reference.to_snapshot()
         restarted.log.close()
+
+
+class TestRetentionChangeOnRestore:
+    """``repro serve --retention`` can change between restarts: a restored
+    state keeps only the buckets its own retention would have kept."""
+
+    PUSHES = [make_envelope([1.0 + bucket], interval_start=float(bucket), sequence=bucket + 1)
+              for bucket in range(6)]
+
+    def _snapshot(self):
+        return reference_state(self.PUSHES, retention_intervals=4).to_snapshot()
+
+    def test_a_smaller_retention_drops_the_buckets_behind_its_horizon(self):
+        restored = ServiceState.from_snapshot(self._snapshot(), retention_intervals=2)
+        assert restored.window_buckets() == [4, 5]
+        built = reference_state(self.PUSHES, retention_intervals=2)
+        assert restored.to_snapshot() == built.to_snapshot()
+        assert restored.quantiles("latency", [1.0], window_start=0.0, window_end=6.0) == (
+            built.quantiles("latency", [1.0], window_start=0.0, window_end=6.0)
+        )
+
+    def test_retention_zero_keeps_no_window(self):
+        restored = ServiceState.from_snapshot(self._snapshot(), retention_intervals=0)
+        assert restored.window_buckets() == []
+        with pytest.raises(EmptySketchError):
+            restored.quantiles("latency", [0.5], window_start=0.0, window_end=6.0)
+        more = make_envelope([9.0], interval_start=6.0, sequence=7)
+        restored.apply_envelope_bytes(more)
+        built = reference_state(self.PUSHES + [more], retention_intervals=0)
+        assert restored.to_snapshot() == built.to_snapshot()
+
+    def test_a_larger_retention_keeps_every_bucket_and_the_newest(self):
+        restored = ServiceState.from_snapshot(self._snapshot(), retention_intervals=8)
+        assert restored.window_buckets() == [2, 3, 4, 5]
+        restored.apply_envelope_bytes(make_envelope([3.0], interval_start=1.0, sequence=7))
+        assert restored.window_buckets() == [1, 2, 3, 4, 5]
+
+    def test_inconsistent_bucket_lists_are_refused(self):
+        state = reference_state(self.PUSHES, retention_intervals=4)
+        state._max_bucket = 4  # bucket 5 is above the recorded newest bucket
+        with pytest.raises(DeserializationError, match="above its newest"):
+            ServiceState.from_snapshot(state.to_snapshot(), retention_intervals=4)
+        state._max_bucket = None  # buckets, but no newest bucket
+        with pytest.raises(DeserializationError, match="no newest bucket"):
+            ServiceState.from_snapshot(state.to_snapshot(), retention_intervals=4)
